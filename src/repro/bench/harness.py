@@ -91,7 +91,7 @@ class Table1Measurement:
     seconds_sp: float
     seconds_spp: float
     truncated: bool = False
-    # Mincov reduction report for the SPP covering steps, summed over
+    # Covering reduction report for the SPP covering steps, summed over
     # outputs (counts added, passes maxed); None when no output
     # produced one.
     covering_stats: dict | None = None

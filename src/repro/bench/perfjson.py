@@ -421,7 +421,7 @@ def run_perf_suite(
         profile(solve_label, solve_case)
         # One extra solve outside the timed loop records the cover cost
         # (regressions must not buy speed with worse covers) and the
-        # mincov reduction report.
+        # covering reduction report.
         solution = cov.solve_greedy(problem)
         meta: dict[str, Any] = {
             "rows": problem.num_rows,

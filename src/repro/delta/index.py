@@ -29,7 +29,7 @@ from typing import Any
 from repro.budget import Budget
 from repro.delta.context import MAX_CONTEXT_CANDIDATES, MinimizationContext, build_context
 from repro.delta.reminimize import DEFAULT_MAX_EDIT, DeltaIneligible, warm_minimize
-from repro.errors import BudgetExceeded, IntegrityError
+from repro.errors import BudgetExceeded
 
 __all__ = ["DeltaIndex", "onset_signature", "warm_record_for"]
 
@@ -81,8 +81,8 @@ class DeltaIndex:
 
     Thread-safe: the serving tier shares one index across request
     threads.  Counters (``lookups``, ``warm_hits``, ``fallbacks`` with
-    a per-reason breakdown, ``inserts``, ``evictions``) feed ``/stats``
-    and ``/metrics``.
+    a per-reason breakdown, ``inserts``, ``evictions``,
+    ``capture_errors``) feed ``/stats`` and ``/metrics``.
     """
 
     def __init__(
@@ -102,6 +102,7 @@ class DeltaIndex:
         self.warm_hits = 0
         self.inserts = 0
         self.evictions = 0
+        self.capture_errors = 0
         self.fallback_reasons: dict[str, int] = {}
 
     def __len__(self) -> int:
@@ -117,19 +118,25 @@ class DeltaIndex:
 
         Only top-rung (non-degraded) exact results are worth keeping —
         a degraded or truncated solve has no reusable candidate stream.
+        A failed snapshot never fails the rung: it is counted in
+        ``capture_errors`` and the result is simply not indexed.
         """
         if getattr(rung, "method", None) != "exact" or record.get("truncated"):
             return
-        ctx = build_context(
-            job.func,
-            result,
-            covering=job.covering,
-            backend=job.backend,
-            max_pseudoproducts=job.max_pseudoproducts,
-            max_candidates=self.max_candidates,
-        )
-        if ctx is not None:
-            self.put(job.content_hash, ctx)
+        try:
+            ctx = build_context(
+                job.func,
+                result,
+                covering=job.covering,
+                backend=job.backend,
+                max_pseudoproducts=job.max_pseudoproducts,
+                max_candidates=self.max_candidates,
+            )
+            if ctx is not None:
+                self.put(job.content_hash, ctx)
+        except Exception:  # noqa: BLE001 — snapshotting must never fail a rung
+            with self._lock:
+                self.capture_errors += 1
 
     def put(self, key: str, ctx: MinimizationContext) -> None:
         with self._lock:
@@ -242,6 +249,7 @@ class DeltaIndex:
                 "fallbacks": sum(self.fallback_reasons.values()),
                 "inserts": self.inserts,
                 "evictions": self.evictions,
+                "capture_errors": self.capture_errors,
                 "fallback_reasons": dict(self.fallback_reasons),
             }
 

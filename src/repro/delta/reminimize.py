@@ -38,7 +38,6 @@ from repro.core.spp_form import SppForm
 from repro.delta.context import MinimizationContext
 from repro.kernels.coverage import coverage_masks
 from repro.minimize import covering as cov
-from repro.minimize.covering import CoveringProblem
 from repro.minimize.exact import SppResult, minimize_spp
 
 __all__ = [
@@ -176,17 +175,7 @@ def warm_minimize(
     rows2, masks2 = _patched_rows_and_masks(base, func, budget)
     if budget is not None:
         budget.check()
-    # build_problem's zero-mask drop, on the patched arrays.
-    if 0 in masks2:
-        keep = [i for i, mask in enumerate(masks2) if mask]
-        problem = CoveringProblem(
-            len(rows2),
-            [masks2[i] for i in keep],
-            [base.costs[i] for i in keep],
-            [base.candidates[i] for i in keep],
-        )
-    else:
-        problem = CoveringProblem(len(rows2), masks2, list(base.costs), list(base.candidates))
+    problem = cov.problem_from_masks(len(rows2), masks2, base.costs, base.candidates)
     seed = None
     if base.covering == "exact" and base.form.pseudoproducts:
         index_of: dict[Pseudocube, int] = {}

@@ -100,8 +100,9 @@ def execute_rung(
     minimizer result, before the record is returned — the hook the
     near-duplicate index (:mod:`repro.delta`) uses to snapshot reusable
     contexts.  Only honoured where the caller shares an address space
-    (the scheduler threads it on the inline path); capture errors are
-    swallowed, never failing the rung.
+    (the scheduler threads it on the inline path).  The callback must
+    not raise: :meth:`repro.delta.DeltaIndex.observe` counts its own
+    failures instead of failing the rung.
     """
     func = job.func
     t0 = time.perf_counter()
@@ -190,8 +191,5 @@ def execute_rung(
         "extras": extras,
     }
     if capture is not None and rung.method == "exact":
-        try:
-            capture(job, rung, result, record)
-        except Exception:  # noqa: BLE001 — snapshotting must never fail a rung
-            pass
+        capture(job, rung, result, record)
     return record

@@ -3,7 +3,7 @@
 Each family stresses a different corner of the pipeline:
 
 * ``dense`` — on-probability ~1/2; large covering tables, many EPPP
-  candidates, exercises mincov reduction and branch-and-bound.
+  candidates, exercises the covering reductions and branch-and-bound.
 * ``sparse`` — a handful of on-points; degenerate tables where a
   single pseudocube often suffices, exercises the trivial paths.
 * ``arith-like`` — parity / carry / majority style functions with

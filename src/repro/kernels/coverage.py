@@ -39,7 +39,7 @@ from collections.abc import Sequence
 
 from repro.budget import Budget
 from repro.core.pseudocube import Pseudocube
-from repro.minimize.covering import CoveringProblem
+from repro.minimize.covering import CoveringProblem, problem_from_masks
 from repro.minimize.cost import literal_cost
 from repro.minimize.qm import Cube
 
@@ -217,15 +217,7 @@ def build_problem(
     kernel instead of per-point enumeration.
     """
     masks, costs = _masks_and_costs(rows, candidates, cost_of, budget)
-    if 0 not in masks:
-        return CoveringProblem(len(rows), masks, costs, list(candidates))
-    keep = [i for i, mask in enumerate(masks) if mask]
-    return CoveringProblem(
-        len(rows),
-        [masks[i] for i in keep],
-        [costs[i] for i in keep],
-        [candidates[i] for i in keep],
-    )
+    return problem_from_masks(len(rows), masks, costs, candidates)
 
 
 def _row_boards(rows: Sequence[int], n: int) -> list[int]:
@@ -284,12 +276,4 @@ def build_cube_problem(
     """A :class:`CoveringProblem` with cube columns (the SP baseline),
     column-order compatible with the legacy per-point build."""
     masks = cube_coverage_masks(rows, cubes, n, budget=budget)
-    keep_masks: list[int] = []
-    costs: list[int] = []
-    payloads: list[Cube] = []
-    for mask, cube in zip(masks, cubes):
-        if mask:
-            keep_masks.append(mask)
-            costs.append(cost_of(cube))
-            payloads.append(cube)
-    return CoveringProblem(len(rows), keep_masks, costs, payloads)
+    return problem_from_masks(len(rows), masks, [cost_of(c) for c in cubes], cubes)

@@ -23,6 +23,7 @@ pinned fallback, so outputs are unchanged to the bit either way.
 from __future__ import annotations
 
 import os
+import threading
 
 try:  # gated: the container may lack numpy; callers fall back to core.gf2
     import numpy as _np
@@ -263,7 +264,10 @@ def insert_reduced_batch(parents, deltas):
 # heavily — the bench repeats each function and real traffic is mostly
 # near-duplicate functions — so small decoded streams are memoized.
 # Entries are immutable by convention: callers only read the arrays.
+# Insertion and eviction hold ``_PAIR_LOCK``: serving threads generate
+# concurrently, and two evictions must not race on the oldest key.
 _PAIR_CACHE: dict[tuple[bytes, int | None], tuple] = {}
+_PAIR_LOCK = threading.Lock()
 _PAIR_CACHE_MAX = 128
 _PAIR_CACHE_MAX_PAIRS = 1 << 16
 
@@ -294,9 +298,10 @@ def pair_split(sizes, limit: int | None = None):
         return cached
     out = _pair_split_compute(sizes, limit)
     if out[0].size <= _PAIR_CACHE_MAX_PAIRS:
-        if len(_PAIR_CACHE) >= _PAIR_CACHE_MAX:
-            _PAIR_CACHE.pop(next(iter(_PAIR_CACHE)))
-        _PAIR_CACHE[key] = out
+        with _PAIR_LOCK:
+            if len(_PAIR_CACHE) >= _PAIR_CACHE_MAX:
+                _PAIR_CACHE.pop(next(iter(_PAIR_CACHE)), None)
+            _PAIR_CACHE[key] = out
     return out
 
 
@@ -331,26 +336,28 @@ def _pair_split_compute(sizes, limit: int | None):
 # scatter into a table beats any sort: write positions back-to-front so
 # the lowest (first) stream position wins, then one linear scan of the
 # table yields the distinct keys in sorted order with their first
-# occurrences.  The table is epoch-tagged (entries below ``_DENSE_BASE``
-# are stale) so it is reused across calls without clearing.
+# occurrences.  The table is epoch-tagged (entries below the thread's
+# ``base`` are stale) so it is reused across calls without clearing.
+# Each thread owns its table: concurrent generations in one process
+# (the serving tier's request threads) would otherwise overwrite each
+# other's entries between the scatter and the scan.
 _DENSE_MAXVAL = 1 << 16
-_DENSE_TABLE = None
-_DENSE_BASE = 0
+_DENSE = threading.local()
 
 
 def _dense_scatter(keys, maxval: int):
-    """Scatter stream positions into the scratch table, back-to-front.
-    Returns ``(view, base)``: ``view[k] - base`` is the first stream
-    position of key ``k`` wherever ``view >= base``; smaller entries
-    are stale leftovers from earlier calls."""
-    global _DENSE_TABLE, _DENSE_BASE
-    if _DENSE_TABLE is None or _DENSE_TABLE.size < maxval:
-        _DENSE_TABLE = _np.zeros(max(maxval, 1 << 12), dtype=_np.int64)
-        _DENSE_BASE = 1
+    """Scatter stream positions into this thread's scratch table,
+    back-to-front.  Returns ``(view, base)``: ``view[k] - base`` is the
+    first stream position of key ``k`` wherever ``view >= base``;
+    smaller entries are stale leftovers from earlier calls."""
+    scratch = _DENSE
+    table = getattr(scratch, "table", None)
+    if table is None or table.size < maxval:
+        table = scratch.table = _np.zeros(max(maxval, 1 << 12), dtype=_np.int64)
+        scratch.base = 1
     size = int(keys.size)
-    base = _DENSE_BASE
-    _DENSE_BASE = base + size
-    table = _DENSE_TABLE
+    base = scratch.base
+    scratch.base = base + size
     table[keys[::-1]] = _np.arange(base + size - 1, base - 1, -1, dtype=_np.int64)
     return table[:maxval], base
 

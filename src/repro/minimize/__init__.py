@@ -6,7 +6,10 @@ from repro.minimize.bounded import minimize_spp_bounded
 from repro.minimize.covering import (
     CoveringProblem,
     CoveringSolution,
+    ReducedCore,
+    ReductionStats,
     build_covering,
+    reduce_problem,
     solve,
     solve_exact,
     solve_greedy,
@@ -19,7 +22,6 @@ from repro.minimize.eppp import (
 )
 from repro.minimize.exact import SppResult, minimize_spp
 from repro.minimize.heuristic import HeuristicStats, minimize_spp_k
-from repro.minimize.mincov import ReducedCore, ReductionStats, reduce_problem
 from repro.minimize.naive import generate_eppp_naive
 from repro.minimize.qm import Cube, prime_implicants
 from repro.minimize.sp import SpResult, minimize_sp

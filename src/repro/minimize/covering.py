@@ -6,28 +6,49 @@ implicants / EPPPs, and the cost of a column is its literal count.
 
 Rows are represented as bit positions of Python ints, so a column is a
 single int mask and "does this selection cover everything" is one OR
-chain.  Two solvers are provided:
+chain.  Every solver first shrinks the matrix with the classical
+unate-covering reductions (Quine–McCluskey tradition; see PAPERS.md on
+computer codes for the QM method):
 
-* :func:`solve_greedy` — the classical ratio-greedy with a
-  reverse-delete redundancy pass.  The paper also used covering
-  heuristics ("the numbers … are upper bounds for the minimal
-  solution"), so this is the default and the faithful choice.
-* :func:`solve_exact` — branch-and-bound with essential-column and
-  row/column dominance reductions and an independent-row lower bound.
-  Practical for the row/column sizes of the small benchmarks; a node
-  budget makes it degrade gracefully into a heuristic (the result flags
-  whether optimality was proved).
+* **essential columns** — a row covered by exactly one column forces
+  that column into every feasible cover;
+* **row dominance** — a row whose covering-column set is a superset of
+  another row's is covered for free once the smaller row is, so it is
+  dropped;
+* **column dominance** — a column whose row set (restricted to the live
+  rows) is a subset of a no-more-expensive column's is dropped: any
+  cover using it can swap in the dominator at no extra cost.
 
-Both public solvers (and :func:`solve`) route through the
-:mod:`repro.minimize.mincov` reduction layer — essential columns,
-row/column dominance to fixpoint, connected-component decomposition —
-and report what it did via :attr:`CoveringSolution.stats`.  The
-pre-reduction primitives (``_solve_greedy_raw`` / ``_solve_exact_raw``)
-stay here and are what mincov runs on each component; pass
-``reduce=False`` to call them directly.
+Iterating them to a fixpoint (:func:`reduce_problem`) leaves the
+*cyclic core*, which :func:`split_components` cuts into connected
+components that are solved independently; selections lift back to
+original column indices, and :attr:`CoveringSolution.stats` reports
+what the reduction did.  The solvers:
 
-When NumPy is available the greedy selection loop additionally runs on
-a packed :class:`repro.kernels.bitmat.BitMatrix` (one vectorized gain
+* :func:`solve_greedy` — the light reduction only (essential and empty
+  columns: on EPPP matrices the columns are maximal and dominance almost
+  never fires, so its O(columns·rows) passes would cost more than they
+  save), then per component the ratio-greedy with reverse-delete and a
+  1-removal improvement pass.  The paper also used covering heuristics
+  ("the numbers … are upper bounds for the minimal solution"), so this
+  is the default and the faithful choice.
+* :func:`solve_exact` — the full fixpoint, then per component a
+  branch-and-bound that re-runs the same essential and dominance passes
+  at every node (the classical *mincov* loop) under an independent-row
+  lower bound.  A node budget makes it degrade into a heuristic (the
+  result flags whether optimality was proved); ``seed`` reuses a known
+  cover as a fallback upper bound.
+* :func:`solve` — dispatch.  Its ``auto`` mode runs the exact
+  per-component loop but searches only components that are small after
+  reduction, and covers the rest greedily.
+
+The light reduction finds essential columns with a transpose-free
+once/twice accumulator; the exact path works on a per-row column
+transpose, built once for the reduction and once per searched
+component, and runs the same essential and dominance passes on both.
+When NumPy is available
+the greedy selection loop runs on a packed
+:class:`repro.kernels.bitmat.BitMatrix` (one vectorized gain
 computation per round instead of a Python heap), pinned bit-for-bit
 equivalent to the CELF heap path.
 """
@@ -37,24 +58,37 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Generic, TypeVar
+from typing import Any, Generic, TypeVar
 
 from repro.budget import Budget
-
-if TYPE_CHECKING:  # pragma: no cover — import cycle broken at runtime
-    from repro.minimize.mincov import ReductionStats
 
 __all__ = [
     "CoveringProblem",
     "CoveringSolution",
+    "ReducedCore",
+    "ReductionStats",
     "build_covering",
     "problem_from_masks",
+    "reduce_problem",
+    "split_components",
     "solve_greedy",
     "solve_exact",
     "solve",
 ]
 
 T = TypeVar("T")
+
+# Auto mode solves a component exactly when its (reduced) size is below
+# these bounds — tuned against the cyclic core, not the raw matrix, so
+# an instance whose core collapses is proved optimal even when the raw
+# matrix looks hopeless.
+AUTO_EXACT_MAX_ROWS = 96
+AUTO_EXACT_MAX_COLUMNS = 2500
+AUTO_NODE_LIMIT = 20_000
+
+# Per-node column dominance is O(active columns × rows); above this
+# many active columns a node runs only the cheap essential fixpoint.
+NODE_DOMINANCE_MAX_COLUMNS = 768
 
 
 @dataclass
@@ -88,12 +122,42 @@ class CoveringProblem(Generic[T]):
 
 
 @dataclass
+class ReductionStats:
+    """What the reduction fixpoint did to a covering matrix."""
+
+    rows: int
+    columns: int
+    core_rows: int
+    core_columns: int
+    essential: int
+    dominated_rows: int
+    dominated_columns: int
+    components: int
+    passes: int
+    dominance: bool
+
+    def as_dict(self) -> dict[str, Any]:
+        return {
+            "rows": self.rows,
+            "columns": self.columns,
+            "core_rows": self.core_rows,
+            "core_columns": self.core_columns,
+            "essential": self.essential,
+            "dominated_rows": self.dominated_rows,
+            "dominated_columns": self.dominated_columns,
+            "components": self.components,
+            "passes": self.passes,
+            "dominance": self.dominance,
+        }
+
+
+@dataclass
 class CoveringSolution(Generic[T]):
     """A cover: selected column indices, their payloads and total cost.
 
-    ``stats`` carries the mincov reduction report (rows/columns
-    eliminated, components, cyclic-core size) when the solution went
-    through the reduction layer; it is ``None`` for the raw solvers.
+    ``stats`` is the reduction report (rows/columns eliminated,
+    components, cyclic-core size); it is ``None`` only for the empty
+    problem, which no reduction ran on.
     """
 
     selected: list[int]
@@ -101,6 +165,25 @@ class CoveringSolution(Generic[T]):
     optimal: bool
     payloads: list[T] = field(default_factory=list)
     stats: ReductionStats | None = None
+
+
+@dataclass
+class ReducedCore:
+    """The cyclic core left by :func:`reduce_problem`.
+
+    ``forced`` are original column indices every feasible cover must
+    contain (essential columns, accumulated across fixpoint passes).
+    ``row_ids``/``col_ids`` map core positions back to original row
+    bits / column indices; ``masks`` are the surviving columns
+    re-indexed into core row positions.
+    """
+
+    forced: list[int]
+    row_ids: list[int]
+    col_ids: list[int]
+    masks: list[int]
+    costs: list[int]
+    stats: ReductionStats
 
 
 def build_covering(
@@ -153,19 +236,48 @@ def problem_from_masks(
     )
 
 
-def solve_greedy(
+# ---------------------------------------------------------------------------
+# Solvers
+# ---------------------------------------------------------------------------
+
+
+def _empty_or_check(problem: CoveringProblem[T]) -> CoveringSolution[T] | None:
+    """The empty problem's solution, None for any other feasible
+    problem; an infeasible problem raises ``ValueError``."""
+    if problem.num_rows == 0:
+        return CoveringSolution([], 0, True, [])
+    if not problem.is_feasible():
+        raise ValueError("covering problem is infeasible")
+    return None
+
+
+def _finish(
     problem: CoveringProblem[T],
-    *,
-    budget: Budget | None = None,
-    reduce: bool = True,
+    selected: list[int],
+    optimal: bool,
+    stats: ReductionStats | None,
+) -> CoveringSolution[T]:
+    cost = sum(problem.costs[i] for i in selected)
+    return CoveringSolution(
+        selected,
+        cost,
+        optimal,
+        [problem.payloads[i] for i in selected],
+        stats=stats,
+    )
+
+
+def solve_greedy(
+    problem: CoveringProblem[T], *, budget: Budget | None = None
 ) -> CoveringSolution[T]:
     """Greedy covering with local improvement.
 
-    With ``reduce=True`` (the default) the problem first goes through
-    the mincov light reduction — essential columns to fixpoint, empty
-    columns, connected components — and the greedy runs per component
-    on the cyclic core (see :func:`repro.minimize.mincov.solve_greedy`);
-    the result's ``stats`` records what the reduction did.
+    The light reduction (essential columns to fixpoint, empty columns)
+    runs first and the greedy then covers each connected component of
+    the core.  ``optimal`` is True only when the reduction solved the
+    instance outright (essential columns alone form a cover — they are
+    members of *every* feasible cover, so their cost is a lower bound
+    met with equality).
 
     The greedy itself runs under two selection criteria (best
     rows-per-cost ratio, most new rows), applies reverse-delete
@@ -177,25 +289,595 @@ def solve_greedy(
     ``budget`` is ticked per column scan, so a blown deadline or a
     cancellation surfaces from inside the selection loop.
     """
-    if problem.num_rows == 0:
-        return CoveringSolution([], 0, True, [])
-    if not problem.is_feasible():
-        raise ValueError("covering problem is infeasible")
-    if reduce:
-        from repro.minimize import mincov
+    empty = _empty_or_check(problem)
+    if empty is not None:
+        return empty
+    core = reduce_problem(problem, budget=budget, dominance=False)
+    stats = core.stats
+    if not core.row_ids:
+        return _finish(problem, list(core.forced), True, stats)
+    comps = split_components(len(core.row_ids), core.masks)
+    stats.components = len(comps)
+    if len(comps) == 1 and not core.forced and len(core.col_ids) == problem.num_columns:
+        # Nothing reduced: solve in place so repeated solves on the same
+        # problem object share its cached bit-matrix packing.
+        solution = _greedy_cover(problem, budget=budget)
+        solution.stats = stats
+        return solution
+    selected = list(core.forced)
+    for comp in comps:
+        sub = _component_problem(core, comp)
+        selected.extend(_greedy_cover(sub, budget=budget).payloads)
+    return _finish(problem, selected, False, stats)
 
-        return mincov.solve_greedy(problem, budget=budget)
-    return _solve_greedy_raw(problem, budget=budget)
+
+def solve_exact(
+    problem: CoveringProblem[T],
+    node_limit: int = 200_000,
+    *,
+    budget: Budget | None = None,
+    seed: list[int] | None = None,
+) -> CoveringSolution[T]:
+    """Exact covering: full reduction fixpoint, component split, then a
+    branch-and-bound per component that re-runs the fixpoint at every
+    node.
+
+    ``optimal`` is True iff every component's search completed within
+    the shared ``node_limit``; otherwise the best cover found (never
+    worse than greedy, which seeds each component's incumbent) is
+    returned with ``optimal=False``.  ``budget`` is ticked once per
+    search node, so cancellation and deadlines cut the search short
+    from inside the recursion.
+
+    ``seed`` is an optional warm-start cover — column indices into
+    ``problem`` known to be feasible (e.g. the previous solution in
+    incremental re-minimization, the upper-bound reuse of Riener et
+    al.).  It never steers the search itself: reduction may eliminate
+    seed columns, and injecting a bound without a witness into a
+    component would let pruning discard the optimum unsoundly.  It only
+    acts as a fallback incumbent — when the search runs out of nodes
+    *and* the seed is a strictly cheaper cover than the best one found,
+    the seed is returned (still ``optimal=False``).  A proved result is
+    therefore bit-identical with or without a seed, and a seed that
+    does not cover the rows is ignored.
+    """
+    solution = _solve_components(problem, node_limit, budget, auto=False)
+    if seed is not None and not solution.optimal:
+        covered = 0
+        for i in seed:
+            covered |= problem.column_masks[i]
+        if covered == problem.universe and sum(
+            problem.costs[i] for i in seed
+        ) < solution.cost:
+            return _finish(problem, list(seed), False, solution.stats)
+    return solution
 
 
-def _solve_greedy_raw(
+def solve(
+    problem: CoveringProblem[T],
+    mode: str = "auto",
+    *,
+    budget: Budget | None = None,
+    seed: list[int] | None = None,
+) -> CoveringSolution[T]:
+    """Dispatch: ``greedy``, ``exact``, or ``auto``.
+
+    Auto reduces the matrix once, then picks exact or greedy *per
+    component of the cyclic core* — a component is searched (under a
+    shared ``AUTO_NODE_LIMIT``) only when its reduced size is within
+    ``AUTO_EXACT_MAX_ROWS`` × ``AUTO_EXACT_MAX_COLUMNS``, so instances
+    whose core collapses get proved optimal even when the raw matrix
+    looks large (mirroring the paper's practice of exact covers on the
+    small benchmarks, heuristics on the rest).
+
+    ``seed`` (exact mode only) is a known-feasible warm-start cover
+    used as a fallback incumbent when the node budget runs out.
+    """
+    if mode == "greedy":
+        return solve_greedy(problem, budget=budget)
+    if mode == "exact":
+        return solve_exact(problem, budget=budget, seed=seed)
+    if mode == "auto":
+        return _solve_components(problem, AUTO_NODE_LIMIT, budget, auto=True)
+    raise ValueError(f"unknown covering mode {mode!r}")
+
+
+def _solve_components(
+    problem: CoveringProblem[T],
+    node_limit: int,
+    budget: Budget | None,
+    *,
+    auto: bool,
+) -> CoveringSolution[T]:
+    """Full reduction, then branch-and-bound per core component from a
+    greedy incumbent, the components sharing ``node_limit`` nodes.
+
+    With ``auto`` a component too large after reduction, or met once
+    the nodes are spent, keeps its greedy cover unsearched.
+    """
+    empty = _empty_or_check(problem)
+    if empty is not None:
+        return empty
+    core = reduce_problem(problem, budget=budget, dominance=True)
+    stats = core.stats
+    if not core.row_ids:
+        return _finish(problem, list(core.forced), True, stats)
+    comps = split_components(len(core.row_ids), core.masks)
+    stats.components = len(comps)
+    selected = list(core.forced)
+    proved = True
+    nodes_left = node_limit
+    for comp in comps:
+        sub = _component_problem(core, comp)
+        incumbent = _greedy_cover(sub, budget=budget)
+        if auto and not (
+            sub.num_rows <= AUTO_EXACT_MAX_ROWS
+            and sub.num_columns <= AUTO_EXACT_MAX_COLUMNS
+            and nodes_left > 0
+        ):
+            proved = False
+            selected.extend(incumbent.payloads)
+            continue
+        chosen, comp_proved, used = _branch_and_bound(
+            sub, incumbent.selected, nodes_left, budget
+        )
+        nodes_left = max(nodes_left - used, 0)
+        proved = proved and comp_proved
+        selected.extend(sub.payloads[i] for i in chosen)
+    return _finish(problem, selected, proved, stats)
+
+
+# ---------------------------------------------------------------------------
+# Reductions: essential columns, row/column dominance, components
+# ---------------------------------------------------------------------------
+
+
+def _positions(mask: int) -> list[int]:
+    """Set-bit positions of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return out
+
+
+def _row_columns(masks: list[int], num_rows: int) -> list[int]:
+    """The transpose: per row, the bitset of column indices covering it."""
+    row_cols = [0] * num_rows
+    for j, m in enumerate(masks):
+        bit = 1 << j
+        for r in _positions(m):
+            row_cols[r] |= bit
+    return row_cols
+
+
+def _force_essentials(
+    rows: int, cols: int, row_cols: list[int], masks: list[int]
+) -> tuple[int, int, list[int]] | None:
+    """One essential-column pass over the live ``rows`` × ``cols``:
+    each row left with a single live column forces that column.
+
+    Returns ``(rows, cols, forced)`` with the forced columns and the
+    rows they cover removed, or None when a live row has no live
+    column (the submatrix is infeasible).
+    """
+    forced = []
+    m = rows
+    while m:
+        low = m & -m
+        m ^= low
+        if not (rows & low):
+            continue  # covered by a column forced earlier this pass
+        rc = row_cols[low.bit_length() - 1] & cols
+        if rc == 0:
+            return None
+        if rc & (rc - 1) == 0:
+            j = rc.bit_length() - 1
+            forced.append(j)
+            cols &= ~rc
+            rows &= ~masks[j]
+    return rows, cols, forced
+
+
+def _drop_dominated(
+    rows: int,
+    cols: int,
+    row_cols: list[int],
+    masks: list[int],
+    costs: list[int],
+    budget: Budget | None = None,
+) -> tuple[int, int, int, int]:
+    """One row-dominance pass, then one column-dominance pass (which
+    also drops columns left covering no live row).
+
+    Returns ``(rows, cols, rows_dropped, cols_dropped)``.  ``budget``
+    is ticked once per live column before the column pass.
+    """
+    # Row dominance: visit rows by increasing column count; a row whose
+    # live column set contains a kept row's set is dominated.
+    live = []
+    m = rows
+    while m:
+        low = m & -m
+        m ^= low
+        live.append((low, row_cols[low.bit_length() - 1] & cols))
+    live.sort(key=lambda t: t[1].bit_count())
+    kept: list[int] = []  # column sets of the surviving rows
+    rows_dropped = 0
+    for bit, rc in live:
+        if any(krc & ~rc == 0 for krc in kept):
+            rows &= ~bit
+            rows_dropped += 1
+        else:
+            kept.append(rc)
+
+    # Column dominance on the surviving rows.
+    order = _positions(cols)
+    if budget is not None:
+        budget.tick(max(len(order), 1))
+    amask = {j: masks[j] & rows for j in order}
+    pcount = {j: amask[j].bit_count() for j in order}
+    cols_dropped = 0
+    for j in order:
+        mj = amask[j]
+        if mj == 0:
+            cols &= ~(1 << j)
+            cols_dropped += 1
+            continue
+        # Columns covering every row of j: the intersection of the
+        # per-row column sets over j's rows.
+        dom = cols
+        mm = mj
+        while mm:
+            low = mm & -mm
+            mm ^= low
+            dom &= row_cols[low.bit_length() - 1]
+            if dom & (dom - 1) == 0:
+                break  # only j itself can remain
+        dom &= ~(1 << j)
+        cj = costs[j]
+        pj = pcount[j]
+        dd = dom
+        while dd:
+            low = dd & -dd
+            dd ^= low
+            k = low.bit_length() - 1
+            ck = costs[k]
+            # Strictly better, or equal cost with strictly more
+            # coverage, or a fully tied twin with a lower index
+            # (exactly one member of a twin group survives).
+            if ck < cj or (
+                ck == cj and (pcount[k] > pj or (pcount[k] == pj and k < j))
+            ):
+                cols &= ~(1 << j)
+                cols_dropped += 1
+                break
+    return rows, cols, rows_dropped, cols_dropped
+
+
+def reduce_problem(
+    problem: CoveringProblem[T],
+    *,
+    budget: Budget | None = None,
+    dominance: bool = True,
+) -> ReducedCore:
+    """Run the reduction fixpoint and return the cyclic core.
+
+    With ``dominance=False`` only the cheap passes run (essential
+    columns and empty columns) — the greedy path's configuration.  The
+    problem must be feasible (callers check); on the dominance path an
+    infeasible matrix raises ``ValueError``.
+    """
+    masks = problem.column_masks
+    costs = problem.costs
+    nrows = problem.num_rows
+    ncols = len(masks)
+    active_rows = problem.universe
+    active_cols = (1 << ncols) - 1
+    forced: list[int] = []
+    dominated_rows = dominated_cols = 0
+    passes = 0
+
+    row_cols: list[int] | None = None
+    if dominance:
+        # Built once; every pass restricts it with the live columns.
+        row_cols = _row_columns(masks, nrows)
+        if budget is not None:
+            budget.tick(ncols)
+
+    changed = True
+    while changed and active_rows:
+        changed = False
+        passes += 1
+        if budget is not None:
+            budget.tick(max(active_cols.bit_count(), 1))
+
+        if row_cols is not None:
+            step = _force_essentials(active_rows, active_cols, row_cols, masks)
+            if step is None:
+                raise ValueError("covering problem is infeasible")
+            active_rows, active_cols, picked = step
+            if picked:
+                forced.extend(picked)
+                changed = True
+        else:
+            # Transpose-free detection: ``once`` accumulates rows seen at
+            # least once, ``twice`` at least twice; their difference is
+            # the rows with a unique covering column.
+            once = twice = 0
+            m = active_cols
+            while m:
+                low = m & -m
+                m ^= low
+                cm = masks[low.bit_length() - 1] & active_rows
+                twice |= once & cm
+                once |= cm
+            unique = once & ~twice
+            if unique:
+                m = active_cols
+                while m:
+                    low = m & -m
+                    m ^= low
+                    j = low.bit_length() - 1
+                    if masks[j] & unique & active_rows:
+                        forced.append(j)
+                        active_cols &= ~low
+                        active_rows &= ~masks[j]
+                        changed = True
+
+        if not active_rows:
+            break
+
+        if row_cols is not None:
+            active_rows, active_cols, rows_out, cols_out = _drop_dominated(
+                active_rows, active_cols, row_cols, masks, costs, budget
+            )
+            if rows_out or cols_out:
+                dominated_rows += rows_out
+                dominated_cols += cols_out
+                changed = True
+        else:
+            # Light path: still drop columns with no remaining coverage
+            # so components and greedy never scan them.
+            m = active_cols
+            while m:
+                low = m & -m
+                m ^= low
+                if masks[low.bit_length() - 1] & active_rows == 0:
+                    active_cols &= ~low
+                    dominated_cols += 1
+
+    if active_rows == problem.universe and not forced and not dominated_cols:
+        # Nothing eliminated: the core IS the problem — skip the per-bit
+        # recompression entirely (this is the common case on EPPP
+        # matrices, whose columns are maximal, and it keeps the light
+        # reduction out of the greedy hot path's budget).
+        row_ids, col_ids = list(range(nrows)), list(range(ncols))
+        core_masks, core_costs = list(masks), list(costs)
+    else:
+        # Build the core in a compressed row space.
+        row_ids = _positions(active_rows)
+        pos_of = {r: i for i, r in enumerate(row_ids)}
+        identity_rows = active_rows == problem.universe
+        col_ids, core_masks, core_costs = [], [], []
+        for j in _positions(active_cols):
+            cm = masks[j] & active_rows
+            if cm == 0:
+                continue
+            if identity_rows:
+                packed = cm
+            else:
+                packed = 0
+                for r in _positions(cm):
+                    packed |= 1 << pos_of[r]
+            col_ids.append(j)
+            core_masks.append(packed)
+            core_costs.append(costs[j])
+    stats = ReductionStats(
+        rows=nrows,
+        columns=ncols,
+        core_rows=len(row_ids),
+        core_columns=len(col_ids),
+        essential=len(forced),
+        dominated_rows=dominated_rows,
+        dominated_columns=dominated_cols,
+        components=1 if row_ids else 0,
+        passes=passes,
+        dominance=dominance,
+    )
+    return ReducedCore(forced, row_ids, col_ids, core_masks, core_costs, stats)
+
+
+def split_components(num_rows: int, masks: list[int]) -> list[int]:
+    """Connected components of a core as row bit-masks.
+
+    Two rows are connected when some column covers both; components are
+    returned sorted by their lowest row position, and together they
+    partition ``range(num_rows)`` exactly (rows touched by no column
+    would be infeasible and cannot occur in a core).
+    """
+    comps: list[int] = []
+    for m in masks:
+        if m == 0:
+            continue
+        merged = m
+        keep = []
+        for c in comps:
+            if c & merged:
+                merged |= c
+            else:
+                keep.append(c)
+        keep.append(merged)
+        comps = keep
+    comps.sort(key=lambda c: c & -c)
+    return comps
+
+
+def _component_problem(core: ReducedCore, comp: int) -> CoveringProblem[int]:
+    """A core component as its own problem.
+
+    Payloads are *original* column indices, so solutions lift without a
+    remap step.
+    """
+    local_of = {r: i for i, r in enumerate(_positions(comp))}
+    masks: list[int] = []
+    costs: list[int] = []
+    payloads: list[int] = []
+    for i, cm in enumerate(core.masks):
+        if cm & comp == 0:
+            continue
+        packed = 0
+        for r in _positions(cm):
+            packed |= 1 << local_of[r]
+        masks.append(packed)
+        costs.append(core.costs[i])
+        payloads.append(core.col_ids[i])
+    return CoveringProblem(len(local_of), masks, costs, payloads)
+
+
+# ---------------------------------------------------------------------------
+# Branch-and-bound
+# ---------------------------------------------------------------------------
+
+
+def _branch_and_bound(
+    problem: CoveringProblem[int],
+    incumbent: list[int],
+    node_limit: int,
+    budget: Budget | None,
+) -> tuple[list[int], bool, int]:
+    """Branch-and-bound on one component.
+
+    Returns ``(selected_local_columns, proved, nodes_used)``.  Each
+    node re-runs the reduction fixpoint on its subproblem (essential
+    columns always; row/column dominance while the active column count
+    stays under ``NODE_DOMINANCE_MAX_COLUMNS``), computes the
+    independent-row lower bound with per-row columns pre-sorted by cost
+    (cheapest usable column found by early exit; blocked rows skipped
+    before any scan), and branches on the hardest row.
+    """
+    masks = problem.column_masks
+    costs = problem.costs
+    row_cols = _row_columns(masks, problem.num_rows)
+    row_cols_sorted = [
+        sorted(_positions(rc), key=lambda j: (costs[j], -masks[j].bit_count(), j))
+        for rc in row_cols
+    ]
+
+    best_cost = sum(costs[i] for i in incumbent)
+    best_sel = list(incumbent)
+    nodes = 0
+    proved = True
+    trail: list[int] = []
+
+    def lower_bound(uncovered: int, active: int) -> int:
+        """Independent-row bound: rows whose candidate columns are
+        pairwise disjoint; each adds its cheapest column's cost."""
+        bound = 0
+        blocked = 0
+        m = uncovered
+        while m:
+            low = m & -m
+            m ^= low
+            if low & blocked:
+                continue
+            r = low.bit_length() - 1
+            cheapest = None
+            for j in row_cols_sorted[r]:
+                if active >> j & 1:
+                    cheapest = costs[j]
+                    break
+            if cheapest is None:
+                return 1 << 60  # infeasible branch
+            bound += cheapest
+            union = 0
+            rc = row_cols[r] & active
+            while rc:
+                lw = rc & -rc
+                rc ^= lw
+                union |= masks[lw.bit_length() - 1]
+            blocked |= union
+        return bound
+
+    def search(uncovered: int, active: int, cost: int) -> None:
+        nonlocal nodes, proved, best_cost, best_sel
+        nodes += 1
+        if budget is not None:
+            budget.tick()
+        if nodes > node_limit:
+            proved = False
+            return
+        depth = len(trail)
+        try:
+            # The reduction fixpoint of reduce_problem, on this node.
+            run_dominance = active.bit_count() <= NODE_DOMINANCE_MAX_COLUMNS
+            while True:
+                step = _force_essentials(uncovered, active, row_cols, masks)
+                if step is None:
+                    return  # some row lost all columns: dead branch
+                uncovered, active, forced = step
+                trail.extend(forced)
+                cost += sum(costs[j] for j in forced)
+                if cost >= best_cost:
+                    return
+                if uncovered == 0:
+                    best_cost = cost
+                    best_sel = list(trail)
+                    return
+                changed = bool(forced)
+                if run_dominance:
+                    uncovered, active, rows_out, cols_out = _drop_dominated(
+                        uncovered, active, row_cols, masks, costs
+                    )
+                    changed = changed or rows_out > 0 or cols_out > 0
+                if not changed:
+                    break
+            if cost + lower_bound(uncovered, active) >= best_cost:
+                return
+            # Branch on the hardest row (fewest usable columns).
+            branch_rc = 0
+            branch_n = 1 << 60
+            m = uncovered
+            while m:
+                low = m & -m
+                m ^= low
+                rc = row_cols[low.bit_length() - 1] & active
+                n = rc.bit_count()
+                if n < branch_n:
+                    branch_rc = rc
+                    branch_n = n
+                    if n == 2:
+                        break
+            options = sorted(
+                _positions(branch_rc),
+                key=lambda j: (costs[j], -(masks[j] & uncovered).bit_count(), j),
+            )
+            for j in options:
+                trail.append(j)
+                search(uncovered & ~masks[j], active & ~(1 << j), cost + costs[j])
+                trail.pop()
+                active &= ~(1 << j)  # tried: exclude from later branches
+                if not proved:
+                    return
+        finally:
+            del trail[depth:]
+
+    search(problem.universe, (1 << problem.num_columns) - 1, 0)
+    return best_sel, proved, nodes
+
+
+# ---------------------------------------------------------------------------
+# Greedy
+# ---------------------------------------------------------------------------
+
+
+def _greedy_cover(
     problem: CoveringProblem[T], *, budget: Budget | None = None
 ) -> CoveringSolution[T]:
-    """The two-strategy greedy + improvement pass, no reductions."""
-    if problem.num_rows == 0:
-        return CoveringSolution([], 0, True, [])
+    """The two-strategy greedy + improvement pass on one (component)
+    problem with at least one row."""
     costs = problem.costs
-
     best: list[int] | None = None
     best_cost = 0
     for strategy in ("ratio", "gain"):
@@ -208,9 +890,7 @@ def _solve_greedy_raw(
         if best is None or cost < best_cost:
             best, best_cost = selected, cost
     assert best is not None
-    return CoveringSolution(
-        best, best_cost, False, [problem.payloads[i] for i in best]
-    )
+    return _finish(problem, best, False, None)
 
 
 def _bitmat_of(problem: CoveringProblem[T]):
@@ -220,7 +900,7 @@ def _bitmat_of(problem: CoveringProblem[T]):
     The matrix is cached on the problem object — packing is O(columns ×
     words) and every `_improve` round would otherwise repay it.
     """
-    from repro.kernels import bitmat
+    from repro.kernels import bitmat  # repro.kernels imports this module
 
     if not bitmat.HAVE_NUMPY:
         return None
@@ -363,7 +1043,7 @@ def _improve(
 
 
 def _drop_redundant(
-    selected: list[int], masks: list[int], costs: list[int], universe: int
+    selected: list[int], masks: Sequence[int], costs: Sequence[int], universe: int
 ) -> None:
     """Reverse-delete: drop columns whose rows are covered by the rest,
     trying the most expensive first.
@@ -390,199 +1070,3 @@ def _drop_redundant(
             kept_or |= masks[col]
     if dropped:
         selected[:] = [i for i in selected if i not in dropped]
-
-
-def solve_exact(
-    problem: CoveringProblem[T],
-    node_limit: int = 200_000,
-    *,
-    budget: Budget | None = None,
-    reduce: bool = True,
-    seed: list[int] | None = None,
-) -> CoveringSolution[T]:
-    """Exact covering through the mincov reduction layer.
-
-    With ``reduce=True`` (the default) the matrix is first reduced to
-    its cyclic core by iterating essential-column forcing, row
-    dominance, and column dominance to fixpoint; the core is split into
-    connected components, and each component is solved by a
-    branch-and-bound that re-applies the same reduction fixpoint at
-    every search node (see :func:`repro.minimize.mincov.solve_exact`).
-    ``reduce=False`` runs the raw branch-and-bound on the unreduced
-    matrix.
-
-    ``optimal`` is True in the result iff the search completed within
-    the node budget; otherwise the best cover found so far is returned
-    (never worse than greedy, which seeds the incumbent).  ``budget``
-    is ticked once per search node, so cancellation and deadlines cut
-    the search short from inside the recursion.
-
-    ``seed`` is a known-feasible warm-start cover (column indices); it
-    is only consulted when the search fails to prove optimality, as a
-    fallback incumbent — see :func:`repro.minimize.mincov.solve_exact`.
-    """
-    if problem.num_rows == 0:
-        return CoveringSolution([], 0, True, [])
-    if not problem.is_feasible():
-        raise ValueError("covering problem is infeasible")
-    if reduce:
-        from repro.minimize import mincov
-
-        return mincov.solve_exact(problem, node_limit, budget=budget, seed=seed)
-    return _solve_exact_raw(problem, node_limit, budget=budget)
-
-
-def _solve_exact_raw(
-    problem: CoveringProblem[T],
-    node_limit: int = 200_000,
-    *,
-    budget: Budget | None = None,
-) -> CoveringSolution[T]:
-    """Raw branch-and-bound on the full matrix, no reductions."""
-    if problem.num_rows == 0:
-        return CoveringSolution([], 0, True, [])
-    masks = problem.column_masks
-    costs = problem.costs
-    universe = problem.universe
-
-    incumbent = _solve_greedy_raw(problem, budget=budget)
-    best_cost = incumbent.cost
-    best_selection = list(incumbent.selected)
-
-    # Per-row column lists for branching and bounding.
-    row_columns: list[list[int]] = [[] for _ in range(problem.num_rows)]
-    for i, mask in enumerate(masks):
-        m = mask
-        while m:
-            low = m & -m
-            row_columns[low.bit_length() - 1].append(i)
-            m ^= low
-    # Cost-sorted copies and static per-row coverage unions for the
-    # bound: the cheapest usable column is the first non-banned entry
-    # of the sorted list (early exit), and the static union is an
-    # admissible over-approximation of the banned-aware union (blocking
-    # more rows only weakens the bound, never overshoots it).
-    row_columns_sorted = [
-        sorted(cols, key=lambda i: costs[i]) for cols in row_columns
-    ]
-    row_union = [0] * problem.num_rows
-    for r, cols in enumerate(row_columns):
-        u = 0
-        for i in cols:
-            u |= masks[i]
-        row_union[r] = u
-
-    nodes = 0
-    exhausted = True
-
-    def lower_bound(uncovered: int, banned: frozenset[int]) -> int:
-        """Independent-row bound: rows whose candidate columns are
-        pairwise disjoint; each adds its cheapest column's cost."""
-        bound = 0
-        blocked = 0
-        m = uncovered
-        while m:
-            low = m & -m
-            m ^= low
-            if low & blocked:
-                continue  # interacts with an already-counted row
-            row = low.bit_length() - 1
-            cheapest = None
-            for i in row_columns_sorted[row]:
-                if i not in banned:
-                    cheapest = costs[i]
-                    break
-            if cheapest is None:
-                return 1 << 60  # infeasible branch
-            bound += cheapest
-            blocked |= row_union[row]
-        return bound
-
-    def search(uncovered: int, banned: frozenset[int], cost: int, chosen: list[int]) -> None:
-        nonlocal nodes, best_cost, best_selection, exhausted
-        nodes += 1
-        if budget is not None:
-            budget.tick()
-        if nodes > node_limit:
-            exhausted = False
-            return
-        if uncovered == 0:
-            if cost < best_cost:
-                best_cost = cost
-                best_selection = list(chosen)
-            return
-        if cost + lower_bound(uncovered, banned) >= best_cost:
-            return
-        # Branch on the hardest uncovered row (fewest usable columns).
-        best_row = -1
-        best_options: list[int] | None = None
-        m = uncovered
-        while m:
-            low = m & -m
-            m ^= low
-            row = low.bit_length() - 1
-            options = [i for i in row_columns[row] if i not in banned]
-            if not options:
-                return  # infeasible
-            if best_options is None or len(options) < len(best_options):
-                best_row = row
-                best_options = options
-                if len(options) == 1:
-                    break
-        assert best_options is not None and best_row >= 0
-        # Try cheaper/larger columns first for better pruning.
-        best_options.sort(key=lambda i: (costs[i], -masks[i].bit_count()))
-        tried: list[int] = []
-        for i in best_options:
-            chosen.append(i)
-            search(
-                uncovered & ~masks[i],
-                banned | frozenset(tried),
-                cost + costs[i],
-                chosen,
-            )
-            chosen.pop()
-            tried.append(i)
-            if not exhausted:
-                return
-
-    search(universe, frozenset(), 0, [])
-    return CoveringSolution(
-        best_selection,
-        best_cost,
-        exhausted,
-        [problem.payloads[i] for i in best_selection],
-    )
-
-
-def solve(
-    problem: CoveringProblem[T],
-    mode: str = "auto",
-    *,
-    budget: Budget | None = None,
-    seed: list[int] | None = None,
-) -> CoveringSolution[T]:
-    """Dispatch: ``greedy``, ``exact``, or ``auto``.
-
-    Auto reduces the matrix once, then picks exact or greedy *per
-    component of the cyclic core* — the thresholds apply to reduced
-    sizes, so instances whose core collapses get proved optimal even
-    when the raw matrix looks large (mirroring the paper's practice of
-    exact covers on the small benchmarks, heuristics on the rest).
-
-    ``seed`` (exact mode only) is a known-feasible warm-start cover
-    used as a fallback incumbent when the node budget runs out.
-    """
-    if mode == "greedy":
-        return solve_greedy(problem, budget=budget)
-    if mode == "exact":
-        return solve_exact(problem, budget=budget, seed=seed)
-    if mode == "auto":
-        if problem.num_rows == 0:
-            return CoveringSolution([], 0, True, [])
-        if not problem.is_feasible():
-            raise ValueError("covering problem is infeasible")
-        from repro.minimize import mincov
-
-        return mincov.solve_auto(problem, budget=budget)
-    raise ValueError(f"unknown covering mode {mode!r}")

@@ -45,7 +45,7 @@ class SppResult:
     seconds_covering: float
     # Populated by the SPP_k heuristic with its phase statistics.
     heuristic: object | None = None
-    # Mincov reduction report for the covering step (rows/columns
+    # Reduction report of the covering step (rows/columns
     # eliminated, components, cyclic-core size), when one was produced.
     covering_stats: dict | None = None
 
@@ -81,8 +81,8 @@ def cover_with(
     solved exactly, so ``proved_optimal`` is forced off.
 
     Returns ``(form, proved_optimal, seconds, reduction_stats)`` where
-    ``reduction_stats`` is the mincov reduction report as a dict (or
-    None when the solver skipped the reduction layer).
+    ``reduction_stats`` is the covering reduction report as a dict (or
+    None when the problem had no rows).
     """
     t0 = time.perf_counter()
     pruned = False

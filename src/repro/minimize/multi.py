@@ -43,7 +43,7 @@ class MultiSppResult:
     shared_literals: int
     covering_optimal: bool
     seconds: float
-    # Mincov reduction report for the shared covering step.
+    # Reduction report of the shared covering step.
     covering_stats: dict | None = None
 
     @property
@@ -119,23 +119,23 @@ def minimize_spp_multi(
             mask |= out_masks[o][i] << offsets[o]
         global_masks.append(mask)
 
+    # Payloads are candidate indices, so they address ``out_masks``.
     problem = cov.problem_from_masks(
-        num_rows, global_masks, [cost(pc) for pc in cands], tagged
+        num_rows, global_masks, [cost(pc) for pc in cands], range(len(cands))
     )
     solution = cov.solve(problem, mode=covering)
 
-    index_of = {id(item): i for i, item in enumerate(tagged)}
-    selected = solution.payloads
-    shared = tuple(pc for pc, _ in selected)
+    shared = tuple(cands[i] for i in solution.payloads)
+    literals = [pc.num_literals for pc in cands]
     forms = []
-    for o, fo in enumerate(func.outputs):
+    for o, rows_o in enumerate(rows_per_output):
+        # Each output keeps the selected terms it needs: a shared term
+        # may have been selected for a sibling output only.
         members = [
-            item[0]
-            for item in selected
-            if o in item[1] and out_masks[o][index_of[id(item)]]
+            i for i in solution.payloads if o in tagged[i][1] and out_masks[o][i]
         ]
-        members = _drop_redundant_for_output(members, fo.on_set)
-        forms.append(SppForm(func.n, tuple(members)))
+        cov._drop_redundant(members, out_masks[o], literals, (1 << len(rows_o)) - 1)
+        forms.append(SppForm(func.n, tuple(cands[i] for i in members)))
     return MultiSppResult(
         forms=tuple(forms),
         shared_pseudoproducts=shared,
@@ -146,24 +146,3 @@ def minimize_spp_multi(
             solution.stats.as_dict() if solution.stats is not None else None
         ),
     )
-
-
-def _drop_redundant_for_output(
-    members: list[Pseudocube], on_set: frozenset[int]
-) -> list[Pseudocube]:
-    """Remove pseudoproducts not needed to cover this output's on-set
-    (a shared term may have been selected for a sibling output only)."""
-    rows = sorted(on_set)
-    universe = (1 << len(rows)) - 1
-    mask_of = {
-        id(pc): mask for pc, mask in zip(members, coverage_masks(rows, members))
-    }
-    kept = list(members)
-    for pc in sorted(members, key=lambda pc: -pc.num_literals):
-        others = [q for q in kept if q is not pc]
-        rest = 0
-        for q in others:
-            rest |= mask_of[id(q)]
-        if rest == universe:
-            kept = others
-    return kept

@@ -28,7 +28,7 @@ class SpResult:
     primes: list[Cube]
     covering_optimal: bool
     seconds: float
-    # Mincov reduction report for the covering step, when one was produced.
+    # Reduction report of the covering step, when one was produced.
     covering_stats: dict | None = None
 
     @property

@@ -625,7 +625,10 @@ class MinimizeService:
                 "Near-duplicate warm-path events by kind.",
                 "counter",
             )
-            for key in ("lookups", "warm_hits", "fallbacks", "inserts", "evictions"):
+            for key in (
+                "lookups", "warm_hits", "fallbacks", "inserts", "evictions",
+                "capture_errors",
+            ):
                 delta_metric.add(delta_stats[key], kind=key)
             metrics.append(delta_metric)
             metrics.append(

@@ -8,7 +8,9 @@ from repro.delta import (
     toggle_points,
     warm_record_for,
 )
+from repro.delta import index as index_module
 from repro.engine import Job, run_batch
+from repro.engine.ladder import execute_rung, ladder_for
 from repro.minimize.exact import minimize_spp
 from repro.serialize import form_from_dict
 from repro.verify import verify_form
@@ -149,3 +151,22 @@ class TestSchedulerIntegration:
         assert index.stats()["warm_hits"] == 1
         cold = run_batch([edit_job], workers=0)
         assert record["form"] == cold.outcomes[0].record["form"]
+
+    def test_capture_error_is_counted_not_raised(self, monkeypatch):
+        """A snapshot that raises leaves the rung's record intact and
+        shows up in ``capture_errors``, not as a fallback."""
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("snapshot failed")
+
+        monkeypatch.setattr(index_module, "build_context", broken)
+        index = DeltaIndex()
+        job = Job(FUNC, method="exact")
+        rung = ladder_for(job)[0]
+        record = execute_rung(job, rung, capture=index.observe)
+        assert record["rung"] == "exact"
+        assert verify_form(form_from_dict(record["form"]), FUNC)
+        stats = index.stats()
+        assert stats["capture_errors"] == 1
+        assert stats["fallbacks"] == 0 and stats["inserts"] == 0
+        assert len(index) == 0

@@ -9,6 +9,9 @@ numpy kernels are unavailable (missing numpy or ``REPRO_NO_NUMPY``):
 under the CI fallback-parity leg there is nothing to compare against.
 """
 
+import sys
+import threading
+
 import pytest
 
 np = pytest.importorskip("numpy")
@@ -211,3 +214,45 @@ class TestUniqueHelpers:
         want_u, want_inv = np.unique(keys, return_inverse=True)
         assert uniq.tolist() == want_u.tolist()
         assert inv.tolist() == want_inv.reshape(-1).tolist()
+
+
+class TestThreadSafety:
+    def test_concurrent_dense_dedup_matches_np_unique(self):
+        """Four threads deduplicating narrow keys at once (the serving
+        tier runs generations on several request threads) each get
+        ``np.unique``'s answer: the dense scratch table is per thread."""
+        rng = np.random.default_rng(12)
+        cases = []
+        for _ in range(16):
+            maxval = int(rng.integers(256, 1 << 14))
+            keys = rng.integers(0, maxval, size=int(rng.integers(64, 2048)),
+                                dtype=np.uint64)
+            cases.append((keys, maxval, *np.unique(keys, return_index=True)))
+        barrier = threading.Barrier(4)
+        wrong = []
+
+        def run(offset):
+            barrier.wait(timeout=30)
+            for rep in range(1000):
+                keys, maxval, want_u, want_first = cases[(offset + rep) % len(cases)]
+                try:
+                    uniq, first = gf2mat.unique_sorted_first(keys, maxval)
+                except Exception as exc:  # noqa: BLE001 — a race may raise too
+                    wrong.append((offset, rep, repr(exc)))
+                    continue
+                if not (np.array_equal(uniq, want_u)
+                        and np.array_equal(first, want_first)):
+                    wrong.append((offset, rep))
+
+        threads = [threading.Thread(target=run, args=(i * 4,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside the kernel often
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []

@@ -1,9 +1,23 @@
-"""Tests for the unate covering solvers."""
+"""Tests for the unate covering solvers and their reductions.
+
+The reductions (essential columns, row/column dominance, component
+decomposition) are only admissible if they never change the optimal
+cover cost and every solution lifts back feasibly — both are checked
+against brute force on small random instances.  Pinned tests lock in
+the vectorized greedy's bit-identity with the heap path, the per-node
+reducing branch-and-bound's proof on life6[0], and the warm-start
+``seed`` contract of :func:`solve_exact`.
+"""
+
+import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.kernels import bitmat
+from repro.minimize import covering as cov
 from repro.minimize.covering import (
     CoveringProblem,
     build_covering,
@@ -16,6 +30,60 @@ from repro.minimize.covering import (
 def _problem(masks, costs):
     num_rows = max(m.bit_length() for m in masks)
     return CoveringProblem(num_rows, list(masks), list(costs), list(range(len(masks))))
+
+
+def random_problem(rng, max_rows=10, max_cols=14):
+    num_rows = rng.randint(1, max_rows)
+    num_cols = rng.randint(1, max_cols)
+    universe = (1 << num_rows) - 1
+    masks = [rng.getrandbits(num_rows) for _ in range(num_cols)]
+    covered = 0
+    for m in masks:
+        covered |= m
+    if covered != universe:
+        masks.append(universe & ~covered)  # force feasibility
+    masks = [m for m in masks if m]
+    costs = [rng.randint(1, 6) for _ in masks]
+    return CoveringProblem(num_rows, masks, costs, list(range(len(masks))))
+
+
+def sparse_problem(rng, num_rows=10, num_cols=14, per_column=3):
+    """Columns of ``per_column`` random rows with costs 1-3: cyclic
+    cores on which greedy now and then misses the optimum."""
+    universe = (1 << num_rows) - 1
+    masks = [
+        sum(1 << r for r in rng.sample(range(num_rows), per_column))
+        for _ in range(num_cols)
+    ]
+    covered = 0
+    for m in masks:
+        covered |= m
+    if covered != universe:
+        masks.append(universe & ~covered)  # force feasibility
+    costs = [rng.randint(1, 3) for _ in masks]
+    return CoveringProblem(num_rows, masks, costs, list(range(len(masks))))
+
+
+def brute_force(problem):
+    """(cost, selection) of a minimum-cost cover, by enumeration."""
+    best = None
+    n = problem.num_columns
+    for r in range(n + 1):
+        for combo in itertools.combinations(range(n), r):
+            mask = 0
+            for i in combo:
+                mask |= problem.column_masks[i]
+            if mask == problem.universe:
+                total = sum(problem.costs[i] for i in combo)
+                if best is None or total < best[0]:
+                    best = (total, list(combo))
+    return best
+
+
+def _bits(solution):
+    """Everything a solution reports, for bit-for-bit comparison."""
+    stats = solution.stats.as_dict() if solution.stats is not None else None
+    return (solution.selected, solution.cost, solution.optimal, solution.payloads, stats)
 
 
 class TestBuild:
@@ -161,3 +229,203 @@ class TestDispatch:
         problem = _problem([0b1], [1])
         with pytest.raises(ValueError):
             solve(problem, "magic")
+
+
+class TestReductionProperties:
+    def test_reductions_preserve_optimal_cost(self):
+        """Solving through the full reduction fixpoint yields the
+        brute-force optimum."""
+        rng = random.Random(1)
+        for _ in range(60):
+            problem = random_problem(rng)
+            opt, _ = brute_force(problem)
+            solution = cov.solve_exact(problem)
+            assert solution.optimal
+            assert solution.cost == opt
+            auto = cov.solve(problem, mode="auto")
+            assert auto.optimal
+            assert auto.cost == opt
+
+    def test_lifted_solutions_feasible_on_original(self):
+        """Selections from the reduced core, lifted back to original
+        column indices, cover the original matrix."""
+        rng = random.Random(2)
+        for _ in range(60):
+            problem = random_problem(rng)
+            for solution in (
+                cov.solve_greedy(problem),
+                cov.solve_exact(problem),
+                cov.solve(problem, mode="auto"),
+            ):
+                mask = 0
+                for i in solution.selected:
+                    mask |= problem.column_masks[i]
+                assert mask == problem.universe
+                assert solution.cost == sum(
+                    problem.costs[i] for i in solution.selected
+                )
+                assert solution.payloads == [
+                    problem.payloads[i] for i in solution.selected
+                ]
+
+    def test_components_partition_rows_exactly(self):
+        """The components are disjoint row sets whose union is the
+        whole core."""
+        rng = random.Random(3)
+        for _ in range(60):
+            problem = random_problem(rng, max_rows=12, max_cols=20)
+            core = cov.reduce_problem(problem)
+            comps = cov.split_components(len(core.row_ids), core.masks)
+            union = 0
+            for comp in comps:
+                assert union & comp == 0  # pairwise disjoint
+                union |= comp
+            assert union == (1 << len(core.row_ids)) - 1 if core.row_ids else union == 0
+
+    def test_greedy_on_reduced_never_infeasible(self):
+        """Greedy after the light reduction never turns a feasible
+        instance infeasible (forced columns stay in the lifted cover;
+        per-component covers stay per-component)."""
+        rng = random.Random(4)
+        for _ in range(120):
+            problem = random_problem(rng, max_rows=12, max_cols=24)
+            solution = cov.solve_greedy(problem)  # must not raise
+            mask = 0
+            for i in solution.selected:
+                mask |= problem.column_masks[i]
+            assert mask == problem.universe
+
+    def test_reduction_stats_reported(self):
+        # A matrix with a forced essential column, a dominated row and
+        # a dominated column: rows 0..2, col0={0,1} (unique cover of 0),
+        # col1={1,2}, col2={2} (dominated by col1 at equal cost).
+        problem = cov.CoveringProblem(3, [0b011, 0b110, 0b100], [1, 1, 1], [0, 1, 2])
+        solution = cov.solve_exact(problem)
+        stats = solution.stats
+        assert stats is not None
+        assert stats.rows == 3 and stats.columns == 3
+        assert stats.essential >= 1
+        assert stats.core_rows == 0  # fully collapsed by the fixpoint
+        assert solution.optimal
+        assert solution.cost == 2
+        assert sorted(solution.selected) == [0, 1]
+
+    def test_infeasible_matrix_raises(self):
+        problem = cov.CoveringProblem(2, [0b01], [1], ["a"])
+        with pytest.raises(ValueError):
+            cov.solve_greedy(problem)
+        with pytest.raises(ValueError):
+            cov.solve_exact(problem)
+        with pytest.raises(ValueError):
+            cov.solve(problem, mode="auto")
+
+
+class TestVectorizedGreedy:
+    def test_vector_path_matches_heap_path(self):
+        """The packed-uint64 selection rounds must pick the identical
+        column sequence as the CELF heap (same keys, same tie-breaks)."""
+        if not bitmat.HAVE_NUMPY:
+            pytest.skip("numpy with bitwise_count unavailable")
+        rng = random.Random(5)
+        for _ in range(25):
+            num_rows = rng.randint(1, 80)
+            num_cols = rng.randint(200, 400)  # above MIN_COLUMNS_FOR_VECTOR
+            universe = (1 << num_rows) - 1
+            masks = [rng.getrandbits(num_rows) for _ in range(num_cols)]
+            covered = 0
+            for m in masks:
+                covered |= m
+            if covered != universe:
+                masks.append(universe & ~covered)
+            masks = [m for m in masks if m]
+            costs = [rng.randint(1, 9) for _ in masks]
+            vec_problem = cov.CoveringProblem(
+                num_rows, list(masks), list(costs), list(range(len(masks)))
+            )
+            heap_problem = cov.CoveringProblem(
+                num_rows, list(masks), list(costs), list(range(len(masks)))
+            )
+            saved = bitmat.MIN_COLUMNS_FOR_VECTOR
+            try:
+                bitmat.MIN_COLUMNS_FOR_VECTOR = 1  # force the vector path
+                assert cov._bitmat_of(vec_problem) is not None
+                vec = cov._greedy_cover(vec_problem)
+                bitmat.MIN_COLUMNS_FOR_VECTOR = 10**9  # force the heap path
+                heap = cov._greedy_cover(heap_problem)
+            finally:
+                bitmat.MIN_COLUMNS_FOR_VECTOR = saved
+            assert vec.selected == heap.selected
+            assert vec.cost == heap.cost
+
+
+class TestPerNodePruning:
+    def test_proves_life6_cost_30_within_15k_nodes(self):
+        """Pinned: on the life6[0] EPPP covering instance the per-node
+        reducing search proves the optimum, cost 30, within 15,000
+        nodes."""
+        from repro.bench.suite import get_benchmark
+        from repro.kernels.coverage import build_problem
+        from repro.minimize.cost import literal_cost
+        from repro.minimize.eppp import generate_eppp
+
+        fo = get_benchmark("life6")[0]
+        generation = generate_eppp(fo, max_pseudoproducts=200_000, on_limit="stop")
+        rows = sorted(fo.on_set)
+        problem = build_problem(rows, generation.eppps, cost_of=literal_cost)
+
+        proved = cov.solve_exact(problem, node_limit=15_000)
+        assert proved.optimal
+        assert proved.cost == 30
+        assert proved.stats is not None
+        assert proved.stats.dominance
+
+
+class TestWarmStart:
+    """``solve_exact(seed=...)``: a feasible seed is only a fallback
+    incumbent for a search that could not prove optimality."""
+
+    def test_feasible_seed_never_changes_a_proved_result(self):
+        rng = random.Random(8)
+        for _ in range(60):
+            problem = random_problem(rng)
+            cold = cov.solve_exact(problem)
+            assert cold.optimal
+            _, optimum = brute_force(problem)
+            everything = list(range(problem.num_columns))
+            padded = sorted(set(optimum) | {rng.randrange(problem.num_columns)})
+            for seed in (optimum, everything, padded, cov.solve_greedy(problem).selected):
+                assert _bits(cov.solve_exact(problem, seed=seed)) == _bits(cold)
+
+    def test_cheaper_seed_wins_when_search_cannot_prove(self):
+        """With no nodes to search, each component keeps its greedy
+        cover; a strictly cheaper feasible seed replaces it and the
+        result still claims no optimality."""
+        rng = random.Random(9)
+        hits = 0
+        for _ in range(300):
+            problem = sparse_problem(rng)
+            unproved = cov.solve_exact(problem, node_limit=0)
+            if unproved.optimal or cov.solve_exact(problem).cost >= unproved.cost:
+                continue
+            hits += 1
+            opt, optimum = brute_force(problem)
+            assert opt < unproved.cost
+            warm = cov.solve_exact(problem, node_limit=0, seed=optimum)
+            assert warm.selected == optimum
+            assert warm.cost == opt
+            assert not warm.optimal
+            assert warm.payloads == [problem.payloads[i] for i in optimum]
+            assert warm.stats.as_dict() == unproved.stats.as_dict()
+        assert hits >= 5  # the property was actually exercised
+
+    def test_infeasible_seed_is_ignored(self):
+        rng = random.Random(10)
+        for _ in range(60):
+            problem = random_problem(rng)
+            unproved = cov.solve_exact(problem, node_limit=0)
+            _, optimum = brute_force(problem)
+            # The empty seed is the cheapest possible, and covers nothing;
+            # dropping a column from the optimum uncovers some row.
+            for seed in ([], optimum[1:]):
+                warm = cov.solve_exact(problem, node_limit=0, seed=seed)
+                assert _bits(warm) == _bits(unproved)
