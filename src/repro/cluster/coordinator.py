@@ -81,7 +81,7 @@ from repro.cluster.ring import HashRing
 from repro.cluster.worker import WorkerProcess, free_port
 from repro.errors import UsageError
 from repro.serve.metrics import LatencyHistogram, Metric, render_metrics
-from repro.serve.server import jobs_from_payload
+from repro.serve.server import content_length, jobs_from_payload
 
 __all__ = ["ClusterConfig", "ClusterCoordinator"]
 
@@ -1132,7 +1132,15 @@ def _make_handler(coordinator: ClusterCoordinator):
                     "application/json", {"Retry-After": "1"},
                 )
                 return
-            length = int(self.headers.get("Content-Length", 0))
+            length = content_length(self.headers)
+            if length is None:
+                self._send(
+                    400,
+                    _error_body("parse", "Content-Length is not a non-negative integer"),
+                    "application/json",
+                    {"Connection": "close"},
+                )
+                return
             body = self.rfile.read(length) if length else b"{}"
             deadline = parse_deadline(self.headers.get(DEADLINE_HEADER))
             status, headers, data = coordinator.handle_minimize(body, deadline)

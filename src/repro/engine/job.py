@@ -59,9 +59,9 @@ class Job:
         params: dict[str, Any] = {"covering": self.covering}
         if self.method in ("exact", "bounded", "heuristic"):
             params["backend"] = self.backend
-        if self.method == "exact":
+        if self.method in ("exact", "bounded"):
             params["max_pseudoproducts"] = self.max_pseudoproducts
-        elif self.method == "heuristic":
+        if self.method == "heuristic":
             params["k"] = self.k
         elif self.method == "bounded":
             params["bound"] = self.bound

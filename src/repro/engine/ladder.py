@@ -35,10 +35,10 @@ __all__ = ["Rung", "ladder_for", "execute_rung", "RECORD_VERSION"]
 
 RECORD_VERSION = 1
 
-# Keep exact generation bounded in memory even when the caller sets no
-# explicit budget: a deadline can kill a runaway rung, but only after it
-# has already swallowed the worker's RAM.  A capped generation still
-# yields a verified upper-bound cover (see minimize_spp).
+# Keep exact and bounded generation bounded in memory even when the
+# caller sets no explicit budget: a deadline can kill a runaway rung, but
+# only after it has already swallowed the worker's RAM.  A capped
+# generation still yields a verified upper-bound cover (see minimize_spp).
 _DEFAULT_EXACT_CAP = 2_000_000
 
 
@@ -55,19 +55,23 @@ def ladder_for(job: Job) -> tuple[Rung, ...]:
     """The rung sequence for ``job``, most faithful first."""
     sp = Rung("sp", "sp", {})
     spp0 = Rung("heuristic-k0", "heuristic", {"k": 0})
+    cap = job.max_pseudoproducts
+    if cap is None:
+        cap = _DEFAULT_EXACT_CAP
     if job.method == "exact":
-        cap = job.max_pseudoproducts
-        if cap is None:
-            cap = _DEFAULT_EXACT_CAP
         return (
             Rung("exact", "exact", {"max_pseudoproducts": cap}),
-            Rung("bounded-2", "bounded", {"bound": 2}),
+            Rung("bounded-2", "bounded", {"bound": 2, "max_pseudoproducts": cap}),
             spp0,
             sp,
         )
     if job.method == "bounded":
         return (
-            Rung(f"bounded-{job.bound}", "bounded", {"bound": job.bound}),
+            Rung(
+                f"bounded-{job.bound}",
+                "bounded",
+                {"bound": job.bound, "max_pseudoproducts": cap},
+            ),
             spp0,
             sp,
         )
@@ -117,29 +121,7 @@ def execute_rung(
         if sp.covering_stats is not None:
             extras["covering"] = sp.covering_stats
     else:
-        if rung.method == "exact":
-            result = minimize_spp(
-                func,
-                backend=job.backend,
-                covering=job.covering,
-                max_pseudoproducts=rung.params["max_pseudoproducts"],
-                on_limit="stop",
-                budget=budget,
-            )
-            truncated = bool(result.generation and result.generation.truncated)
-            optimal = result.covering_optimal and not truncated
-            if result.generation is not None:
-                extras["comparisons"] = result.generation.total_comparisons
-        elif rung.method == "bounded":
-            result = minimize_spp_bounded(
-                func,
-                rung.params["bound"],
-                backend=job.backend,
-                covering=job.covering,
-                budget=budget,
-            )
-            optimal = False
-        else:  # heuristic
+        if rung.method == "heuristic":
             result = minimize_spp_k(
                 func,
                 rung.params["k"],
@@ -148,6 +130,24 @@ def execute_rung(
                 budget=budget,
             )
             optimal = False
+        else:  # exact, or bounded: the same pipeline under a width filter
+            options = dict(
+                backend=job.backend,
+                covering=job.covering,
+                max_pseudoproducts=rung.params["max_pseudoproducts"],
+                on_limit="stop",
+                budget=budget,
+            )
+            if rung.method == "exact":
+                result = minimize_spp(func, **options)
+            else:
+                result = minimize_spp_bounded(func, rung.params["bound"], **options)
+            truncated = bool(result.generation and result.generation.truncated)
+            optimal = (
+                rung.method == "exact" and result.covering_optimal and not truncated
+            )
+            if result.generation is not None:
+                extras["comparisons"] = result.generation.total_comparisons
         form = result.form
         candidates = result.num_candidates
         if result.covering_stats is not None:

@@ -54,6 +54,7 @@ __all__ = [
     "insert_reduced_batch",
     "pivot_masks",
     "basis_literals",
+    "basis_factor_width",
     "span_points",
     "intersect_spaces",
     "pair_split",
@@ -186,6 +187,29 @@ def basis_literals(mat, n: int):
         return _np.full(mat.shape[0], n, dtype=_np.int64)
     weights = _np.bitwise_count(mat).sum(axis=1, dtype=_np.int64)
     return weights - rank + (n - rank)
+
+
+def basis_factor_width(mat, n: int):
+    """Widest EXOR factor of any pseudocube with each basis — batched
+    ``_basis_factor_width``: one plus the most rows sharing a non-pivot
+    column, 0 at full rank.
+
+    ``mat`` is ``(batch, rank)`` with uniform rank, like
+    :func:`basis_literals`.  The per-column counts come from unpacking
+    each row's non-pivot bits; the byte order of the unpacked columns is
+    the same for every row, so it cannot change a column maximum.
+    """
+    if mat.ndim == 1:
+        mat = mat[None, :]
+    batch, rank = mat.shape
+    if rank == n:
+        return _np.zeros(batch, dtype=_np.int64)
+    if rank == 0:
+        return _np.ones(batch, dtype=_np.int64)
+    rest = _np.ascontiguousarray(mat & (mat - _u(1)))
+    bits = _np.unpackbits(rest.view(_np.uint8), axis=1).reshape(batch, rank, 64)
+    # rank < n <= 64, so a column count always fits one byte.
+    return bits.sum(axis=1, dtype=_np.uint8).max(axis=1).astype(_np.int64) + 1
 
 
 def span_points(basis: tuple[int, ...], offset: int = 0):
@@ -406,9 +430,10 @@ def unique_sorted_first(keys, maxval: int | None = None):
     needs for ``return_index``.  Narrower still (``maxval`` at most
     2**16) skips sorting entirely via the dense scatter table.
     """
+    if not keys.size:
+        return keys, _np.zeros(0, dtype=_np.int64)
     if (
         maxval is not None
-        and keys.size
         and 0 < maxval <= _DENSE_MAXVAL
         and maxval <= max(4096, int(keys.size) << 5)
     ):

@@ -16,136 +16,32 @@ A pseudocube is ``B``-bounded iff every factor of its CEX has at most
 ``B`` literals, i.e. every direction-basis vector has at most ``B-1``
 bits besides its pivot *columnwise*: factor width of non-canonical
 variable ``j`` is 1 + (number of basis vectors with bit ``j``).
-Unions that break the bound are generated but not kept, so the search
-explores exactly the bounded pseudoproduct lattice.
+The bound is a filter on the one generation pipeline
+(``generate_eppp(factor_width=B)``): unions that break it are compared
+but not kept, so the search explores exactly the bounded pseudoproduct
+lattice, in every lane and under the same pseudoproduct cap as the
+exact rung.
 """
 
 from __future__ import annotations
 
-import time
-from collections.abc import Callable
-
 from repro.boolfunc.function import BoolFunc
-from repro.budget import Budget
 from repro.core.pseudocube import Pseudocube
-from repro.minimize.cost import literal_cost
-from repro.minimize.eppp import EpppResult, StepStats, make_store
-from repro.minimize.exact import SppResult, cover_with
+from repro.minimize.eppp import _basis_factor_width
+from repro.minimize.exact import SppResult, minimize_spp
 
-__all__ = ["max_factor_width", "generate_bounded", "minimize_spp_bounded"]
+__all__ = ["max_factor_width", "minimize_spp_bounded"]
 
 
 def max_factor_width(pc: Pseudocube) -> int:
     """Width of the widest EXOR factor of ``CEX(pc)`` (0 if none)."""
-    if pc.degree == pc.n:
-        return 0
-    counts: dict[int, int] = {}
-    canonical = pc.canonical_mask
-    for vec in pc.basis:
-        rest = vec & ~(vec & -vec)
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            j = low.bit_length() - 1
-            counts[j] = counts.get(j, 0) + 1
-    widest = 1  # a factor always holds its non-canonical variable
-    for j, c in counts.items():
-        if not (canonical >> j) & 1:
-            widest = max(widest, 1 + c)
-    return widest
+    return _basis_factor_width(pc.n, pc.basis)
 
 
-def generate_bounded(
-    func: BoolFunc,
-    bound: int,
-    *,
-    backend: str = "index",
-    discard_equal: bool = True,
-    budget: Budget | None = None,
-) -> EpppResult:
-    """EPPP-style generation restricted to ``bound``-bounded factors."""
-    if bound < 1:
-        raise ValueError("factor width bound must be >= 1")
-    store = make_store(backend)
-    for p in sorted(func.care_set):
-        store.insert(Pseudocube.from_point(func.n, p))
-    result = EpppResult(func.n, [])
-    degree = 0
-    while len(store):
-        t0 = time.perf_counter()
-        next_store = make_store(backend)
-        covered: set[Pseudocube] = set()
-        comparisons = 0
-        rejected = 0
-        size = len(store)
-        groups = 0
-        for group in store.groups(budget=budget):
-            g = len(group)
-            groups += 1
-            if g < 2:
-                continue
-            parent_literals = group[0].num_literals
-            for i in range(g - 1):
-                if budget is not None:
-                    budget.tick(g - 1 - i)
-                gi = group[i]
-                for j in range(i + 1, g):
-                    gj = group[j]
-                    union = gi.union(gj)
-                    comparisons += 1
-                    if max_factor_width(union) > bound:
-                        rejected += 1
-                        continue
-                    next_store.insert(union)
-                    child_literals = union.num_literals
-                    if child_literals < parent_literals or (
-                        discard_equal and child_literals == parent_literals
-                    ):
-                        covered.add(gi)
-                        covered.add(gj)
-        retained = [pc for pc in store.items() if pc not in covered]
-        result.eppps.extend(retained)
-        result.steps.append(
-            StepStats(
-                degree=degree,
-                pseudoproducts=size,
-                groups=groups,
-                comparisons=comparisons,
-                naive_comparisons=size * (size - 1) // 2,
-                generated=len(next_store),
-                duplicates=rejected,
-                retained=len(retained),
-                seconds=time.perf_counter() - t0,
-            )
-        )
-        store = next_store
-        degree += 1
-    return result
+def minimize_spp_bounded(func: BoolFunc, bound: int, **options) -> SppResult:
+    """Minimize ``func`` over ``bound``-bounded pseudoproducts.
 
-
-def minimize_spp_bounded(
-    func: BoolFunc,
-    bound: int,
-    *,
-    backend: str = "index",
-    covering: str = "greedy",
-    cost: Callable[[Pseudocube], int] = literal_cost,
-    budget: Budget | None = None,
-) -> SppResult:
-    """Minimize ``func`` over ``bound``-bounded pseudoproducts."""
-    if not func.on_set:
-        form, optimal, seconds, stats = cover_with(func, [], covering=covering)
-        return SppResult(form, 0, None, optimal, 0.0, seconds, covering_stats=stats)
-    generation = generate_bounded(func, bound, backend=backend, budget=budget)
-    form, optimal, seconds_covering, cover_stats = cover_with(
-        func, generation.eppps, covering=covering, cost=cost, budget=budget
-    )
-    return SppResult(
-        form=form,
-        num_candidates=len(generation.eppps),
-        generation=generation,
-        covering_optimal=optimal,
-        seconds_generation=generation.seconds,
-        seconds_covering=seconds_covering,
-        covering_stats=cover_stats,
-    )
+    ``options`` are those of :func:`~repro.minimize.exact.minimize_spp`
+    (backend, covering, cost, pseudoproduct cap, budget, ...).
+    """
+    return minimize_spp(func, factor_width=bound, **options)

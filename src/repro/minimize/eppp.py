@@ -23,6 +23,14 @@ The same-structure grouping is delegated to a pluggable *store*:
 Both produce identical groups, hence identical EPPP sets; the ablation
 benchmark measures their constant factors.
 
+A *factor-width bound* ``B`` (``factor_width``) turns the same step into
+the bounded family: a union whose CEX has an EXOR factor of more than
+``B`` literals counts as a comparison but is neither kept nor allowed to
+retire its parents, so the search walks exactly the ``B``-bounded
+pseudoproduct lattice.  ``B = 1`` is Quine–McCluskey (an SP form),
+``B = 2`` the 2-SPP forms of :mod:`repro.minimize.bounded`, and
+``B >= n`` is Algorithm 2 unchanged.
+
 Instrumentation: each step records the number of pair unifications
 performed (``Σ_j |X_j|·(|X_j|-1)/2`` over the groups) next to the
 ``|X|·(|X|-1)/2`` an ungrouped algorithm would pay — the exact
@@ -115,6 +123,7 @@ def generate_eppp(
     *,
     backend: str = "index",
     discard_equal: bool = True,
+    factor_width: int | None = None,
     max_pseudoproducts: int | None = None,
     on_limit: str = "raise",
     budget: Budget | None = None,
@@ -124,6 +133,10 @@ def generate_eppp(
     Pseudoproducts are subsets of the *care* set (on ∪ dc), so
     don't-cares enlarge them exactly as in SP minimization; the covering
     step later only targets the on-set.
+
+    ``factor_width`` bounds the width of every EXOR factor (see the
+    module docstring); ``None`` generates the unrestricted EPPP set.  A
+    step whose unions are all too wide ends generation.
 
     ``max_pseudoproducts`` bounds the total number of distinct
     pseudoproducts generated across all degrees, enforced *within*
@@ -143,20 +156,17 @@ def generate_eppp(
     """
     if on_limit not in ("raise", "stop"):
         raise ValueError(f"unknown on_limit {on_limit!r}")
+    if factor_width is not None and factor_width < 1:
+        raise ValueError("factor width bound must be >= 1")
+    args = (func, discard_equal, factor_width, max_pseudoproducts, on_limit, budget)
     if backend == "index":
         # Checked at call time (not import time) so REPRO_NO_NUMPY /
         # monkeypatched AVAILABLE select the pinned scalar fallback.
         if gf2mat.AVAILABLE and func.n <= gf2mat.MAX_PACKED_N:
-            return _generate_packed(
-                func, discard_equal, max_pseudoproducts, on_limit, budget
-            )
-        return _generate_fast(
-            func, discard_equal, max_pseudoproducts, on_limit, budget
-        )
+            return _generate_packed(*args)
+        return _generate_fast(*args)
     if backend == "trie":
-        return _generate_generic(
-            func, discard_equal, max_pseudoproducts, on_limit, budget
-        )
+        return _generate_generic(*args)
     raise ValueError(f"unknown store backend {backend!r}")
 
 
@@ -164,50 +174,167 @@ def generate_eppp(
 # Fast path: dict-of-dicts buckets, per-delta caching (index backend)
 # ----------------------------------------------------------------------
 
+#: One degree level: basis -> {anchor: None}, both in insertion order.
+Buckets = dict[tuple[int, ...], dict[int, None]]
+
+
 def _basis_literals(n: int, basis: tuple[int, ...]) -> int:
     """Literal count of any pseudocube with this direction basis."""
     return sum(b.bit_count() - 1 for b in basis) + (n - len(basis))
 
 
+def _basis_factor_width(n: int, basis: tuple[int, ...]) -> int:
+    """Widest EXOR factor of any pseudocube with this RREF direction
+    basis (0 at full rank, where the CEX has no factors).
+
+    The factor of a non-canonical variable ``j`` holds ``j`` plus the
+    pivot of every basis row with bit ``j`` set; RREF rows carry their
+    non-pivot bits on non-canonical columns only.
+    """
+    if len(basis) == n:
+        return 0
+    counts: dict[int, int] = {}
+    for vec in basis:
+        rest = vec & (vec - 1)  # the row without its pivot
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            counts[low] = counts.get(low, 0) + 1
+    return 1 + max(counts.values(), default=0)
+
+
 def _generate_fast(
     func: BoolFunc,
     discard_equal: bool,
+    factor_width: int | None,
     max_pseudoproducts: int | None,
     on_limit: str,
     budget: Budget | None = None,
 ) -> EpppResult:
-    n = func.n
-    # bucket: basis -> {anchor: None}; degree-0 basis is ().
-    buckets: dict[tuple[int, ...], dict[int, None]] = {
-        (): {p: None for p in sorted(func.care_set)}
-    }
-    # Equal child bases arrive from independent insert_vector calls;
-    # interning makes the next_buckets probes identity-hits and keeps
-    # one tuple per distinct basis across the whole generation.
-    interner = BasisInterner()
-    result = EpppResult(n, [])
+    # The degree-0 basis is (); equal child bases arrive from
+    # independent insert_vector calls, and interning makes the bucket
+    # probes identity-hits with one tuple per distinct basis.
+    buckets: Buckets = {(): {p: None for p in sorted(func.care_set)}}
     return _fast_steps(
-        n,
+        func.n,
         buckets,
-        result,
+        EpppResult(func.n, []),
         0,
         len(buckets[()]),
-        interner,
+        BasisInterner(),
         discard_equal,
+        factor_width,
         max_pseudoproducts,
         on_limit,
         budget,
     )
 
 
+def _union_step(
+    n: int,
+    buckets: Buckets,
+    target: Buckets,
+    interner: BasisInterner,
+    discard_equal: bool,
+    factor_width: int | None,
+    budget: Budget | None,
+    max_generated: int | None = None,
+    max_comparisons: int | None = None,
+) -> tuple[list[Pseudocube], int, int, int, bool]:
+    """One union step: unify every same-structure pair of ``buckets``
+    into ``target``, merging with whatever ``target`` already holds.
+
+    Returns ``(retained, comparisons, generated, duplicates, overflow)``:
+    the pseudoproducts of ``buckets`` that no union with at most their
+    literal count covers (Definition 3), the pairs unified, the unions
+    new to ``target``, the ones it already held, and whether a cap
+    tripped.  Caps are checked after each row — the granularity of the
+    budget ticks — and an overflowing step stops there, leaving
+    ``retained`` incomplete.
+
+    Within a group all pairs with the same anchor difference ``delta``
+    produce unions with the same direction space, so basis insertion,
+    the width filter and literal counting run once per delta, and the
+    new anchor is one conditional XOR.
+    """
+    comparisons = generated = duplicates = 0
+    retained: list[Pseudocube] = []
+    for basis, anchors in buckets.items():
+        anchor_list = list(anchors)
+        g = len(anchor_list)
+        if g < 2:
+            retained.extend(Pseudocube._unsafe(n, a, basis) for a in anchor_list)
+            continue
+        parent_literals = _basis_literals(n, basis)
+        # delta -> (child basis, pivot bit, covers parents?), or () when
+        # the union is wider than factor_width.
+        delta_cache: dict[int, tuple] = {}
+        covered: set[int] = set()
+        for i in range(g - 1):
+            if budget is not None:
+                # One tick per union in this row keeps cancellation
+                # latency bounded even inside a single huge group.
+                budget.tick(g - 1 - i)
+            ai = anchor_list[i]
+            for j in range(i + 1, g):
+                aj = anchor_list[j]
+                # Anchors are zero on the parent pivots, hence so is
+                # delta: it is already reduced modulo `basis`.
+                delta = ai ^ aj
+                info = delta_cache.get(delta)
+                if info is None:
+                    child_basis = gf2.insert_vector(basis, delta)
+                    if (
+                        factor_width is not None
+                        and _basis_factor_width(n, child_basis) > factor_width
+                    ):
+                        info = ()
+                    else:
+                        child_literals = _basis_literals(n, child_basis)
+                        info = (
+                            interner.intern(child_basis),
+                            delta & -delta,
+                            child_literals < parent_literals
+                            or (discard_equal and child_literals == parent_literals),
+                        )
+                    delta_cache[delta] = info
+                comparisons += 1
+                if not info:
+                    continue
+                child_basis, pivot_bit, covers = info
+                # New anchor: parents share it; one conditional XOR.
+                anchor = ai ^ delta if ai & pivot_bit else ai
+                bucket = target.get(child_basis)
+                if bucket is None:
+                    target[child_basis] = {anchor: None}
+                    generated += 1
+                elif anchor in bucket:
+                    duplicates += 1
+                else:
+                    bucket[anchor] = None
+                    generated += 1
+                if covers:
+                    covered.add(ai)
+                    covered.add(aj)
+            if (max_generated is not None and generated > max_generated) or (
+                max_comparisons is not None and comparisons > max_comparisons
+            ):
+                return retained, comparisons, generated, duplicates, True
+        retained.extend(
+            Pseudocube._unsafe(n, a, basis) for a in anchor_list if a not in covered
+        )
+    return retained, comparisons, generated, duplicates, False
+
+
 def _fast_steps(
     n: int,
-    buckets: dict[tuple[int, ...], dict[int, None]],
+    buckets: Buckets,
     result: EpppResult,
     degree: int,
     total: int,
     interner: BasisInterner,
     discard_equal: bool,
+    factor_width: int | None,
     max_pseudoproducts: int | None,
     on_limit: str,
     budget: Budget | None,
@@ -215,87 +342,27 @@ def _fast_steps(
     """The scalar step loop, resumable from any (buckets, degree, total)
     state — both the plain fallback entry point and the hand-off target
     when a packed step would be too large to materialize as arrays."""
-    budget_left = None if max_pseudoproducts is None else max_pseudoproducts - total
     # XOR-rich groups regenerate the same union 2^{k+1}-1 times; those
     # duplicates do not count toward the distinct-pseudoproduct budget,
     # so bound the raw union work as well (per step).
-    comparison_cap = (
-        0 if max_pseudoproducts is None else 8 * max_pseudoproducts
-    )
+    capped = max_pseudoproducts is not None
+    comparison_cap = 8 * max_pseudoproducts if capped else None
 
     while buckets:
         t0 = time.perf_counter()
-        next_buckets: dict[tuple[int, ...], dict[int, None]] = {}
-        comparisons = 0
-        duplicates = 0
-        generated = 0
+        next_buckets: Buckets = {}
         size = sum(len(b) for b in buckets.values())
-        retained: list[Pseudocube] = []
-        overflow = False
-
-        for basis, anchors in buckets.items():
-            anchor_list = list(anchors)
-            g = len(anchor_list)
-            if g < 2:
-                retained.extend(Pseudocube._unsafe(n, a, basis) for a in anchor_list)
-                continue
-            parent_literals = _basis_literals(n, basis)
-            # delta -> (child basis, reduced delta, its pivot bit, covers parents?)
-            delta_cache: dict[int, tuple[tuple[int, ...], int, int, bool]] = {}
-            covered: set[int] = set()
-            for i in range(g - 1):
-                if budget is not None:
-                    # One tick per union in this row keeps cancellation
-                    # latency bounded even inside a single huge group.
-                    budget.tick(g - 1 - i)
-                ai = anchor_list[i]
-                for j in range(i + 1, g):
-                    aj = anchor_list[j]
-                    delta = ai ^ aj
-                    info = delta_cache.get(delta)
-                    if info is None:
-                        child_basis = interner.intern(
-                            gf2.insert_vector(basis, delta)
-                        )
-                        # Anchors are zero on the parent pivots, hence so
-                        # is delta: it is already reduced modulo `basis`.
-                        reduced = delta
-                        pivot_bit = reduced & -reduced
-                        child_literals = _basis_literals(n, child_basis)
-                        covers = child_literals < parent_literals or (
-                            discard_equal and child_literals == parent_literals
-                        )
-                        info = (child_basis, reduced, pivot_bit, covers)
-                        delta_cache[delta] = info
-                    child_basis, reduced, pivot_bit, covers = info
-                    # New anchor: parents share it; one conditional XOR.
-                    anchor = ai ^ reduced if ai & pivot_bit else ai
-                    comparisons += 1
-                    target = next_buckets.get(child_basis)
-                    if target is None:
-                        next_buckets[child_basis] = {anchor: None}
-                        generated += 1
-                    elif anchor in target:
-                        duplicates += 1
-                    else:
-                        target[anchor] = None
-                        generated += 1
-                    if covers:
-                        covered.add(ai)
-                        covered.add(aj)
-                if budget_left is not None and (
-                    generated > budget_left or comparisons > comparison_cap
-                ):
-                    overflow = True
-                    break
-            if overflow:
-                break
-            retained.extend(
-                Pseudocube._unsafe(n, a, basis)
-                for a in anchor_list
-                if a not in covered
-            )
-
+        retained, comparisons, generated, duplicates, overflow = _union_step(
+            n,
+            buckets,
+            next_buckets,
+            interner,
+            discard_equal,
+            factor_width,
+            budget,
+            max_generated=max_pseudoproducts - total if capped else None,
+            max_comparisons=comparison_cap,
+        )
         if overflow:
             if on_limit == "raise":
                 raise GenerationBudgetExceeded(
@@ -303,30 +370,13 @@ def _fast_steps(
                 )
             # Keep everything seen at this degree and below: sound
             # superset (every discarded pseudoproduct's coverer kept).
-            for basis, anchors in buckets.items():
-                result.eppps.extend(
-                    Pseudocube._unsafe(n, a, basis) for a in anchors
-                )
-            for basis, anchors in next_buckets.items():
-                result.eppps.extend(
-                    Pseudocube._unsafe(n, a, basis) for a in anchors
-                )
+            retained = [
+                Pseudocube._unsafe(n, a, basis)
+                for level in (buckets, next_buckets)
+                for basis, anchors in level.items()
+                for a in anchors
+            ]
             result.truncated = True
-            result.steps.append(
-                StepStats(
-                    degree=degree,
-                    pseudoproducts=size,
-                    groups=len(buckets),
-                    comparisons=comparisons,
-                    naive_comparisons=size * (size - 1) // 2,
-                    generated=generated,
-                    duplicates=duplicates,
-                    retained=size,
-                    seconds=time.perf_counter() - t0,
-                )
-            )
-            return result
-
         result.eppps.extend(retained)
         result.steps.append(
             StepStats(
@@ -337,13 +387,13 @@ def _fast_steps(
                 naive_comparisons=size * (size - 1) // 2,
                 generated=generated,
                 duplicates=duplicates,
-                retained=len(retained),
+                retained=size if overflow else len(retained),
                 seconds=time.perf_counter() - t0,
             )
         )
+        if overflow:
+            return result
         total += generated
-        if budget_left is not None:
-            budget_left = max_pseudoproducts - total
         buckets = next_buckets
         degree += 1
     return result
@@ -383,6 +433,7 @@ def _packed_to_buckets(anchors, sizes, rows, interner):
 def _generate_packed(
     func: BoolFunc,
     discard_equal: bool,
+    factor_width: int | None,
     max_pseudoproducts: int | None,
     on_limit: str,
     budget: Budget | None = None,
@@ -406,6 +457,12 @@ def _generate_packed(
        exactly the scalar dict insertion order, so candidate order —
        and therefore covering tie-breaks, SPP forms and costs — is
        bit-identical to the fallback.
+
+    The width filter runs once per distinct child basis
+    (``basis_factor_width`` beside ``basis_literals``; at degree 0 the
+    width follows from the delta's popcount).  Too-wide pairs stay in
+    the stream — they are comparisons and sit on row ends — but drop out
+    of step 3 and of the retention mask.
 
     Overflow replicates the scalar loop's row-granular check: the
     budget condition is evaluated at every row-end position of the pair
@@ -434,10 +491,11 @@ def _generate_packed(
     # step's child literals are the next step's parent literals).
     lits = np.full(1, n, dtype=np.int64)
 
-    # Every iteration either returns (no pairs / overflow / hand-off) or
-    # installs a non-empty next state of strictly higher degree <= n,
-    # mirroring the scalar `while buckets` loop (which always enters:
-    # the degree-0 state is one group even for an empty care set).
+    # Every iteration either returns (no pairs / no union fits / overflow
+    # / hand-off) or installs a non-empty next state of strictly higher
+    # degree <= n, mirroring the scalar `while buckets` loop (which
+    # always enters: the degree-0 state is one group even for an empty
+    # care set).
     while True:
         t0 = time.perf_counter()
         m = int(anchors.size)
@@ -466,6 +524,7 @@ def _generate_packed(
                 total,
                 interner,
                 discard_equal,
+                factor_width,
                 max_pseudoproducts,
                 on_limit,
                 budget,
@@ -509,6 +568,9 @@ def _generate_packed(
             # its parents iff popcount <= 2 (== 1 under strict fewer).
             weight = np.bitwise_count(delta)
             covers_pair = (weight <= 2) if discard_equal else (weight == 1)
+            # A one-row basis has 2-literal factors iff the delta has a
+            # second bit, so only B = 1 filters at this degree.
+            fits = weight == 1 if factor_width == 1 else None
             child_key = delta
             uniq_rows = None
             key2_max = 1 << (2 * n)
@@ -556,6 +618,10 @@ def _generate_packed(
                 covers_pair = child_lits <= lits[gidx]
             else:
                 covers_pair = child_lits < lits[gidx]
+            fits = None
+            if factor_width is not None:
+                width = gf2mat.basis_factor_width(uniq_rows, n)
+                fits = (width <= factor_width)[child_of_s]
             child_key = child_of_s.astype(np.uint64)
             key2_max = uniq_rows.shape[0] << n
 
@@ -564,7 +630,15 @@ def _generate_packed(
         # is aj; one conditional select instead of an XOR.
         anchor = np.where((ai & pivot) != 0, aj, ai)
         key2 = (child_key << shift) | anchor
-        uk2, first2 = gf2mat.unique_sorted_first(key2, key2_max)
+        if fits is None:
+            uk2, first2 = gf2mat.unique_sorted_first(key2, key2_max)
+        else:
+            # Too-wide unions neither enter the next step nor retire
+            # their parents; first occurrences keep stream positions.
+            covers_pair &= fits
+            fit_pos = fits.nonzero()[0]
+            uk2, first2 = gf2mat.unique_sorted_first(key2[fit_pos], key2_max)
+            first2 = fit_pos[first2]
         generated = int(first2.size)
 
         def build_next(uk2_sel, first2_sel):
@@ -630,8 +704,8 @@ def _generate_packed(
             # is a subset selection of the full-stream dedup.
             kept = first2 < processed
             generated = int(np.count_nonzero(kept))
-            next_anchors, next_sizes, next_rows, _ = build_next(
-                uk2[kept], first2[kept]
+            inserted = processed if fits is None else int(
+                np.count_nonzero(fits[:processed])
             )
             # Keep everything seen at this degree and below: sound
             # superset (every discarded pseudoproduct's coverer kept).
@@ -644,15 +718,19 @@ def _generate_packed(
                     interner,
                 )
             )
-            result.eppps.extend(
-                _materialize_packed(
-                    n,
-                    next_anchors,
-                    np.repeat(np.arange(int(next_sizes.size)), next_sizes),
-                    next_rows,
-                    interner,
+            if generated:
+                next_anchors, next_sizes, next_rows, _ = build_next(
+                    uk2[kept], first2[kept]
                 )
-            )
+                result.eppps.extend(
+                    _materialize_packed(
+                        n,
+                        next_anchors,
+                        np.repeat(np.arange(int(next_sizes.size)), next_sizes),
+                        next_rows,
+                        interner,
+                    )
+                )
             result.truncated = True
             result.steps.append(
                 StepStats(
@@ -662,20 +740,23 @@ def _generate_packed(
                     comparisons=processed,
                     naive_comparisons=naive,
                     generated=generated,
-                    duplicates=processed - generated,
+                    duplicates=inserted - generated,
                     retained=m,
                     seconds=time.perf_counter() - t0,
                 )
             )
             return result
 
-        duplicates = stream - generated
-        next_anchors, next_sizes, next_rows, bucket_child = build_next(uk2, first2)
-        if degree == 0:
-            # Child basis is a single delta row: popcount - 1 + (n - 1).
-            next_lits = np.bitwise_count(bucket_child).astype(np.int64) + (n - 2)
-        else:
-            next_lits = lits_of_child[bucket_child.astype(np.int64)]
+        inserted = stream if fits is None else int(fit_pos.size)
+        if generated:
+            next_anchors, next_sizes, next_rows, bucket_child = build_next(
+                uk2, first2
+            )
+            if degree == 0:
+                # Child basis is a single delta row: popcount - 1 + (n - 1).
+                next_lits = np.bitwise_count(bucket_child).astype(np.int64) + (n - 2)
+            else:
+                next_lits = lits_of_child[bucket_child.astype(np.int64)]
 
         # Definition 3 retention: an item survives unless some union
         # covering it had no more literals.
@@ -700,11 +781,13 @@ def _generate_packed(
                 comparisons=stream,
                 naive_comparisons=naive,
                 generated=generated,
-                duplicates=duplicates,
+                duplicates=inserted - generated,
                 retained=len(retained),
                 seconds=time.perf_counter() - t0,
             )
         )
+        if not generated:
+            return result  # every union was wider than factor_width
         total += generated
         if budget_left is not None:
             budget_left = max_pseudoproducts - total
@@ -738,6 +821,7 @@ def _materialize_packed(n, anchors, groups, rows, interner):
 def _generate_generic(
     func: BoolFunc,
     discard_equal: bool,
+    factor_width: int | None,
     max_pseudoproducts: int | None,
     on_limit: str,
     budget: Budget | None = None,
@@ -774,6 +858,11 @@ def _generate_generic(
                     gj = group[j]
                     union = gi.union(gj)
                     comparisons += 1
+                    if (
+                        factor_width is not None
+                        and _basis_factor_width(union.n, union.basis) > factor_width
+                    ):
+                        continue
                     if not next_store.insert(union):
                         duplicates += 1
                     child_literals = union.num_literals
@@ -794,24 +883,10 @@ def _generate_generic(
                 raise GenerationBudgetExceeded(
                     f"generated more than {max_pseudoproducts} pseudoproducts"
                 )
-            result.eppps.extend(store.items())
-            result.eppps.extend(next_store.items())
+            retained = [*store.items(), *next_store.items()]
             result.truncated = True
-            result.steps.append(
-                StepStats(
-                    degree=degree,
-                    pseudoproducts=size,
-                    groups=groups,
-                    comparisons=comparisons,
-                    naive_comparisons=size * (size - 1) // 2,
-                    generated=len(next_store),
-                    duplicates=duplicates,
-                    retained=size,
-                    seconds=time.perf_counter() - t0,
-                )
-            )
-            return result
-        retained = [pc for pc in store.items() if pc not in covered]
+        else:
+            retained = [pc for pc in store.items() if pc not in covered]
         result.eppps.extend(retained)
         result.steps.append(
             StepStats(
@@ -822,22 +897,15 @@ def _generate_generic(
                 naive_comparisons=size * (size - 1) // 2,
                 generated=len(next_store),
                 duplicates=duplicates,
-                retained=len(retained),
+                retained=size if overflow else len(retained),
                 seconds=time.perf_counter() - t0,
             )
         )
+        if overflow:
+            return result
         total += len(next_store)
         if budget_left is not None:
             budget_left = max_pseudoproducts - total
-            if budget_left < 0:
-                if on_limit == "raise":
-                    raise GenerationBudgetExceeded(
-                        f"generated {total} pseudoproducts "
-                        f"(limit {max_pseudoproducts})"
-                    )
-                result.eppps.extend(next_store.items())
-                result.truncated = True
-                return result
         store = next_store
         degree += 1
     return result

@@ -27,7 +27,12 @@ from repro.core.spp_form import SppForm
 from repro.kernels import build_problem, coverage_masks
 from repro.minimize import covering as cov
 from repro.minimize.cost import literal_cost
-from repro.minimize.eppp import EpppResult, GenerationBudgetExceeded, generate_eppp
+from repro.minimize.eppp import (
+    EpppResult,
+    GenerationBudgetExceeded,
+    _basis_factor_width,
+    generate_eppp,
+)
 from repro.minimize.qm import prime_implicants
 
 __all__ = ["SppResult", "minimize_spp", "cover_with"]
@@ -137,6 +142,7 @@ def minimize_spp(
     backend: str = "index",
     covering: str = "greedy",
     cost: Callable[[Pseudocube], int] = literal_cost,
+    factor_width: int | None = None,
     max_pseudoproducts: int | None = None,
     on_limit: str = "raise",
     fallback: Callable[[BoolFunc], SppResult] | None = None,
@@ -151,6 +157,11 @@ def minimize_spp(
     much — verified exhaustively for n ≤ 4 and by the halving argument
     in docs/THEORY.md), and skipping generation avoids enumerating the
     astronomically many sub-pseudocubes of a large coset.
+
+    ``factor_width`` restricts the candidates to pseudoproducts whose
+    EXOR factors have at most that many literals (see
+    :func:`~repro.minimize.eppp.generate_eppp`); the single-coset
+    shortcut then applies only to a coset within the bound.
 
     ``fallback`` is the degradation hook used by :mod:`repro.engine`:
     when generation blows the ``max_pseudoproducts`` budget under
@@ -172,7 +183,10 @@ def minimize_spp(
             single = Pseudocube.from_points(func.n, func.on_set)
         except ValueError:
             single = None
-        if single is not None:
+        if single is not None and (
+            factor_width is None
+            or _basis_factor_width(func.n, single.basis) <= factor_width
+        ):
             return SppResult(
                 form=SppForm(func.n, (single,)),
                 num_candidates=1,
@@ -185,6 +199,7 @@ def minimize_spp(
         generation = generate_eppp(
             func,
             backend=backend,
+            factor_width=factor_width,
             max_pseudoproducts=max_pseudoproducts,
             on_limit=on_limit,
             budget=budget,

@@ -21,8 +21,9 @@ The result is the ``SPP_k`` form: an upper bound on the exact SPP form
 that improves (and slows down exponentially) as ``k`` grows — figures 3
 and 4 of the paper.
 
-Stores are the same ``basis -> {anchor}`` buckets as the fast path of
-:mod:`repro.minimize.eppp`, with the identical per-delta union caching.
+Stores are the same ``basis -> {anchor}`` buckets as the scalar lane of
+:mod:`repro.minimize.eppp`, and the ascent runs that lane's union step
+(``_union_step``) into a store the earlier phases have already filled.
 """
 
 from __future__ import annotations
@@ -33,18 +34,15 @@ from dataclasses import dataclass, field
 
 from repro.boolfunc.function import BoolFunc
 from repro.budget import Budget
-from repro.core import gf2
 from repro.core.pseudocube import Pseudocube
 from repro.core.subcubes import sub_pseudocubes
 from repro.kernels import BasisInterner, coverage_masks
 from repro.minimize.cost import literal_cost
-from repro.minimize.eppp import _basis_literals
+from repro.minimize.eppp import Buckets, _union_step
 from repro.minimize.exact import SppResult, cover_with
 from repro.minimize.qm import prime_implicants
 
 __all__ = ["HeuristicStats", "minimize_spp_k"]
-
-Buckets = dict[tuple[int, ...], dict[int, None]]
 
 
 @dataclass
@@ -84,69 +82,6 @@ def _insert(buckets: Buckets, basis: tuple[int, ...], anchor: int) -> bool:
         return False
     bucket[anchor] = None
     return True
-
-
-def _ascend_into(
-    source: Buckets,
-    target: Buckets,
-    n: int,
-    discard_equal: bool,
-    comparison_budget: int | None,
-    budget: Budget | None = None,
-) -> tuple[int, list[Pseudocube], bool]:
-    """One union step: unify all same-structure pairs of ``source`` into
-    ``target`` (merging with its existing content) and return the
-    comparisons performed, the retained pseudoproducts of ``source``
-    (those not covered by a union of ≤ literals), and whether the
-    comparison budget overflowed (in which case *all* of ``source`` is
-    retained — a sound superset)."""
-    comparisons = 0
-    retained: list[Pseudocube] = []
-    interner = BasisInterner()
-    for basis, anchors in source.items():
-        anchor_list = list(anchors)
-        g = len(anchor_list)
-        if g < 2:
-            retained.extend(Pseudocube._unsafe(n, a, basis) for a in anchor_list)
-            continue
-        parent_literals = _basis_literals(n, basis)
-        delta_cache: dict[int, tuple[tuple[int, ...], int, bool]] = {}
-        covered: set[int] = set()
-        for i in range(g - 1):
-            if budget is not None:
-                budget.tick(g - 1 - i)
-            ai = anchor_list[i]
-            for j in range(i + 1, g):
-                delta = ai ^ anchor_list[j]
-                info = delta_cache.get(delta)
-                if info is None:
-                    child_basis = interner.intern(gf2.insert_vector(basis, delta))
-                    child_literals = _basis_literals(n, child_basis)
-                    covers = child_literals < parent_literals or (
-                        discard_equal and child_literals == parent_literals
-                    )
-                    info = (child_basis, delta & -delta, covers)
-                    delta_cache[delta] = info
-                child_basis, pivot_bit, covers = info
-                anchor = ai ^ delta if ai & pivot_bit else ai
-                comparisons += 1
-                _insert(target, child_basis, anchor)
-                if covers:
-                    covered.add(ai)
-                    covered.add(anchor_list[j])
-            if comparison_budget is not None and comparisons > comparison_budget:
-                everything = [
-                    Pseudocube._unsafe(n, a, src_basis)
-                    for src_basis, src_anchors in source.items()
-                    for a in src_anchors
-                ]
-                return comparisons, everything, True
-        retained.extend(
-            Pseudocube._unsafe(n, a, basis)
-            for a in anchor_list
-            if a not in covered
-        )
-    return comparisons, retained, False
 
 
 def minimize_spp_k(
@@ -235,15 +170,22 @@ def minimize_spp_k(
     # whatever reached the next degree.
     comparisons = 0
     candidates: list[Pseudocube] = []
+    interner = BasisInterner()
     for degree in range(n):
         source = stores[degree]
         if not source:
             continue
-        step_comparisons, retained, _ = _ascend_into(
-            source, stores[degree + 1], n, discard_equal, max_comparisons,
-            budget=budget,
+        retained, step_comparisons, _, _, overflow = _union_step(
+            n, source, stores[degree + 1], interner, discard_equal, None, budget,
+            max_comparisons=max_comparisons,
         )
         comparisons += step_comparisons
+        if overflow:
+            retained = [
+                Pseudocube._unsafe(n, a, basis)
+                for basis, anchors in source.items()
+                for a in anchors
+            ]
         candidates.extend(retained)
     candidates.extend(
         Pseudocube._unsafe(n, a, basis)

@@ -71,7 +71,13 @@ from repro.serve.shadow import ShadowVerifier
 from repro.serve.watchdog import MemoryWatchdog
 from repro.verify import verify_form
 
-__all__ = ["ServeConfig", "MinimizeService", "jobs_from_payload", "VERIFIED_HEADER"]
+__all__ = [
+    "ServeConfig",
+    "MinimizeService",
+    "jobs_from_payload",
+    "content_length",
+    "VERIFIED_HEADER",
+]
 
 # Every /minimize response carries the weakest verification level among
 # the records it returns: "full" (producer-verified or synchronously
@@ -758,6 +764,18 @@ class MinimizeService:
         return self._drained.wait(timeout)
 
 
+def content_length(headers) -> int | None:
+    """The request body's byte count, or None when ``Content-Length`` is
+    not a non-negative integer.  Such a body cannot be framed: reading
+    it would raise or, for a negative length, block until the client
+    hangs up, so both tiers answer 400 ``parse`` and close instead."""
+    try:
+        length = int(headers.get("Content-Length", 0))
+    except ValueError:
+        return None
+    return length if length >= 0 else None
+
+
 def _make_handler(service: MinimizeService):
     """An ``http.server`` handler class bound to one service instance."""
 
@@ -832,8 +850,14 @@ def _make_handler(service: MinimizeService):
             if self.path != "/minimize":
                 self._error(404, "not-found", f"no such path {self.path!r}")
                 return
+            length = content_length(self.headers)
+            if length is None:
+                self._error(
+                    400, "parse", "Content-Length is not a non-negative integer",
+                    Connection="close",
+                )
+                return
             try:
-                length = int(self.headers.get("Content-Length", 0))
                 payload = json.loads(self.rfile.read(length) or b"{}")
             except (ValueError, TypeError):
                 self._error(400, "parse", "request body is not valid JSON")

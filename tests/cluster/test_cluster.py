@@ -17,6 +17,7 @@ import pytest
 
 from repro.cluster import ClusterConfig, ClusterCoordinator
 from tests.serve.test_metrics import parse_prometheus
+from tests.serve.test_serve import raw_post
 
 PLAS = [
     f".i 3\n.o 1\n{format(i, '03b')} 1\n111 1\n.e\n" for i in range(6)
@@ -173,6 +174,14 @@ class TestCluster:
         }
         assert in_ring == {"w0": 1.0, "w1": 1.0}
         assert "repro_cluster_worker_requests_total" in families
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_is_400_parse(self, cluster, length):
+        coordinator, host, port = cluster
+        status, doc = raw_post(host, port, length)
+        assert status == 400
+        assert doc["error"]["code"] == "parse"
+        assert _get(host, port, "/healthz")[0] == 200
 
     def test_kill_worker_fails_over_then_restarts(self, cluster):
         coordinator, host, port = cluster

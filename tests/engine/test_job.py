@@ -59,6 +59,13 @@ class TestContentHash:
             _func(), covering="exact"
         ).content_hash
 
+    def test_bounded_cap_participates(self):
+        # Bounded rungs honour the pseudoproduct cap, so a capped record
+        # must never answer an uncapped job.
+        assert Job(_func(), method="bounded").content_hash != Job(
+            _func(), method="bounded", max_pseudoproducts=10
+        ).content_hash
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             Job(_func(), method="quantum")

@@ -42,6 +42,14 @@ class TestLadderShape:
         rung = ladder_for(Job(adr2_out1, method="exact"))[0]
         assert rung.params["max_pseudoproducts"] is not None
 
+    @pytest.mark.parametrize("method", ["exact", "bounded"])
+    def test_bounded_rung_gets_the_exact_cap(self, adr2_out1, method):
+        for cap in (99, None):
+            exact = ladder_for(Job(adr2_out1, max_pseudoproducts=cap))[0]
+            job = Job(adr2_out1, method=method, max_pseudoproducts=cap)
+            (bounded,) = [r for r in ladder_for(job) if r.method == "bounded"]
+            assert bounded.params["max_pseudoproducts"] == exact.params["max_pseudoproducts"]
+
 
 class TestExecuteRung:
     def test_exact_rung_matches_direct_minimize(self, adr2_out1):
@@ -72,6 +80,16 @@ class TestExecuteRung:
         form = form_from_dict(record["form"])
         assert_equivalent(form, adr2_out1)
 
+    def test_truncated_bounded_rung_is_verified_and_flagged(self):
+        fo = get_benchmark("adr3")[2]
+        job = Job(fo, method="bounded", bound=2, max_pseudoproducts=20)
+        record = execute_rung(job, ladder_for(job)[0])
+        assert record["rung"] == "bounded-2"
+        assert record["truncated"] is True
+        assert record["optimal"] is False
+        assert record["integrity"]["verified"] == "full"
+        assert_equivalent(form_from_dict(record["form"]), fo)
+
     def test_truncated_generation_is_flagged_non_optimal(self):
         fo = get_benchmark("adr3")[2]
         job = Job(fo, method="exact", max_pseudoproducts=50)
@@ -80,3 +98,18 @@ class TestExecuteRung:
         assert record["optimal"] is False
         # Still a verified cover.
         assert_equivalent(form_from_dict(record["form"]), fo)
+
+
+class TestLadderOrder:
+    """Each rung is cheaper than the one above it.  Wall clock is for the
+    CI gate; here the machine-independent measure: the width filter
+    must leave bounded-2 fewer pair comparisons than exact."""
+
+    @pytest.mark.parametrize("name,output", [("life", 0), ("dist", 1), ("adr4", 3)])
+    def test_bounded2_compares_fewer_pairs_than_exact(self, name, output):
+        job = Job(get_benchmark(name)[output], method="exact")
+        exact, bounded = ladder_for(job)[:2]
+        assert bounded.name == "bounded-2"
+        exact_pairs = execute_rung(job, exact)["extras"]["comparisons"]
+        bounded_pairs = execute_rung(job, bounded)["extras"]["comparisons"]
+        assert bounded_pairs < exact_pairs

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core import gf2
 from repro.kernels import gf2mat
-from repro.minimize.eppp import _basis_literals
+from repro.minimize.eppp import _basis_factor_width, _basis_literals
 
 pytestmark = pytest.mark.skipif(
     not gf2mat.AVAILABLE,
@@ -125,6 +125,23 @@ class TestSingleBasisParity:
         mat = np.array([list(b) for b in bases], dtype=np.uint64).reshape(len(bases), rank)
         got = gf2mat.basis_literals(mat, n)
         assert got.tolist() == [_basis_literals(n, b) for b in bases]
+
+    @given(st.integers(1, 12).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(
+            st.lists(st.integers(1, (1 << n) - 1), max_size=2 * n),
+            min_size=1, max_size=5,
+        ))
+    ))
+    def test_basis_factor_width(self, n_vectors):
+        """Random RREF bases over one ``n``, cut to the batch's minimum
+        rank (full rank included: it has width 0)."""
+        n, vector_lists = n_vectors
+        bases = [gf2.rref(vs) for vs in vector_lists]
+        rank = min(len(b) for b in bases)
+        bases = [b[:rank] for b in bases]
+        mat = np.array([list(b) for b in bases], dtype=np.uint64).reshape(len(bases), rank)
+        got = gf2mat.basis_factor_width(mat, n)
+        assert got.tolist() == [_basis_factor_width(n, b) for b in bases]
 
     @given(basis_and_n(max_n=8, max_len=6), st.integers(0, 255))
     def test_span_points_gray_order(self, nb, offset):

@@ -1,16 +1,16 @@
 """Tests for bounded-factor (2-SPP style) minimization."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.boolfunc.function import BoolFunc
 from repro.core.cex import cex_of
 from repro.core.pseudocube import Pseudocube
-from repro.minimize.bounded import (
-    generate_bounded,
-    max_factor_width,
-    minimize_spp_bounded,
-)
+from repro.kernels import gf2mat
+from repro.minimize import eppp
+from repro.minimize.bounded import max_factor_width, minimize_spp_bounded
+from repro.minimize.eppp import generate_eppp
 from repro.minimize.exact import minimize_spp
 from repro.minimize.sp import minimize_sp
 from repro.verify import assert_equivalent
@@ -48,18 +48,46 @@ class TestBoundedGeneration:
     @settings(max_examples=30, deadline=None)
     def test_all_candidates_within_bound(self, func):
         for bound in (1, 2):
-            result = generate_bounded(func, bound)
+            result = generate_eppp(func, factor_width=bound)
             for pc in result.eppps:
-                assert max_factor_width(pc) <= max(bound, 1)
+                assert max_factor_width(pc) <= bound
 
     @given(small_funcs)
     @settings(max_examples=20, deadline=None)
     def test_unbounded_equals_algorithm2(self, func):
-        from repro.minimize.eppp import generate_eppp
-
-        bounded = generate_bounded(func, func.n)
+        """A bound of n filters nothing: the same candidates in the same
+        order (order drives the covering's tie-breaks)."""
+        bounded = generate_eppp(func, factor_width=func.n)
         plain = generate_eppp(func)
-        assert set(bounded.eppps) == set(plain.eppps)
+        assert bounded.eppps == plain.eppps
+
+    @given(small_funcs, st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_trie_lane_matches_index_lane(self, func, bound):
+        index = generate_eppp(func, factor_width=bound)
+        trie = generate_eppp(func, factor_width=bound, backend="trie")
+        assert set(index.eppps) == set(trie.eppps)
+
+    def test_step_with_no_fitting_union_ends_generation(self, monkeypatch):
+        """Two points at distance 2 unify only into a 2-literal factor:
+        under B = 1 the step compares them, keeps both, and generation
+        ends — in the packed, trie and scalar lanes alike."""
+        func = BoolFunc(3, frozenset({0b000, 0b011}))
+        monkeypatch.setattr(eppp, "_MIN_PACKED_PAIRS", 0)
+        lanes = [
+            generate_eppp(func, factor_width=1, backend=backend)
+            for backend in ("index", "trie")
+        ]
+        monkeypatch.setattr(gf2mat, "AVAILABLE", False)
+        lanes.append(generate_eppp(func, factor_width=1))
+        points = {Pseudocube.from_point(3, 0b000), Pseudocube.from_point(3, 0b011)}
+        for result in lanes:
+            assert set(result.eppps) == points
+            assert [(s.comparisons, s.generated) for s in result.steps] == [(1, 0)]
+
+    def test_bound_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            generate_eppp(BoolFunc(3, frozenset({1, 2})), factor_width=0)
 
 
 class TestBoundedMinimization:

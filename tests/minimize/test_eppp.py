@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.boolfunc.function import BoolFunc
 from repro.core.pseudocube import Pseudocube
+from repro.kernels import gf2mat
 from repro.minimize.eppp import (
     GenerationBudgetExceeded,
     generate_eppp,
@@ -184,6 +185,21 @@ class TestBudget:
         for pc in result.eppps:
             covered |= set(pc.points())
         assert covered == func.care_set
+
+    @pytest.mark.parametrize("on_limit", ["raise", "stop"])
+    def test_single_point_zero_cap_agrees_across_lanes(self, on_limit, monkeypatch):
+        """A one-point care set has no pairs to unify, so even a zero cap
+        never trips: every lane returns the point, untruncated."""
+        func = BoolFunc(3, frozenset({5}))
+        results = [
+            generate_eppp(func, backend=backend, max_pseudoproducts=0, on_limit=on_limit)
+            for backend in ("index", "trie")
+        ]
+        monkeypatch.setattr(gf2mat, "AVAILABLE", False)
+        results.append(generate_eppp(func, max_pseudoproducts=0, on_limit=on_limit))
+        for result in results:
+            assert result.eppps == [Pseudocube.from_point(3, 5)]
+            assert not result.truncated
 
     def test_bad_on_limit(self):
         func = BoolFunc(3, frozenset({1}))

@@ -82,36 +82,48 @@ family_funcs = st.builds(
 )
 
 
+# Factor-width bounds: None is Algorithm 2 unchanged; 1-3 filter unions
+# in every lane (B = 1 already at degree 0, from the delta's popcount).
+widths = st.sampled_from([None, 1, 2, 3])
+
+
 class TestGenerationParity:
     @settings(max_examples=40, deadline=None)
-    @given(family_funcs)
-    def test_candidates_and_stats_identical(self, func):
-        packed, scalar = _run_both(func)
+    @given(family_funcs, widths)
+    def test_candidates_and_stats_identical(self, func, width):
+        packed, scalar = _run_both(func, factor_width=width)
         assert packed == scalar
 
     @settings(max_examples=25, deadline=None)
-    @given(family_funcs, st.sampled_from([3, 20, 100]), st.sampled_from(["stop", "raise"]))
-    def test_budget_semantics_identical(self, func, cap, on_limit):
+    @given(
+        family_funcs,
+        st.sampled_from([3, 20, 100]),
+        st.sampled_from(["stop", "raise"]),
+        widths,
+    )
+    def test_budget_semantics_identical(self, func, cap, on_limit, width):
         """Truncation and overflow behave identically: the packed loop
-        must stop (or raise) at exactly the same generated prefix."""
+        must stop (or raise) at exactly the same generated prefix, with
+        filtered pairs counted as comparisons but never as insertions."""
         packed, scalar = _run_both(
-            func, max_pseudoproducts=cap, on_limit=on_limit
+            func, max_pseudoproducts=cap, on_limit=on_limit, factor_width=width
         )
         assert packed == scalar
 
     @settings(max_examples=20, deadline=None)
-    @given(family_funcs)
-    def test_discard_equal_off_identical(self, func):
-        packed, scalar = _run_both(func, discard_equal=False)
+    @given(family_funcs, widths)
+    def test_discard_equal_off_identical(self, func, width):
+        packed, scalar = _run_both(func, discard_equal=False, factor_width=width)
         assert packed == scalar
 
     def test_handoff_threshold_consistent(self):
         """At the production threshold small streams take the scalar
         lane and large ones the packed lane — outputs agree regardless."""
         func = FAMILIES["dense"](random.Random(7), 5)
-        default = _snapshot(generate_eppp(func))
-        packed, scalar = _run_both(func)
-        assert default == packed == scalar
+        for width in (None, 1, 2, 3):
+            default = _snapshot(generate_eppp(func, factor_width=width))
+            packed, scalar = _run_both(func, factor_width=width)
+            assert default == packed == scalar
 
 
 class TestMinimizerParity:

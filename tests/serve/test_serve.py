@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -65,6 +66,20 @@ def _get(port, path):
     return _request(port, "GET", path)
 
 
+def raw_post(host: str, port: int, content_length: str) -> tuple[int, dict]:
+    """POST /minimize with a hand-written ``Content-Length`` header
+    (http.client refuses to send a malformed one).  The write side stays
+    open, so a server that waits for EOF times the test out."""
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(
+            f"POST /minimize HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {content_length}\r\n\r\n{{}}".encode()
+        )
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        return response.status, json.loads(response.read())
+
+
 def _post(port, payload, headers=None):
     return _request(port, "POST", "/minimize", payload, headers)
 
@@ -88,6 +103,14 @@ class TestEndpoints:
         assert _get(port, "/nope")[0] == 404
         status, _, body = _request(port, "POST", "/nope", {})
         assert status == 404 and not body["ok"]
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_is_400_parse(self, service, length):
+        _, port = service()
+        status, body = raw_post("127.0.0.1", port, length)
+        assert status == 400
+        assert body["error"]["code"] == "parse"
+        assert _get(port, "/healthz")[0] == 200
 
     def test_max_rung_caps_the_ladder(self, service):
         _, port = service()
