@@ -5,10 +5,12 @@ Drives the service the way an operator would — through the CLI, over
 HTTP, with signals — and asserts the overload and shutdown contracts:
 
 1. the server comes up and reports healthy;
-2. a 4x-capacity concurrent burst sheds the excess with 429 +
+2. malformed requests get a structured 400, never a dropped connection;
+3. a 4x-capacity concurrent burst sheds the excess with 429 +
    ``Retry-After`` while ``/healthz`` stays green;
-3. SIGTERM drains gracefully: exit code 0, "drained, exiting" on
-   stdout, and the manifest journal replays intact afterwards.
+4. SIGTERM drains gracefully: exit code 0, "drained, exiting" on
+   stdout, the manifest journal replays intact afterwards, and no
+   request handler raised (no traceback in the server's output).
 
 Deterministic slowness comes from the fault-injection env plan (every
 rung start stalls 0.5s), so the burst reliably overlaps.  A
@@ -93,6 +95,16 @@ def main() -> None:
             assert len(Manifest(manifest_dir).replay()) == 1
             print("single request ok, journal seeded")
 
+            # Malformed requests: a structured client error each.
+            for payload, code in (
+                ({"pla": PLA, "timeout": "x"}, "usage"),
+                ({"pla": 5}, "parse"),
+            ):
+                status, _, body = request(port, "POST", "/minimize", payload)
+                assert status == 400, (payload, status, body)
+                assert body["error"]["code"] == code, (payload, body)
+            print("malformed requests answered 400 usage / parse")
+
             # 4x-capacity burst: the excess must shed, liveness holds.
             results: list[tuple[int, dict]] = []
             lock = threading.Lock()
@@ -130,6 +142,11 @@ def main() -> None:
             output, _ = proc.communicate(timeout=30)
             assert proc.returncode == 0, proc.returncode
             assert "drained, exiting" in output, output
+            # http.server prints this banner (and the traceback) when a
+            # handler thread raises and drops its client's connection.
+            for marker in ("Exception occurred during processing of request",
+                           "Traceback"):
+                assert marker not in output, output
             replayed = Manifest(manifest_dir).replay()
             assert replayed, "journal lost in drain"
             print(f"SIGTERM drain clean, journal replays "

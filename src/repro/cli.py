@@ -460,17 +460,10 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         delta_entries=args.delta_entries,
         delta_max_edit=args.delta_max_edit,
     )
-    service = MinimizeService(config)
-    host, port = service.start()
-    service.install_signal_handlers()
-    print(f"serving on http://{host}:{port}  "
-          f"({config.threads} workers, queue {config.queue_capacity}); "
-          "SIGTERM/SIGINT drains gracefully", flush=True)
-    try:
-        service.wait_drained()
-    except KeyboardInterrupt:  # second ^C while draining: just leave
-        pass
-    print("drained, exiting", flush=True)
+    _run_until_drained(
+        MinimizeService(config), "serving",
+        lambda tier: f"{config.threads} workers, queue {config.queue_capacity}",
+    )
 
 
 def _cmd_cluster(args: argparse.Namespace) -> None:
@@ -498,15 +491,24 @@ def _cmd_cluster(args: argparse.Namespace) -> None:
         audit_rate=args.audit_rate,
         shadow_rate=args.shadow_rate,
     )
-    cluster = ClusterCoordinator(config)
-    host, port = cluster.start()
-    cluster.install_signal_handlers()
-    ports = [state.proc.port for state in cluster._workers.values()]
-    print(f"cluster on http://{host}:{port}  "
-          f"({config.workers} workers on ports {ports}); "
+    _run_until_drained(
+        ClusterCoordinator(config), "cluster",
+        lambda tier: f"{config.workers} workers on ports "
+        f"{[state.proc.port for state in tier._workers.values()]}",
+    )
+
+
+def _run_until_drained(tier, role: str, describe) -> None:
+    """Start a serving tier, print its banner, block until it drained.
+
+    ``describe(tier)`` is the banner's detail, read once the tier is
+    up.  SIGTERM/SIGINT start the drain."""
+    host, port = tier.start()
+    tier.install_signal_handlers()
+    print(f"{role} on http://{host}:{port}  ({describe(tier)}); "
           "SIGTERM/SIGINT drains gracefully", flush=True)
     try:
-        cluster.wait_drained()
+        tier.wait_drained()
     except KeyboardInterrupt:  # second ^C while draining: just leave
         pass
     print("drained, exiting", flush=True)
@@ -797,6 +799,39 @@ def _cmd_fuzz(args: argparse.Namespace) -> None:
     print("fuzz: all checks passed")
 
 
+def _add_worker_flags(parser: argparse.ArgumentParser) -> None:
+    """The serve options ``cluster`` also takes and passes to each worker."""
+    parser.add_argument("--threads", type=int, default=4, metavar="N",
+                        help="concurrent minimizations per serve process "
+                        "(default 4)")
+    parser.add_argument("--queue-capacity", type=int, default=8, metavar="N",
+                        help="waiting-room size beyond the active slots; "
+                        "requests past it are shed (default 8)")
+    parser.add_argument("--default-timeout", type=float, default=5.0,
+                        metavar="S", help="per-attempt rung deadline when "
+                        "the request sets none (default 5s)")
+    parser.add_argument("--default-budget", type=float, default=30.0,
+                        metavar="S", help="overall request budget when the "
+                        "request sets none (default 30s)")
+    parser.add_argument("--cache-entries", type=int, default=1024,
+                        metavar="N", help="in-memory result cache capacity "
+                        "per serve process (default 1024)")
+    parser.add_argument("--cache-dir", default=None,
+                        help="persistent result cache directory (a cluster's "
+                        "workers share it, lockfile-guarded)")
+    parser.add_argument("--max-disk-entries", type=int, default=None,
+                        metavar="N", help="cap on disk cache entries; "
+                        "oldest are pruned under a cross-process lock "
+                        "(default: unbounded)")
+    parser.add_argument("--audit-rate", type=int, default=16, metavar="N",
+                        help="verify-on-read: re-verify every Nth disk-cache "
+                        "load against its spec (0 disables sampling; "
+                        "salt-stale records are always audited; default 16)")
+    parser.add_argument("--shadow-rate", type=int, default=8, metavar="N",
+                        help="shadow-verify every Nth response off the hot "
+                        "path (0 disables; default 8)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spp-minimize",
@@ -933,39 +968,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8351,
                          help="listen port (0 = ephemeral; default 8351)")
-    p_serve.add_argument("--threads", type=int, default=4, metavar="N",
-                         help="concurrent minimizations (default 4)")
-    p_serve.add_argument("--queue-capacity", type=int, default=8, metavar="N",
-                         help="waiting-room size beyond the active slots; "
-                         "requests past it are shed (default 8)")
-    p_serve.add_argument("--default-timeout", type=float, default=5.0,
-                         metavar="S", help="per-attempt rung deadline when "
-                         "the request sets none (default 5s)")
-    p_serve.add_argument("--default-budget", type=float, default=30.0,
-                         metavar="S", help="overall request budget when the "
-                         "request sets none (default 30s)")
+    _add_worker_flags(p_serve)
     p_serve.add_argument("--memory-soft-mb", type=float, default=None,
                          metavar="MB", help="RSS soft ceiling: shrink the "
                          "result cache when exceeded")
     p_serve.add_argument("--memory-hard-mb", type=float, default=None,
                          metavar="MB", help="RSS hard ceiling: shed all new "
                          "requests until RSS recedes")
-    p_serve.add_argument("--cache-entries", type=int, default=1024,
-                         metavar="N", help="in-memory result cache capacity "
-                         "(default 1024)")
-    p_serve.add_argument("--cache-dir", default=None,
-                         help="persistent result cache directory")
-    p_serve.add_argument("--max-disk-entries", type=int, default=None,
-                         metavar="N", help="cap on disk cache entries; "
-                         "oldest are pruned under a cross-process lock "
-                         "(default: unbounded)")
-    p_serve.add_argument("--audit-rate", type=int, default=16, metavar="N",
-                         help="verify-on-read: re-verify every Nth disk-cache "
-                         "load against its spec (0 disables sampling; "
-                         "salt-stale records are always audited; default 16)")
-    p_serve.add_argument("--shadow-rate", type=int, default=8, metavar="N",
-                         help="shadow-verify every Nth response off the hot "
-                         "path (0 disables; default 8)")
     p_serve.add_argument("--manifest-dir", default=None,
                          help="journal-backed manifest directory")
     p_serve.add_argument("--drain-grace", type=float, default=10.0,
@@ -1027,31 +1036,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--health-interval", type=float, default=0.5,
                            metavar="S", help="worker health-probe period "
                            "(default 0.5s)")
-    p_cluster.add_argument("--threads", type=int, default=4, metavar="N",
-                           help="concurrent minimizations per worker "
-                           "(default 4)")
-    p_cluster.add_argument("--queue-capacity", type=int, default=8,
-                           metavar="N", help="per-worker admission queue "
-                           "(default 8)")
-    p_cluster.add_argument("--default-timeout", type=float, default=5.0,
-                           metavar="S")
-    p_cluster.add_argument("--default-budget", type=float, default=30.0,
-                           metavar="S")
-    p_cluster.add_argument("--cache-entries", type=int, default=1024,
-                           metavar="N", help="per-worker in-memory cache "
-                           "capacity (default 1024)")
-    p_cluster.add_argument("--cache-dir", default=None,
-                           help="shared on-disk result cache tier "
-                           "(lockfile-guarded across workers)")
-    p_cluster.add_argument("--max-disk-entries", type=int, default=None,
-                           metavar="N", help="cap on shared disk cache "
-                           "entries (default: unbounded)")
-    p_cluster.add_argument("--audit-rate", type=int, default=16, metavar="N",
-                           help="per-worker verify-on-read sampling "
-                           "(default 16; 0 disables)")
-    p_cluster.add_argument("--shadow-rate", type=int, default=8, metavar="N",
-                           help="per-worker shadow-verification sampling "
-                           "(default 8; 0 disables)")
+    _add_worker_flags(p_cluster)
     p_cluster.set_defaults(handler=_cmd_cluster)
 
     p_load = sub.add_parser(

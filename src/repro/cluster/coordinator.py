@@ -51,7 +51,10 @@ coordinator usually routes without even parsing the JSON.
 
 Endpoints: ``POST /minimize`` (proxied), ``GET /healthz`` ``/readyz``
 ``/stats`` ``/metrics`` (answered by the coordinator; ``/metrics`` also
-scrapes and re-exports per-worker counters as Prometheus text).
+scrapes and re-exports per-worker counters as Prometheus text).  The
+listener, error table and drain lifecycle are the worker's own
+(:mod:`repro.serve.tier`), so a malformed request gets the same answer
+from either tier.
 """
 
 from __future__ import annotations
@@ -59,12 +62,10 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import http.client
-import json
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from dataclasses import dataclass
 from typing import Any
 
 from repro import faults
@@ -72,23 +73,31 @@ from repro.cluster.resilience import (
     DEADLINE_HEADER,
     AdaptiveHedge,
     AutoscalePolicy,
+    DeadlineExpired,
     RetryBudget,
     format_deadline,
-    parse_deadline,
     restart_delay,
 )
 from repro.cluster.ring import HashRing
 from repro.cluster.worker import WorkerProcess, free_port
-from repro.errors import UsageError
+from repro.errors import Overloaded, ReproError
 from repro.serve.metrics import LatencyHistogram, Metric, render_metrics
-from repro.serve.server import content_length, jobs_from_payload
+from repro.serve.server import jobs_from_payload
+from repro.serve.tier import HttpTier, error_body, error_response, json_payload
 
 __all__ = ["ClusterConfig", "ClusterCoordinator"]
 
 
 @dataclass
 class ClusterConfig:
-    """Knobs of one coordinator (all exposed as CLI flags)."""
+    """Knobs of one coordinator.
+
+    ``spp-minimize cluster`` exposes the topology, hedging, retry-budget
+    and health-interval knobs and the worker pass-through as flags; the
+    rest (``hedge_min``/``hedge_max``, ``proxy_timeout``, the restart
+    backoff, the autoscale thresholds, ``drain_grace`` …) keep their
+    defaults there and are set only programmatically.
+    """
 
     host: str = "127.0.0.1"
     port: int = 8350
@@ -133,7 +142,6 @@ class ClusterConfig:
     max_disk_entries: int | None = None
     audit_rate: int = 16             # workers' verify-on-read sampling
     shadow_rate: int = 8             # workers' shadow-verification sampling
-    extra_serve_args: list[str] = field(default_factory=list)
 
 
 class _WorkerState:
@@ -159,8 +167,10 @@ class _WorkerState:
         self.autoscaled = False    # spawned by the autoscaler (reapable)
 
 
-class ClusterCoordinator:
+class ClusterCoordinator(HttpTier):
     """Consistent-hash router + supervisor over serve worker processes."""
+
+    server_version = "repro-cluster"
 
     def __init__(self, config: ClusterConfig | None = None) -> None:
         self.config = config or ClusterConfig()
@@ -169,6 +179,25 @@ class ClusterCoordinator:
             raise ValueError("need at least one worker")
         if cfg.max_workers is not None and cfg.max_workers < cfg.workers:
             raise ValueError("max_workers must be >= workers")
+        super().__init__(
+            (
+                "requests",
+                "proxied",
+                "failovers",
+                "hedges",
+                "hedge_wins",
+                "unavailable",
+                "bad_requests",
+                "route_memo_hits",
+                "upstream_attempts",
+                "retry_budget_exhausted",
+                "deadline_shed",
+                "proxy_faults",
+                "autoscale_up",
+                "autoscale_down",
+            ),
+            retry_after=1,
+        )
         self.ring = HashRing(replicas=cfg.replicas)
         self.latency = LatencyHistogram()
         self.hedge = AdaptiveHedge(
@@ -193,35 +222,13 @@ class ClusterCoordinator:
         self._route_lock = threading.Lock()
         self._pool: dict[str, list[http.client.HTTPConnection]] = {}
         self._pool_lock = threading.Lock()
-        self._counters = {
-            "requests": 0,
-            "proxied": 0,
-            "failovers": 0,
-            "hedges": 0,
-            "hedge_wins": 0,
-            "unavailable": 0,
-            "bad_requests": 0,
-            "route_memo_hits": 0,
-            "upstream_attempts": 0,
-            "retry_budget_exhausted": 0,
-            "deadline_shed": 0,
-            "proxy_faults": 0,
-            "autoscale_up": 0,
-            "autoscale_down": 0,
-        }
-        self._counters_lock = threading.Lock()
         self._autoscale_last = 0.0
         self._shed_seen: dict[str, float] = {}
         self._worker_aggregate: dict[str, Any] = {}
         self._probe_now = threading.Event()
         self._stop = threading.Event()
-        self._drained = threading.Event()
-        self._draining = False
         self._health_thread: threading.Thread | None = None
-        self._server: ThreadingHTTPServer | None = None
-        self._server_thread: threading.Thread | None = None
         self._hedge_pool: concurrent.futures.ThreadPoolExecutor | None = None
-        self._started_at = time.monotonic()
 
     # -- worker construction -------------------------------------------
 
@@ -240,7 +247,7 @@ class ClusterCoordinator:
             args += ["--cache-dir", str(cfg.cache_dir)]
         if cfg.max_disk_entries is not None:
             args += ["--max-disk-entries", str(cfg.max_disk_entries)]
-        return args + list(cfg.extra_serve_args)
+        return args
 
     def _new_worker(self, name: str, *, autoscaled: bool = False) -> _WorkerState:
         """Construct (but do not start) one supervised worker."""
@@ -292,18 +299,7 @@ class ClusterCoordinator:
             target=self._health_loop, name="repro-cluster-health", daemon=True
         )
         self._health_thread.start()
-        self._server = ThreadingHTTPServer(
-            (cfg.host, cfg.port), _make_handler(self)
-        )
-        self._server.daemon_threads = True
-        self._server_thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-cluster-listener",
-            daemon=True,
-        )
-        self._server_thread.start()
-        host, port = self._server.server_address[:2]
-        return str(host), int(port)
+        return self._listen(cfg.host, cfg.port)
 
     # -- routing -------------------------------------------------------
 
@@ -312,8 +308,9 @@ class ClusterCoordinator:
 
         Memoized on the exact body bytes: repeated (warm) traffic
         routes via one dict probe instead of re-parsing and re-hashing
-        the function.  Raises :class:`UsageError` on bodies the workers
-        would reject anyway.
+        the function.  Raises the workers' own
+        :class:`~repro.errors.ParseError` / :class:`~repro.errors.UsageError`
+        on bodies the workers would reject anyway.
 
         Delta-form requests (``{"base": ..., "delta": ...}``) are keyed
         by their **base** jobs (``routing=True`` below): every
@@ -327,11 +324,7 @@ class ClusterCoordinator:
                 self._route_memo.move_to_end(body)
                 self._bump("route_memo_hits")
                 return key
-        try:
-            payload = json.loads(body or b"{}")
-        except ValueError as exc:
-            raise UsageError("request body is not valid JSON") from exc
-        jobs = jobs_from_payload(payload, routing=True)
+        jobs = jobs_from_payload(json_payload(body or b"{}"), routing=True)
         if len(jobs) == 1:
             key = jobs[0].content_hash
         else:  # multi-output request: one stable key over all its jobs
@@ -364,8 +357,14 @@ class ClusterCoordinator:
         ``deadline`` is the client's remaining end-to-end budget in
         seconds (from ``X-Repro-Deadline``).  It is pinned to an
         absolute instant here and re-derived before every attempt and
-        hop, so retries and hedges never stretch the total.
+        hop, so retries and hedges never stretch the total.  A body the
+        workers would reject is answered here, through the same error
+        table, without reaching any worker.
         """
+        if self._draining:
+            return error_response(
+                Overloaded("cluster is draining", retry_after=self.retry_after)
+            )
         started = time.monotonic()
         deadline_at = started + deadline if deadline is not None else None
         self._bump("requests")
@@ -373,9 +372,9 @@ class ClusterCoordinator:
             return self._deadline_response()
         try:
             key = self.routing_key(body)
-        except UsageError as exc:
+        except ReproError as exc:
             self._bump("bad_requests")
-            return 400, {}, _error_body(exc.code, str(exc))
+            return error_response(exc)
         plan = self.plan_for(key)
         response = None
         expired = False
@@ -410,8 +409,8 @@ class ClusterCoordinator:
             self._probe_now.set()
             return (
                 503,
-                {"Retry-After": "1"},
-                _error_body(
+                {"Retry-After": str(self.retry_after)},
+                error_body(
                     "unavailable",
                     f"no reachable worker among {plan or ['(empty ring)']}",
                 ),
@@ -424,14 +423,10 @@ class ClusterCoordinator:
     def _deadline_response(self) -> tuple[int, dict[str, str], bytes]:
         """503 for a request whose end-to-end deadline already passed."""
         self._bump("deadline_shed")
-        return (
-            503,
-            {"Retry-After": "1"},
-            _error_body(
-                "deadline-exceeded",
-                "end-to-end deadline expired before a worker could answer",
-            ),
-        )
+        return error_response(DeadlineExpired(
+            "end-to-end deadline expired before a worker could answer",
+            retry_after=self.retry_after,
+        ))
 
     def _try_spend(self, name: str) -> bool:
         """Spend one retry-budget token of worker ``name`` (False = broke)."""
@@ -839,17 +834,13 @@ class ClusterCoordinator:
 
     # -- introspection -------------------------------------------------
 
-    @property
-    def ready(self) -> bool:
-        return len(self.ring) > 0 and not self._draining
-
-    def _bump(self, key: str, by: int = 1) -> None:
-        with self._counters_lock:
-            self._counters[key] += by
+    def unready_reason(self) -> str | None:
+        if self._draining:
+            return "draining"
+        return None if len(self.ring) > 0 else "no-workers"
 
     def stats(self) -> dict[str, Any]:
-        with self._counters_lock:
-            counters = dict(self._counters)
+        counters = self.counter_snapshot()
         workers = {}
         with self._workers_lock:
             items = list(self._workers.items())
@@ -869,7 +860,7 @@ class ClusterCoordinator:
             }
         cfg = self.config
         return {
-            "uptime_seconds": time.monotonic() - self._started_at,
+            "uptime_seconds": self.uptime,
             "draining": self._draining,
             "counters": counters,
             "latency": self.latency.snapshot(),
@@ -901,12 +892,10 @@ class ClusterCoordinator:
         (short timeout; a dead worker simply contributes nothing this
         scrape) and re-exported under a ``worker`` label.
         """
-        with self._counters_lock:
-            counters = dict(self._counters)
         metrics = [
             Metric(
                 "repro_cluster_uptime_seconds", "Seconds since cluster start."
-            ).add(time.monotonic() - self._started_at),
+            ).add(self.uptime),
             Metric(
                 "repro_cluster_ring_size", "Workers currently in the ring."
             ).add(len(self.ring)),
@@ -916,7 +905,7 @@ class ClusterCoordinator:
             "Coordinator events by kind (routing, failover, hedging).",
             "counter",
         )
-        for key, value in sorted(counters.items()):
+        for key, value in sorted(self.counter_snapshot().items()):
             events.add(value, kind=key)
         metrics.append(events)
         per_worker = Metric(
@@ -1015,135 +1004,14 @@ class ClusterCoordinator:
         for state in items:
             state.proc.stop(grace=grace)
 
-    def drain(self, grace: float | None = None) -> None:
-        """Stop admitting, stop the health loop, drain every worker."""
-        if self._draining:
-            self._drained.wait()
-            return
-        self._draining = True
+    def _wind_down(self, grace: float | None) -> None:
+        """Stop the health loop and the hedge pool, drain every worker."""
         self._stop.set()
         self._probe_now.set()
         if self._health_thread is not None:
             self._health_thread.join(timeout=5.0)
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-        if self._server_thread is not None:
-            self._server_thread.join(timeout=5.0)
         if self._hedge_pool is not None:
             self._hedge_pool.shutdown(wait=False)
         self.stop_workers(grace)
         for name in list(self._pool):
             self._pool_drop(name)
-        self._drained.set()
-
-    def install_signal_handlers(self) -> None:
-        """SIGTERM/SIGINT → drain on a helper thread (main thread only)."""
-        import signal
-
-        def _on_signal(signum, frame):
-            threading.Thread(
-                target=self.drain, name="repro-cluster-drain", daemon=True
-            ).start()
-
-        signal.signal(signal.SIGTERM, _on_signal)
-        signal.signal(signal.SIGINT, _on_signal)
-
-    def wait_drained(self, timeout: float | None = None) -> bool:
-        return self._drained.wait(timeout)
-
-
-def _error_body(code: str, message: str) -> bytes:
-    return json.dumps(
-        {"ok": False, "error": {"code": code, "message": message}}
-    ).encode("ascii")
-
-
-def _make_handler(coordinator: ClusterCoordinator):
-    """An ``http.server`` handler class bound to one coordinator."""
-
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        server_version = "repro-cluster"
-        # See the serve handler: avoid the Nagle/delayed-ACK 40ms stall
-        # on the headers-then-body response writes.
-        disable_nagle_algorithm = True
-
-        def log_message(self, format, *args):  # noqa: A002 — stdlib name
-            pass
-
-        def _send(self, status: int, data: bytes, content_type: str,
-                  headers: dict[str, str] | None = None) -> None:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(data)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(data)
-
-        def _send_json(self, status: int, body: dict,
-                       headers: dict[str, str] | None = None) -> None:
-            self._send(
-                status, json.dumps(body).encode("ascii"),
-                "application/json", headers,
-            )
-
-        def do_GET(self) -> None:  # noqa: N802 — stdlib casing
-            if self.path == "/healthz":
-                self._send_json(200, {"status": "ok"})
-            elif self.path == "/readyz":
-                if coordinator.ready:
-                    self._send_json(200, {"status": "ready"})
-                else:
-                    self._send_json(
-                        503,
-                        {"status": "draining" if coordinator._draining
-                         else "no-workers"},
-                        headers={"Retry-After": "1"},
-                    )
-            elif self.path == "/stats":
-                self._send_json(200, coordinator.stats())
-            elif self.path == "/metrics":
-                self._send(
-                    200, coordinator.metrics_text().encode("utf-8"),
-                    "text/plain; version=0.0.4; charset=utf-8",
-                )
-            else:
-                self._send_json(
-                    404,
-                    {"ok": False, "error": {
-                        "code": "not-found",
-                        "message": f"no such path {self.path!r}"}},
-                )
-
-        def do_POST(self) -> None:  # noqa: N802 — stdlib casing
-            if self.path != "/minimize":
-                self._send_json(
-                    404,
-                    {"ok": False, "error": {
-                        "code": "not-found",
-                        "message": f"no such path {self.path!r}"}},
-                )
-                return
-            if coordinator._draining:
-                self._send(
-                    429, _error_body("overloaded", "cluster is draining"),
-                    "application/json", {"Retry-After": "1"},
-                )
-                return
-            length = content_length(self.headers)
-            if length is None:
-                self._send(
-                    400,
-                    _error_body("parse", "Content-Length is not a non-negative integer"),
-                    "application/json",
-                    {"Connection": "close"},
-                )
-                return
-            body = self.rfile.read(length) if length else b"{}"
-            deadline = parse_deadline(self.headers.get(DEADLINE_HEADER))
-            status, headers, data = coordinator.handle_minimize(body, deadline)
-            self._send(status, data, "application/json", headers)
-
-    return Handler

@@ -3,9 +3,13 @@
 Stdlib-only serving layer over :mod:`repro.engine`, designed around the
 cooperative budgets of :mod:`repro.budget`:
 
-* :mod:`repro.serve.server` — the threaded HTTP front-end
-  (``POST /minimize``, ``/healthz``, ``/readyz``, ``/stats``) and the
-  :class:`MinimizeService` lifecycle (start, graceful SIGTERM drain);
+* :mod:`repro.serve.server` — :class:`MinimizeService`: request
+  expansion, budgets and the engine behind ``POST /minimize``, its
+  ``/stats`` and ``/metrics``, and its graceful SIGTERM drain;
+* :mod:`repro.serve.tier` — the HTTP skeleton the service shares with
+  the cluster coordinator: one handler (``/minimize``, ``/healthz``,
+  ``/readyz``, ``/stats``, ``/metrics``), one error table, one drain
+  lifecycle;
 * :mod:`repro.serve.admission` — bounded concurrency + waiting room,
   shedding the excess with 429 + ``Retry-After``;
 * :mod:`repro.serve.breaker` — a per-(rung, job-size) circuit breaker

@@ -1,10 +1,12 @@
 """The ``repro serve`` HTTP/JSON service: minimization as a long-running
 process.
 
-Stdlib-only (``http.server``) threaded front-end over the batch engine.
-Each request thread runs the engine **inline** (``workers=0``) under a
-per-request :class:`repro.budget.Budget` — safe off the main thread
-because deadlines are cooperative, not ``SIGALRM``-based.  The pieces:
+A threaded front-end over the batch engine, built on the HTTP skeleton
+it shares with the cluster coordinator (:mod:`repro.serve.tier`:
+listener, error table, drain lifecycle).  Each request thread runs the
+engine **inline** (``workers=0``) under a per-request
+:class:`repro.budget.Budget` — safe off the main thread because
+deadlines are cooperative, not ``SIGALRM``-based.  The pieces:
 
 * :class:`~repro.serve.admission.AdmissionQueue` bounds concurrency and
   sheds overload (429 + ``Retry-After``);
@@ -32,11 +34,9 @@ Endpoints::
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import dataclass, replace
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from repro import faults
@@ -49,13 +49,7 @@ from repro.engine.cache import ResultCache
 from repro.engine.job import METHODS, Job
 from repro.engine.ladder import Rung
 from repro.engine.scheduler import run_batch
-from repro.errors import (
-    IntegrityError,
-    Overloaded,
-    ParseError,
-    ReproError,
-    UsageError,
-)
+from repro.errors import IntegrityError, UsageError
 from repro.integrity import (
     VERIFIED_FULL,
     VERIFIED_NONE,
@@ -65,9 +59,10 @@ from repro.integrity import (
 from repro.serialize import form_from_dict
 from repro.serve.admission import AdmissionQueue
 from repro.serve.breaker import RungBreaker
-from repro.serve.deadline import DEADLINE_HEADER, DeadlineExpired, parse_deadline
+from repro.serve.deadline import DeadlineExpired
 from repro.serve.metrics import LatencyHistogram, Metric, render_metrics
 from repro.serve.shadow import ShadowVerifier
+from repro.serve.tier import HttpTier, json_payload
 from repro.serve.watchdog import MemoryWatchdog
 from repro.verify import verify_form
 
@@ -75,7 +70,6 @@ __all__ = [
     "ServeConfig",
     "MinimizeService",
     "jobs_from_payload",
-    "content_length",
     "VERIFIED_HEADER",
 ]
 
@@ -87,6 +81,22 @@ VERIFIED_HEADER = "X-Repro-Verified"
 # Ladder rank of each method: a request's ``max_rung`` gates every rung
 # ranked above it (the scheduler still never gates the final rung).
 _RUNG_RANK = {"sp": 0, "heuristic": 1, "bounded": 2, "exact": 3}
+
+
+def _option(
+    payload: dict[str, Any], key: str, cast, default=None, expect="a number"
+):
+    """``payload[key]`` converted by ``cast``; ``default`` when absent or
+    null.  Every typed request option is read through here, so a
+    mistyped one is a :class:`UsageError` (400 ``usage``) on both tiers
+    instead of an exception that drops the client's connection."""
+    value = payload.get(key)
+    if value is None:
+        return default
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError, KeyError):
+        raise UsageError(f"{key} must be {expect}, not {value!r}") from None
 
 
 def jobs_from_payload(payload: dict[str, Any], *, routing: bool = False) -> list[Job]:
@@ -155,11 +165,13 @@ def jobs_from_payload(payload: dict[str, Any], *, routing: bool = False) -> list
     else:
         raise UsageError('request needs "pla" text or a "benchmark" name')
     outputs = range(func.num_outputs)
-    if payload.get("output") is not None:
-        o = int(payload["output"])
+    o = _option(payload, "output", int, expect="an integer")
+    if o is not None:
         if not 0 <= o < func.num_outputs:
             raise UsageError(f"output {o} out of range")
         outputs = [o]
+    k = _option(payload, "k", int, 0, expect="an integer")
+    bound = _option(payload, "bound", int, 2, expect="an integer")
     jobs = []
     for o in outputs:
         fo = func[o]
@@ -169,8 +181,8 @@ def jobs_from_payload(payload: dict[str, Any], *, routing: bool = False) -> list
             Job(
                 fo,
                 method=method,
-                k=int(payload.get("k", 0)),
-                bound=int(payload.get("bound", 2)),
+                k=k,
+                bound=bound,
                 covering=str(payload.get("covering", "greedy")),
                 backend=str(payload.get("backend", "index")),
                 max_pseudoproducts=payload.get("max_pseudoproducts"),
@@ -184,7 +196,12 @@ def jobs_from_payload(payload: dict[str, Any], *, routing: bool = False) -> list
 
 @dataclass
 class ServeConfig:
-    """Knobs of one service instance (all exposed as CLI flags)."""
+    """Knobs of one service instance.
+
+    ``spp-minimize serve`` exposes most of them as flags; ``wait_timeout``,
+    ``retry_after``, ``max_budget``, ``watchdog_interval`` and the breaker
+    settings keep their defaults there and are set only programmatically.
+    """
 
     host: str = "127.0.0.1"
     port: int = 8351
@@ -212,12 +229,26 @@ class ServeConfig:
     parent_pid: int | None = None  # drain when this process disappears
 
 
-class MinimizeService:
+class MinimizeService(HttpTier):
     """Engine + admission + breaker + watchdog behind an HTTP listener."""
+
+    server_version = "repro-serve"
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
         cfg = self.config
+        super().__init__(
+            (
+                "requests",
+                "completed",
+                "failed",
+                "budget_exceeded",
+                "cancelled",
+                "deadline_shed",
+                "integrity",
+            ),
+            retry_after=cfg.retry_after,
+        )
         self.cache = ResultCache(
             max_entries=cfg.cache_entries,
             cache_dir=cfg.cache_dir,
@@ -252,25 +283,10 @@ class MinimizeService:
             on_hard=self._on_memory_hard,
             on_recover=self._on_memory_recover,
         )
-        self._server: ThreadingHTTPServer | None = None
-        self._server_thread: threading.Thread | None = None
         self._inflight: dict[int, Budget] = {}
         self._inflight_lock = threading.Lock()
         self._next_request_id = 0
-        self._draining = False
-        self._drained = threading.Event()
-        self._started_at = time.monotonic()
         self.latency = LatencyHistogram()
-        self._stats_lock = threading.Lock()
-        self._counters = {
-            "requests": 0,
-            "completed": 0,
-            "failed": 0,
-            "budget_exceeded": 0,
-            "cancelled": 0,
-            "deadline_shed": 0,
-            "integrity": 0,
-        }
 
     # -- watchdog callbacks --------------------------------------------
 
@@ -290,23 +306,20 @@ class MinimizeService:
         self, payload: dict[str, Any], cap: float | None = None
     ) -> Budget:
         cfg = self.config
-        seconds = float(payload.get("budget_seconds", cfg.default_budget))
+        seconds = _option(payload, "budget_seconds", float, cfg.default_budget)
         seconds = min(max(seconds, 0.001), cfg.max_budget)
         if cap is not None:
             # The propagated end-to-end deadline wins over whatever the
             # payload asked for: a result the client will never read is
             # pure waste.
             seconds = min(seconds, max(cap, 0.001))
-        memory_mb = payload.get("memory_mb")
         return Budget(
-            seconds=seconds,
-            memory_mb=float(memory_mb) if memory_mb is not None else None,
+            seconds=seconds, memory_mb=_option(payload, "memory_mb", float)
         )
 
     def _shed_deadline(self, remaining: float) -> None:
         """Refuse a request whose end-to-end deadline already passed."""
-        with self._stats_lock:
-            self._counters["deadline_shed"] += 1
+        self._bump("deadline_shed")
         raise DeadlineExpired(
             f"end-to-end deadline expired {-remaining:.3f}s ago; "
             "shedding instead of computing",
@@ -314,13 +327,10 @@ class MinimizeService:
         )
 
     def _gate_from(self, payload: dict[str, Any]):
-        max_rung = payload.get("max_rung")
-        if max_rung is not None and max_rung not in _RUNG_RANK:
-            raise UsageError(
-                f"unknown max_rung {max_rung!r} "
-                f"(one of {', '.join(_RUNG_RANK)})"
-            )
-        cap = _RUNG_RANK[max_rung] if max_rung is not None else None
+        cap = _option(
+            payload, "max_rung", _RUNG_RANK.__getitem__,
+            expect=f"one of {', '.join(_RUNG_RANK)}",
+        )
 
         def gate(job: Job, rung: Rung) -> bool:
             if cap is not None and _RUNG_RANK.get(rung.method, 0) > cap:
@@ -332,12 +342,14 @@ class MinimizeService:
     # -- the one real endpoint -----------------------------------------
 
     def handle_minimize(
-        self, payload: dict[str, Any], deadline: float | None = None
-    ) -> tuple[int, dict, dict[str, str]]:
-        """Run one minimization request; returns (HTTP status, body, headers).
+        self, body: bytes, deadline: float | None = None
+    ) -> tuple[int, dict[str, str], dict]:
+        """Run one minimization request; returns (HTTP status, headers, body).
 
-        Raises :class:`Overloaded` when shed — the HTTP layer maps it
-        to 429 + ``Retry-After`` — and :class:`DeadlineExpired` (503 +
+        Raises :class:`~repro.errors.ParseError` /
+        :class:`~repro.errors.UsageError` (400) on a malformed body,
+        :class:`~repro.errors.Overloaded` when shed — the HTTP layer maps
+        it to 429 + ``Retry-After`` — and :class:`DeadlineExpired` (503 +
         ``Retry-After``) when the propagated end-to-end ``deadline``
         (seconds remaining, from ``X-Repro-Deadline``) has already
         passed: such a request is shed *before* it costs a worker slot
@@ -355,12 +367,12 @@ class MinimizeService:
         by the request's remaining deadline).
         """
         received = time.monotonic()
-        with self._stats_lock:
-            self._counters["requests"] += 1
+        payload = json_payload(body)
+        self._bump("requests")
         if deadline is not None and deadline <= 0:
             self._shed_deadline(deadline)
         jobs = jobs_from_payload(payload)
-        timeout = float(payload.get("timeout", self.config.default_timeout))
+        timeout = _option(payload, "timeout", float, self.config.default_timeout)
         started = time.monotonic()
         with self.admission.admit():
             remaining = None
@@ -393,7 +405,7 @@ class MinimizeService:
         synced = bool(payload.get("verify"))
         if synced:
             self._sync_verify(result)
-        status, body = self._respond(
+        status, answer = self._respond(
             result, budget, bool(payload.get("include_form"))
         )
         headers = {VERIFIED_HEADER: self._verified_level(result, synced=synced)}
@@ -402,7 +414,7 @@ class MinimizeService:
             if deadline is not None:
                 remaining = deadline - (time.monotonic() - received)
             self.shadow.consider(result, remaining)
-        return status, body, headers
+        return status, headers, answer
 
     def _sync_verify(self, result) -> None:
         """Client-requested (``"verify": true``) pre-response verification.
@@ -442,8 +454,7 @@ class MinimizeService:
                 )
 
     def _record_integrity_failure(self, outcome, record) -> None:
-        with self._stats_lock:
-            self._counters["integrity"] += 1
+        self._bump("integrity")
         self.cache.quarantine_key(outcome.job.content_hash)
         self.breaker.record_mismatch(
             record.get("rung", ""), len(outcome.job.func.on_set)
@@ -515,11 +526,9 @@ class MinimizeService:
                 message = "request budget exhausted before completion"
                 key = "budget_exceeded"
             body["error"] = {"code": code, "message": message}
-            with self._stats_lock:
-                self._counters[key] += 1
+            self._bump(key)
             return status, body
-        with self._stats_lock:
-            self._counters["completed" if result.ok else "failed"] += 1
+        self._bump("completed" if result.ok else "failed")
         return 200, body
 
     # -- in-flight registry --------------------------------------------
@@ -543,13 +552,11 @@ class MinimizeService:
     # -- introspection -------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        with self._stats_lock:
-            counters = dict(self._counters)
         return {
-            "uptime_seconds": time.monotonic() - self._started_at,
+            "uptime_seconds": self.uptime,
             "inflight": self.inflight,
             "draining": self._draining,
-            "counters": counters,
+            "counters": self.counter_snapshot(),
             "latency": self.latency.snapshot(),
             "admission": self.admission.snapshot(),
             "breaker": {
@@ -569,14 +576,13 @@ class MinimizeService:
 
     def metrics_text(self) -> str:
         """The service's counters as Prometheus text exposition."""
-        with self._stats_lock:
-            counters = dict(self._counters)
+        counters = self.counter_snapshot()
         admission = self.admission.snapshot()
         cache = self.cache.stats.as_dict()
         metrics = [
             Metric(
                 "repro_uptime_seconds", "Seconds since service start."
-            ).add(time.monotonic() - self._started_at),
+            ).add(self.uptime),
             Metric(
                 "repro_inflight_requests", "Requests currently executing."
             ).add(self.inflight),
@@ -665,34 +671,24 @@ class MinimizeService:
         )
         return render_metrics(metrics)
 
-    @property
-    def ready(self) -> bool:
-        return self.admission.accepting
+    def unready_reason(self) -> str | None:
+        if self.admission.accepting:
+            return None
+        return "draining" if self.admission.closed else "shedding"
 
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> tuple[str, int]:
         """Bind, start serving on a daemon thread, return (host, port)."""
-        handler = _make_handler(self)
-        self._server = ThreadingHTTPServer(
-            (self.config.host, self.config.port), handler
-        )
-        self._server.daemon_threads = True
+        address = self._listen(self.config.host, self.config.port)
         self.watchdog.start()
-        self._server_thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-serve-listener",
-            daemon=True,
-        )
-        self._server_thread.start()
         if self.config.parent_pid is not None:
             threading.Thread(
                 target=self._watch_parent,
                 name="repro-serve-parent-watch",
                 daemon=True,
             ).start()
-        host, port = self._server.server_address[:2]
-        return str(host), int(port)
+        return address
 
     def _watch_parent(self) -> None:
         """Drain when the supervising parent process disappears.
@@ -712,18 +708,14 @@ class MinimizeService:
                 return
             time.sleep(1.0)
 
-    def drain(self, grace: float | None = None) -> None:
-        """Graceful shutdown: stop admitting, finish or cancel in-flight.
+    def _wind_down(self, grace: float | None) -> None:
+        """Stop admitting, then finish or cancel in-flight requests.
 
         Requests that complete within the grace window land in the
         manifest journal as usual; stragglers are cancelled through
         their budget tokens and answered with the structured
-        ``cancelled`` error.  Idempotent.
+        ``cancelled`` error.
         """
-        if self._draining:
-            self._drained.wait()
-            return
-        self._draining = True
         self.admission.close()
         grace = self.config.drain_grace if grace is None else grace
         deadline = time.monotonic() + max(grace, 0.0)
@@ -741,150 +733,3 @@ class MinimizeService:
             time.sleep(0.02)
         self.watchdog.stop()
         self.shadow.stop()
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-        if self._server_thread is not None:
-            self._server_thread.join(timeout=5.0)
-        self._drained.set()
-
-    def install_signal_handlers(self) -> None:
-        """SIGTERM/SIGINT → drain on a helper thread (main thread only)."""
-        import signal
-
-        def _on_signal(signum, frame):
-            threading.Thread(
-                target=self.drain, name="repro-serve-drain", daemon=True
-            ).start()
-
-        signal.signal(signal.SIGTERM, _on_signal)
-        signal.signal(signal.SIGINT, _on_signal)
-
-    def wait_drained(self, timeout: float | None = None) -> bool:
-        return self._drained.wait(timeout)
-
-
-def content_length(headers) -> int | None:
-    """The request body's byte count, or None when ``Content-Length`` is
-    not a non-negative integer.  Such a body cannot be framed: reading
-    it would raise or, for a negative length, block until the client
-    hangs up, so both tiers answer 400 ``parse`` and close instead."""
-    try:
-        length = int(headers.get("Content-Length", 0))
-    except ValueError:
-        return None
-    return length if length >= 0 else None
-
-
-def _make_handler(service: MinimizeService):
-    """An ``http.server`` handler class bound to one service instance."""
-
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        server_version = "repro-serve"
-        # Headers and body flush as separate writes; without TCP_NODELAY
-        # that pairs Nagle with the peer's delayed ACK for a ~40ms stall
-        # on every response.
-        disable_nagle_algorithm = True
-
-        # -- plumbing --------------------------------------------------
-
-        def log_message(self, format, *args):  # noqa: A002 — stdlib name
-            pass  # request logging would drown the CLI's own output
-
-        def _send_json(
-            self, status: int, body: dict, headers: dict[str, str] | None = None
-        ) -> None:
-            data = json.dumps(body).encode("ascii")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(data)
-
-        def _error(
-            self, status: int, code: str, message: str,
-            extra: dict | None = None, **headers,
-        ) -> None:
-            error: dict[str, Any] = {"code": code, "message": message}
-            if extra:
-                error.update(extra)
-            self._send_json(
-                status, {"ok": False, "error": error}, headers=headers
-            )
-
-        # -- GET -------------------------------------------------------
-
-        def do_GET(self) -> None:  # noqa: N802 — stdlib casing
-            if self.path == "/healthz":
-                self._send_json(200, {"status": "ok"})
-            elif self.path == "/readyz":
-                if service.ready:
-                    self._send_json(200, {"status": "ready"})
-                else:
-                    self._send_json(
-                        503,
-                        {"status": "draining" if service.admission.closed
-                         else "shedding"},
-                        headers={"Retry-After": str(service.config.retry_after)},
-                    )
-            elif self.path == "/stats":
-                self._send_json(200, service.stats())
-            elif self.path == "/metrics":
-                data = service.metrics_text().encode("utf-8")
-                self.send_response(200)
-                self.send_header(
-                    "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-                )
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
-            else:
-                self._error(404, "not-found", f"no such path {self.path!r}")
-
-        # -- POST ------------------------------------------------------
-
-        def do_POST(self) -> None:  # noqa: N802 — stdlib casing
-            if self.path != "/minimize":
-                self._error(404, "not-found", f"no such path {self.path!r}")
-                return
-            length = content_length(self.headers)
-            if length is None:
-                self._error(
-                    400, "parse", "Content-Length is not a non-negative integer",
-                    Connection="close",
-                )
-                return
-            try:
-                payload = json.loads(self.rfile.read(length) or b"{}")
-            except (ValueError, TypeError):
-                self._error(400, "parse", "request body is not valid JSON")
-                return
-            deadline = parse_deadline(self.headers.get(DEADLINE_HEADER))
-            try:
-                status, body, headers = service.handle_minimize(payload, deadline)
-            except DeadlineExpired as exc:
-                self._error(
-                    503, exc.code, str(exc),
-                    **{"Retry-After": str(exc.retry_after)},
-                )
-            except Overloaded as exc:
-                self._error(
-                    429, exc.code, str(exc),
-                    **{"Retry-After": str(exc.retry_after)},
-                )
-            except (UsageError, ParseError) as exc:
-                self._error(400, exc.code, str(exc))
-            except IntegrityError as exc:
-                # Counterexamples (first few points + truncation flag)
-                # instead of an opaque message: the client can replay
-                # them against its own spec.
-                self._error(500, exc.code, str(exc), extra=exc.detail or None)
-            except ReproError as exc:
-                self._error(500, exc.code, str(exc))
-            else:
-                self._send_json(status, body, headers=headers)
-
-    return Handler

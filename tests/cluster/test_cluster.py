@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.cli import build_parser
 from repro.cluster import ClusterConfig, ClusterCoordinator
 from tests.serve.test_metrics import parse_prometheus
 from tests.serve.test_serve import raw_post
@@ -53,7 +54,7 @@ class TestRoutingKey:
         # with the same structured error taxonomy the workers use.
         status, _, body = coordinator.handle_minimize(b"this is not json")
         assert status == 400
-        assert json.loads(body)["error"]["code"] == "usage"
+        assert json.loads(body)["error"]["code"] == "parse"
 
     def test_routing_key_is_memoized(self, coordinator):
         body = _body(PLAS[0])
@@ -66,6 +67,32 @@ class TestRoutingKey:
         coordinator.ring.add("w1")
         plan = coordinator.plan_for("somekey")
         assert len(plan) == len(set(plan)) == 2
+
+
+class TestWorkerFlags:
+    def test_pass_through_fields_reach_the_worker_command_line(self):
+        # Each field gets a distinct non-default value, so a dropped or
+        # swapped flag cannot parse back to the right number.
+        config = ClusterConfig(
+            worker_threads=3, worker_queue_capacity=17, default_timeout=2.5,
+            default_budget=12.5, cache_entries=77, cache_dir="shared-cache",
+            max_disk_entries=99, audit_rate=5, shadow_rate=0,
+        )
+        worker = ClusterCoordinator(config)._new_worker("w0")
+        # command() is [python, -m, repro, serve, ...]: parse it the way
+        # the worker process will.
+        args = build_parser().parse_args(worker.proc.command()[3:])
+        assert args.command == "serve"
+        assert (
+            args.threads, args.queue_capacity, args.default_timeout,
+            args.default_budget, args.cache_entries, args.cache_dir,
+            args.max_disk_entries, args.audit_rate, args.shadow_rate,
+        ) == (
+            config.worker_threads, config.worker_queue_capacity,
+            config.default_timeout, config.default_budget,
+            config.cache_entries, config.cache_dir, config.max_disk_entries,
+            config.audit_rate, config.shadow_rate,
+        )
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +139,82 @@ def _wait_all_up(coordinator, timeout=60.0) -> dict:
             return stats
         time.sleep(0.2)
     raise AssertionError(f"workers never all up: {coordinator.stats()}")
+
+
+# Client errors both tiers must answer alike:
+# case -> (path, body, expected status, expected error.code).
+MALFORMED = {
+    "non-json": ("/minimize", b"this is not json", 400, "parse"),
+    "pla-not-text": ("/minimize", json.dumps({"pla": 5}).encode(), 400, "parse"),
+    "bad-cube-line": (
+        "/minimize", _body(".i 3\n.o 1\n1x- 1\n.e\n"), 400, "parse",
+    ),
+    "output-str": ("/minimize", _body(PLAS[0], output="x"), 400, "usage"),
+    "output-list": ("/minimize", _body(PLAS[0], output=[0]), 400, "usage"),
+    "k-str": ("/minimize", _body(PLAS[0], k="x"), 400, "usage"),
+    "bound-str": ("/minimize", _body(PLAS[0], bound="x"), 400, "usage"),
+    "budget-str": (
+        "/minimize", _body(PLAS[0], budget_seconds="x"), 400, "usage",
+    ),
+    "memory-str": ("/minimize", _body(PLAS[0], memory_mb="x"), 400, "usage"),
+    "timeout-str": ("/minimize", _body(PLAS[0], timeout="x"), 400, "usage"),
+    "max-rung-list": (
+        "/minimize", _body(PLAS[0], max_rung=["sp"]), 400, "usage",
+    ),
+    "wrong-path": ("/nope", _body(PLAS[0]), 404, "not-found"),
+}
+
+
+def _answer_then_follow_up(host: str, port: int, path: str, body: bytes):
+    """(status, error.code) of one POST, then the status of a valid
+    ``POST /minimize`` sent after it on the same kept-alive connection."""
+    conn = http.client.HTTPConnection(host, port, timeout=60)
+    try:
+        conn.request("POST", path, body=body)
+        response = conn.getresponse()
+        answer = (response.status, json.loads(response.read())["error"]["code"])
+        sock = conn.sock
+        conn.request("POST", "/minimize", body=_body(PLAS[0]))
+        follow_up = conn.getresponse()
+        follow_up.read()
+        assert conn.sock is sock, "the server closed the connection"
+        return answer, follow_up.status
+    finally:
+        conn.close()
+
+
+class TestTierParity:
+    """A worker and the coordinator share one HTTP skeleton: the same
+    malformed request gets the same structured answer from either, the
+    connection stays usable, and the coordinator neither fails over nor
+    blames a worker for a client's mistake."""
+
+    @staticmethod
+    def _health(coordinator) -> tuple[int, dict[str, int]]:
+        stats = coordinator.stats()
+        errors = {name: w["errors"] for name, w in stats["workers"].items()}
+        return stats["counters"]["failovers"], errors
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_same_answer_from_worker_and_coordinator(self, cluster, case):
+        coordinator, host, port = cluster
+        path, body, status, code = MALFORMED[case]
+        before = self._health(coordinator)
+        worker_port = coordinator._workers["w0"].proc.port
+        worker = _answer_then_follow_up(host, worker_port, path, body)
+        front = _answer_then_follow_up(host, port, path, body)
+        assert worker == front == ((status, code), 200)
+        assert self._health(coordinator) == before
+
+    def test_unframeable_body_same_answer(self, cluster):
+        coordinator, host, port = cluster
+        before = self._health(coordinator)
+        worker_port = coordinator._workers["w0"].proc.port
+        worker = raw_post(host, worker_port, "abc")
+        front = raw_post(host, port, "abc")
+        assert worker == front
+        assert front[0] == 400 and front[1]["error"]["code"] == "parse"
+        assert self._health(coordinator) == before
 
 
 class TestCluster:
