@@ -212,7 +212,7 @@ def run_table2_row(
         fo, max_pseudoproducts=max_pseudoproducts, on_limit="stop"
     )
     seconds_alg2 = time.perf_counter() - t0
-    form, _, _, _ = cover_with(fo, generation.eppps, covering=covering)
+    form, _, _, _, _ = cover_with(fo, generation.eppps, covering=covering)
     try:
         t0 = time.perf_counter()
         naive = generate_eppp_naive(

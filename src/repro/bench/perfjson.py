@@ -336,7 +336,7 @@ def run_perf_suite(
 
         fo = get_benchmark(name)[output]
         cold_base = minimize_spp(fo, max_pseudoproducts=200_000, on_limit="stop")
-        ctx = build_context(fo, cold_base, max_pseudoproducts=200_000)
+        ctx = build_context(fo, cold_base)
         if ctx is None:
             continue
         on = sorted(fo.on_set)

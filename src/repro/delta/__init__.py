@@ -5,15 +5,16 @@ on-set points added, dropped, or toggled between requests.  This
 package turns "minimize f′ where f′ = f ⊕ {small edit}" into a patch
 operation instead of a cold solve:
 
-* :mod:`repro.delta.context` — :class:`MinimizationContext`, a reusable
-  snapshot of a completed exact minimization (candidate list, packed
-  coverage masks, partition-trie skeleton with its structural
-  fingerprint, the base cover);
-* :mod:`repro.delta.reminimize` — :func:`reminimize` /
-  :func:`warm_minimize`, which classify the edit, patch the covering
-  matrix by bit surgery, and re-solve with the identical solver (so a
-  warm result is bit-identical to the cold one whenever the candidate
-  list is reusable);
+* :mod:`repro.delta.context` — :class:`MinimizationContext`, a
+  reference to what a completed exact minimization built (its
+  candidate list and the covering problem it solved, the base cover);
+  capture computes nothing;
+* :mod:`repro.delta.reminimize` — :func:`eligibility`, the one rule for
+  which edits may go warm, and :func:`warm_minimize`, which re-covers
+  the edited on-set from the base candidate list (patching the base
+  covering problem by bit surgery when the edit only retires rows)
+  with the identical solver (so a warm result is bit-identical to the
+  cold one whenever the candidate list is reusable);
 * :mod:`repro.delta.index` — :class:`DeltaIndex`, the engine-level
   near-duplicate LRU keyed by a banded-minhash on-set signature, plus
   :func:`warm_record_for`, which wraps a warm solve in the full engine
@@ -34,9 +35,7 @@ from repro.delta.index import DeltaIndex, onset_signature, warm_record_for
 from repro.delta.reminimize import (
     DEFAULT_MAX_EDIT,
     DeltaIneligible,
-    DeltaResult,
     eligibility,
-    reminimize,
     warm_minimize,
 )
 
@@ -49,8 +48,6 @@ __all__ = [
     "warm_record_for",
     "DEFAULT_MAX_EDIT",
     "DeltaIneligible",
-    "DeltaResult",
     "eligibility",
-    "reminimize",
     "warm_minimize",
 ]

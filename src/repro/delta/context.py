@@ -1,42 +1,42 @@
-"""Minimization context snapshots.
+"""Minimization contexts.
 
-A :class:`MinimizationContext` captures everything a completed exact
-minimization learned that is reusable for a near-duplicate function:
+A :class:`MinimizationContext` references what a completed exact
+minimization already built, for reuse on a near-duplicate function:
 
 * the EPPP candidate list **in generation order** (order matters —
   greedy covering is order-sensitive, and bit-identical warm results
   depend on replaying the exact same column stream);
-* the pre-drop coverage masks and costs over the base row list, so the
-  covering matrix can be patched by bit surgery instead of rebuilt
-  (candidates that covered nothing for the base on-set keep their
-  positions — they may start covering rows after an edit);
-* the partition-trie skeleton of the candidates with its interned
-  basis table and structural :attr:`~repro.trie.PartitionTrie.fingerprint`
-  (one integer comparison detects a stale/mutated snapshot);
-* the base cover and the solver parameters that produced it, so the
-  cold fallback can mirror them exactly.
+* the covering problem the cold solve selected its cover from, so an
+  edit that only retires rows can patch its masks by bit surgery
+  instead of rebuilding them;
+* the base cover and the covering mode that produced it.
 
-Snapshots are only built from *untruncated* generations: a capped
+Capture copies and computes nothing: it runs no kernel and builds no
+trie, it only keeps references to the solve's own lists.  Nothing
+mutates them afterwards (``covering.solve`` leaves a problem's arrays
+as it found them), and every warm result is re-verified and certified
+before it is served.
+
+Contexts are only built from *untruncated* generations: a capped
 generation's candidate stream is an artifact of where the cap landed,
 not of the function, so nothing about it transfers to an edit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.boolfunc.function import BoolFunc
 from repro.core.pseudocube import Pseudocube
 from repro.core.spp_form import SppForm
-from repro.kernels.coverage import masks_and_costs
+from repro.minimize.covering import CoveringProblem
 from repro.minimize.exact import SppResult
-from repro.trie.partition_trie import PartitionTrie
 
 __all__ = ["MinimizationContext", "build_context", "toggle_points"]
 
-# Snapshots beyond this many candidates cost more to capture (mask pass
-# + trie build) than the warm path saves on typical service functions.
+# A context keeps its candidate list and covering problem alive for as
+# long as the index holds it, so this bounds the memory one entry pins.
 MAX_CONTEXT_CANDIDATES = 100_000
 
 
@@ -46,35 +46,22 @@ class MinimizationContext:
 
     func: BoolFunc
     candidates: list[Pseudocube]
-    rows: list[int]
-    masks: list[int]
-    costs: list[int]
+    problem: CoveringProblem[Pseudocube]
     form: SppForm
     covering: str
-    covering_optimal: bool
-    backend: str
-    max_pseudoproducts: int | None
-    generation_seconds: float
     generation_comparisons: int
-    covering_stats: dict | None
-    trie: PartitionTrie = field(repr=False)
-    trie_fingerprint: int = 0
 
     @property
     def cost(self) -> int:
         return self.form.num_literals
 
     @property
-    def care_set(self) -> frozenset[int]:
-        return self.func.care_set
-
-    @property
     def num_candidates(self) -> int:
         return len(self.candidates)
 
-    def is_stale(self) -> bool:
-        """True if the trie skeleton mutated since the snapshot."""
-        return self.trie.fingerprint != self.trie_fingerprint
+    def edit_size(self, func: BoolFunc) -> int:
+        """Points whose on-set membership differs between base and ``func``."""
+        return len(self.func.on_set ^ func.on_set)
 
 
 def build_context(
@@ -82,45 +69,28 @@ def build_context(
     result: SppResult,
     *,
     covering: str = "greedy",
-    backend: str = "index",
-    max_pseudoproducts: int | None = None,
-    max_candidates: int = MAX_CONTEXT_CANDIDATES,
 ) -> MinimizationContext | None:
-    """Snapshot a cold minimization, or None when nothing transfers.
+    """Reference a cold minimization, or None when nothing transfers.
 
     Returns None for generation-free results (empty on-set, affine
     fast path — a cold re-solve of those is already trivial), for
     truncated generations (the candidate stream is cap-shaped, not
-    function-shaped), and for candidate lists past ``max_candidates``
-    (the snapshot would cost more than it saves).
+    function-shaped), and for candidate lists past
+    :data:`MAX_CONTEXT_CANDIDATES`.
     """
     generation = result.generation
     if generation is None or generation.truncated:
         return None
-    candidates = list(generation.eppps)
-    if not candidates or len(candidates) > max_candidates:
+    candidates = generation.eppps
+    if not candidates or len(candidates) > MAX_CONTEXT_CANDIDATES:
         return None
-    rows = sorted(func.on_set)
-    masks, costs = masks_and_costs(rows, candidates)
-    trie: PartitionTrie = PartitionTrie()
-    for pc in candidates:
-        trie.insert(pc)
     return MinimizationContext(
         func=func,
         candidates=candidates,
-        rows=rows,
-        masks=masks,
-        costs=costs,
+        problem=result.problem,
         form=result.form,
         covering=covering,
-        covering_optimal=result.covering_optimal,
-        backend=backend,
-        max_pseudoproducts=max_pseudoproducts,
-        generation_seconds=result.seconds_generation,
         generation_comparisons=generation.total_comparisons,
-        covering_stats=result.covering_stats,
-        trie=trie,
-        trie_fingerprint=trie.fingerprint,
     )
 
 

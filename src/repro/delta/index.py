@@ -27,8 +27,13 @@ from collections.abc import Iterable
 from typing import Any
 
 from repro.budget import Budget
-from repro.delta.context import MAX_CONTEXT_CANDIDATES, MinimizationContext, build_context
-from repro.delta.reminimize import DEFAULT_MAX_EDIT, DeltaIneligible, warm_minimize
+from repro.delta.context import MinimizationContext, build_context
+from repro.delta.reminimize import (
+    DEFAULT_MAX_EDIT,
+    DeltaIneligible,
+    eligibility,
+    warm_minimize,
+)
 from repro.errors import BudgetExceeded
 
 __all__ = ["DeltaIndex", "onset_signature", "warm_record_for"]
@@ -85,16 +90,9 @@ class DeltaIndex:
     ``capture_errors``) feed ``/stats`` and ``/metrics``.
     """
 
-    def __init__(
-        self,
-        capacity: int = 64,
-        *,
-        max_edit: int = DEFAULT_MAX_EDIT,
-        max_candidates: int = MAX_CONTEXT_CANDIDATES,
-    ) -> None:
+    def __init__(self, capacity: int = 64, *, max_edit: int = DEFAULT_MAX_EDIT) -> None:
         self.capacity = capacity
         self.max_edit = max_edit
-        self.max_candidates = max_candidates
         self._entries: OrderedDict[str, _Entry] = OrderedDict()
         self._bands: dict[tuple[int, int], set[str]] = {}
         self._lock = threading.Lock()
@@ -114,27 +112,20 @@ class DeltaIndex:
     # ------------------------------------------------------------------
 
     def observe(self, job: Any, rung: Any, result: Any, record: dict) -> None:
-        """Scheduler capture hook: snapshot a completed exact rung.
+        """Scheduler capture hook: index a completed exact rung.
 
         Only top-rung (non-degraded) exact results are worth keeping —
         a degraded or truncated solve has no reusable candidate stream.
-        A failed snapshot never fails the rung: it is counted in
+        A failed capture never fails the rung: it is counted in
         ``capture_errors`` and the result is simply not indexed.
         """
         if getattr(rung, "method", None) != "exact" or record.get("truncated"):
             return
         try:
-            ctx = build_context(
-                job.func,
-                result,
-                covering=job.covering,
-                backend=job.backend,
-                max_pseudoproducts=job.max_pseudoproducts,
-                max_candidates=self.max_candidates,
-            )
+            ctx = build_context(job.func, result, covering=job.covering)
             if ctx is not None:
                 self.put(job.content_hash, ctx)
-        except Exception:  # noqa: BLE001 — snapshotting must never fail a rung
+        except Exception:  # noqa: BLE001 — capture must never fail a rung
             with self._lock:
                 self.capture_errors += 1
 
@@ -162,12 +153,11 @@ class DeltaIndex:
                 if not keys:
                     del self._bands[(band, value)]
 
-    def drop(self, key: str) -> None:
+    def drop(self, ctx: MinimizationContext) -> None:
         """Quarantine a context (e.g. after an integrity failure)."""
         with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is not None:
-                self._unlink(entry)
+            for key in [k for k, e in self._entries.items() if e.ctx is ctx]:
+                self._unlink(self._entries.pop(key))
 
     # ------------------------------------------------------------------
     # Lookup
@@ -177,10 +167,12 @@ class DeltaIndex:
         """The best warm-eligible base context for ``job``, or None.
 
         Shortlist = banded-signature collisions ∪ the last ``_MRU_SCAN``
-        MRU entries; each is gated on covering-mode equality, exact
-        care-set equality, edit distance ≤ ``max_edit``, and candidate
-        count within the job's effective cap.  A near miss (shortlisted
-        but gated out) counts as a fallback with its reason.
+        MRU entries; each entry of the job's dimension is gated on
+        covering-mode equality, candidate count within the job's
+        effective cap, then :func:`~repro.delta.reminimize.eligibility`
+        (exact care-set equality, edit distance ≤ ``max_edit``).  A near
+        miss (shortlisted but gated out) counts as a fallback with its
+        reason.
         """
         if job.method != "exact":
             return None
@@ -206,18 +198,15 @@ class DeltaIndex:
                 if ctx.func.n != func.n:
                     continue
                 if ctx.covering != job.covering:
-                    near_miss = near_miss or "covering-mode-changed"
+                    reason = "covering-mode-changed"
+                elif ctx.num_candidates > cap:
+                    reason = "cap-exceeded"
+                else:
+                    reason = eligibility(ctx, func, max_edit=self.max_edit)
+                if reason is not None:
+                    near_miss = near_miss or reason
                     continue
-                if ctx.num_candidates > cap:
-                    near_miss = near_miss or "cap-exceeded"
-                    continue
-                if ctx.care_set != func.care_set:
-                    near_miss = near_miss or "care-set-changed"
-                    continue
-                edit = len(ctx.func.on_set ^ func.on_set)
-                if edit > self.max_edit:
-                    near_miss = near_miss or "edit-too-large"
-                    continue
+                edit = ctx.edit_size(func)
                 if best is None or edit < best_edit:
                     best = entry
                     best_edit = edit
@@ -293,7 +282,7 @@ def warm_record_for(
     report = verify_form(form, func)
     verify_ms = (time.perf_counter() - v0) * 1000.0
     if not report:
-        index.drop(job.content_hash)
+        index.drop(base)
         index.count_fallback("verify-failed")
         return None
     certificate = make_certificate(
@@ -308,7 +297,7 @@ def warm_record_for(
         "comparisons": base.generation_comparisons,
         "delta": {
             "warm": True,
-            "edit": len(base.func.on_set ^ func.on_set),
+            "edit": base.edit_size(func),
             "base_cost": base.cost,
         },
     }

@@ -7,46 +7,43 @@ deterministically from it).  So for a care-set-preserving edit (on↔dc
 toggles) the base candidate list is reusable *verbatim, in order*, and
 the only work left is the covering step:
 
-1. patch the base coverage masks by bit surgery — delete the mask bits
-   of retired rows, splice in the bits of appended rows (computed with
-   the vectorized structure-grouped kernel over just the added points);
-2. re-apply :func:`~repro.kernels.coverage.build_problem`'s zero-mask
-   drop filter, producing a covering problem **bit-identical** to the
-   one a cold solve would build;
-3. run the identical solver.  Identical problem + deterministic solver
+1. patch the base covering problem by bit surgery when the edit only
+   retires rows — delete the mask bits of retired rows and re-apply
+   :func:`~repro.kernels.coverage.build_problem`'s zero-mask drop
+   filter; an edit that appends rows rebuilds the problem with
+   ``build_problem`` over the base candidates.  Either way the problem
+   is **bit-identical** to the one a cold solve would build;
+2. run the identical solver.  Identical problem + deterministic solver
    ⇒ identical cover, so warm results match cold results bit for bit.
    In exact mode the prior cover is additionally passed as a warm-start
    upper bound (used only as a fallback incumbent when the node budget
    runs out — a proved search is unaffected).
 
-Care-set-*changing* edits fall back to the cold path: greedy covering
-is order-sensitive, so splicing freshly generated candidates into the
-stream could change the answer.  The fallback mirrors the base solve's
-parameters exactly.
+Care-set-*changing* edits are refused with :class:`DeltaIneligible`:
+greedy covering is order-sensitive, so splicing freshly generated
+candidates into the stream could change the answer.  The engine then
+runs the request cold on its own ladder.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from repro.boolfunc.function import BoolFunc
 from repro.budget import Budget
 from repro.core.pseudocube import Pseudocube
 from repro.core.spp_form import SppForm
 from repro.delta.context import MinimizationContext
-from repro.kernels.coverage import coverage_masks
+from repro.kernels.coverage import build_problem
 from repro.minimize import covering as cov
-from repro.minimize.exact import SppResult, minimize_spp
+from repro.minimize.exact import SppResult, trivial_result
 
 __all__ = [
     "DEFAULT_MAX_EDIT",
     "DeltaIneligible",
-    "DeltaResult",
     "eligibility",
     "warm_minimize",
-    "reminimize",
 ]
 
 # Edits past this many toggled points go cold: the covering patch stays
@@ -63,17 +60,6 @@ class DeltaIneligible(Exception):
         self.reason = reason
 
 
-@dataclass
-class DeltaResult:
-    """Outcome of :func:`reminimize`."""
-
-    result: SppResult
-    warm: bool
-    reason: str  # "warm" or the fallback reason slug
-    edit_size: int
-    seconds: float
-
-
 def eligibility(
     base: MinimizationContext,
     func: BoolFunc,
@@ -82,58 +68,49 @@ def eligibility(
 ) -> str | None:
     """Why ``func`` cannot reuse ``base`` — or None when it can.
 
-    Reason slugs: ``dimension-changed``, ``care-set-changed``,
-    ``edit-too-large``, ``context-stale``.
+    Reason slugs, in precedence order: ``dimension-changed``,
+    ``care-set-changed``, ``edit-too-large``.
     """
     if func.n != base.func.n:
         return "dimension-changed"
     if func.care_set != base.func.care_set:
         return "care-set-changed"
-    if len(base.func.on_set ^ func.on_set) > max_edit:
+    if base.edit_size(func) > max_edit:
         return "edit-too-large"
-    if base.is_stale():
-        return "context-stale"
     return None
 
 
-def _patched_rows_and_masks(
+def _patched_problem(
     base: MinimizationContext, func: BoolFunc, budget: Budget | None
-) -> tuple[list[int], list[int]]:
-    """Bit-surgery the base coverage masks onto the edited on-set.
+) -> cov.CoveringProblem[Pseudocube]:
+    """The covering problem of the edited on-set over the base candidates.
 
-    Retired rows have their bit deleted (higher bits shift down);
-    appended rows have a bit spliced in (higher bits shift up), with
-    the new bits computed by one vectorized
-    :func:`~repro.kernels.coverage.coverage_masks` pass over just the
-    added points.  The output equals ``masks_and_costs(sorted(on′),
-    candidates)`` exactly — asserted by the property suite.
+    An edit that only retires rows can only empty columns, so the base
+    problem is patched by bit surgery: each retired row's bit is
+    deleted (higher bits shift down) and the zero-mask drop re-applied.
+    An edit that appends rows can revive a column the cold build
+    dropped, so it rebuilds with
+    :func:`~repro.kernels.coverage.build_problem`.  Either way the
+    result equals ``build_problem(sorted(on′), candidates)`` exactly —
+    asserted by the patch-parity tests.
     """
     on1 = base.func.on_set
     on2 = func.on_set
-    removed = sorted(on1 - on2)
-    added = sorted(on2 - on1)
-    if not removed and not added:
-        return list(base.rows), list(base.masks)
-    rows2 = sorted(on2)
+    if on2 - on1:
+        return build_problem(sorted(on2), base.candidates, budget=budget)
+    rows1 = sorted(on1)
     # Delete highest positions first so lower ones stay valid.
-    rem_pos = sorted((bisect_left(base.rows, p) for p in removed), reverse=True)
-    # Insert in ascending final position so earlier splices are counted.
-    add_pos = [bisect_left(rows2, p) for p in added]
-    amasks = coverage_masks(added, base.candidates, budget=budget) if added else None
+    rem_pos = sorted((bisect_left(rows1, p) for p in on1 - on2), reverse=True)
+    problem = base.problem
     out = []
-    for j, mask in enumerate(base.masks):
+    for j, mask in enumerate(problem.column_masks):
         if budget is not None and j % 4096 == 0:
             budget.tick()
         for i in rem_pos:
             low = (1 << i) - 1
             mask = (mask & low) | ((mask >> 1) & ~low)
-        if amasks is not None:
-            am = amasks[j]
-            for t, pos in enumerate(add_pos):
-                low = (1 << pos) - 1
-                mask = (mask & low) | ((mask & ~low) << 1) | (((am >> t) & 1) << pos)
         out.append(mask)
-    return rows2, out
+    return cov.problem_from_masks(len(on2), out, problem.costs, problem.payloads)
 
 
 def warm_minimize(
@@ -145,37 +122,22 @@ def warm_minimize(
 ) -> SppResult:
     """Re-minimize ``func`` warm from ``base``; the result is
     bit-identical to a cold :func:`~repro.minimize.exact.minimize_spp`
-    with the base's parameters (modulo the exact-mode warm-start, which
-    only engages when the cold search would have failed to prove).
+    with the base's covering mode (modulo the exact-mode warm-start,
+    which only engages when the cold search would have failed to
+    prove).
 
     Raises :class:`DeltaIneligible` when the edit cannot go warm.
     """
     reason = eligibility(base, func, max_edit=max_edit)
     if reason is not None:
         raise DeltaIneligible(reason)
-    # Replicate minimize_spp's preamble on the edited function.
-    if not func.on_set:
-        return SppResult(SppForm(func.n, ()), 0, None, True, 0.0, 0.0)
-    if not func.dc_set:
-        t0 = time.perf_counter()
-        try:
-            single = Pseudocube.from_points(func.n, func.on_set)
-        except ValueError:
-            single = None
-        if single is not None:
-            return SppResult(
-                form=SppForm(func.n, (single,)),
-                num_candidates=1,
-                generation=None,
-                covering_optimal=True,
-                seconds_generation=time.perf_counter() - t0,
-                seconds_covering=0.0,
-            )
+    trivial = trivial_result(func)
+    if trivial is not None:
+        return trivial
     t0 = time.perf_counter()
-    rows2, masks2 = _patched_rows_and_masks(base, func, budget)
+    problem = _patched_problem(base, func, budget)
     if budget is not None:
         budget.check()
-    problem = cov.problem_from_masks(len(rows2), masks2, base.costs, base.candidates)
     seed = None
     if base.covering == "exact" and base.form.pseudoproducts:
         index_of: dict[Pseudocube, int] = {}
@@ -195,34 +157,3 @@ def warm_minimize(
         seconds_covering=time.perf_counter() - t0,
         covering_stats=solution.stats.as_dict() if solution.stats is not None else None,
     )
-
-
-def reminimize(
-    base: MinimizationContext,
-    func: BoolFunc,
-    *,
-    max_edit: int = DEFAULT_MAX_EDIT,
-    budget: Budget | None = None,
-) -> DeltaResult:
-    """Warm re-minimization with automatic cold fallback.
-
-    Warm when the edit preserves the care set and stays under
-    ``max_edit``; otherwise a cold solve mirroring the base parameters
-    (same backend/covering/cap, ``on_limit="stop"``).  Either way the
-    returned cover is one the cold path could have produced.
-    """
-    t0 = time.perf_counter()
-    edit = len(base.func.on_set ^ func.on_set) if func.n == base.func.n else -1
-    try:
-        result = warm_minimize(base, func, max_edit=max_edit, budget=budget)
-        return DeltaResult(result, True, "warm", edit, time.perf_counter() - t0)
-    except DeltaIneligible as exc:
-        result = minimize_spp(
-            func,
-            backend=base.backend,
-            covering=base.covering,
-            max_pseudoproducts=base.max_pseudoproducts,
-            on_limit="stop",
-            budget=budget,
-        )
-        return DeltaResult(result, False, exc.reason, edit, time.perf_counter() - t0)

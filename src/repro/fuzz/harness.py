@@ -376,9 +376,7 @@ def run_trial(
         )
 
         try:
-            ctx = build_context(
-                func, exact, covering="exact", max_pseudoproducts=_EXACT_CAP
-            )
+            ctx = build_context(func, exact, covering="exact")
             care = sorted(func.care_set)
             if ctx is not None and care:
                 toggles = rng.sample(care, rng.randint(1, min(3, len(care))))

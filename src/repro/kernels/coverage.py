@@ -45,7 +45,6 @@ from repro.minimize.qm import Cube
 
 __all__ = [
     "coverage_masks",
-    "masks_and_costs",
     "cube_coverage_masks",
     "build_problem",
     "build_cube_problem",
@@ -182,24 +181,6 @@ def coverage_masks(
     """
     masks, _ = _masks_and_costs(rows, candidates, None, budget)
     return masks
-
-
-def masks_and_costs(
-    rows: Sequence[int],
-    candidates: Sequence[Pseudocube],
-    *,
-    cost_of=literal_cost,
-    budget: Budget | None = None,
-) -> tuple[list[int], list[int]]:
-    """Per-candidate ``(masks, costs)`` *before* the zero-mask drop.
-
-    This is :func:`build_problem` minus the final filter: candidate ``i``
-    keeps its position even when it covers no row.  Context snapshots
-    (:mod:`repro.delta`) need the undropped arrays, because a candidate
-    that is useless for the base on-set can start covering rows after a
-    small edit.
-    """
-    return _masks_and_costs(rows, candidates, cost_of, budget)
 
 
 def build_problem(

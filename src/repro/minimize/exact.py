@@ -35,7 +35,7 @@ from repro.minimize.eppp import (
 )
 from repro.minimize.qm import prime_implicants
 
-__all__ = ["SppResult", "minimize_spp", "cover_with"]
+__all__ = ["SppResult", "minimize_spp", "cover_with", "trivial_result"]
 
 
 @dataclass
@@ -53,6 +53,9 @@ class SppResult:
     # Reduction report of the covering step (rows/columns
     # eliminated, components, cyclic-core size), when one was produced.
     covering_stats: dict | None = None
+    # The covering problem minimize_spp selected its cover from (after
+    # the zero-coverage drop); delta contexts reuse it.
+    problem: cov.CoveringProblem[Pseudocube] | None = None
 
     @property
     def num_literals(self) -> int:
@@ -75,7 +78,7 @@ def cover_with(
     cost: Callable[[Pseudocube], int] = literal_cost,
     max_candidates: int = 400_000,
     budget: Budget | None = None,
-) -> tuple[SppForm, bool, float, dict | None]:
+) -> tuple[SppForm, bool, float, dict | None, cov.CoveringProblem[Pseudocube]]:
     """Select a minimal-cost subset of ``candidates`` covering the on-set.
 
     Candidate lists beyond ``max_candidates`` (they arise from
@@ -85,9 +88,10 @@ def cover_with(
     (so feasibility is preserved).  A pruned instance can no longer be
     solved exactly, so ``proved_optimal`` is forced off.
 
-    Returns ``(form, proved_optimal, seconds, reduction_stats)`` where
-    ``reduction_stats`` is the covering reduction report as a dict (or
-    None when the problem had no rows).
+    Returns ``(form, proved_optimal, seconds, reduction_stats, problem)``
+    where ``reduction_stats`` is the covering reduction report as a dict
+    (or None when the problem had no rows) and ``problem`` is the
+    covering problem that was solved.
     """
     t0 = time.perf_counter()
     pruned = False
@@ -102,7 +106,7 @@ def cover_with(
     form = SppForm(func.n, tuple(solution.payloads))
     optimal = solution.optimal and not pruned
     stats = solution.stats.as_dict() if solution.stats is not None else None
-    return form, optimal, time.perf_counter() - t0, stats
+    return form, optimal, time.perf_counter() - t0, stats, problem
 
 
 def _prune_candidates(
@@ -134,6 +138,34 @@ def _prune_candidates(
                 if not missing:
                     break
     return keep
+
+
+def trivial_result(func: BoolFunc, factor_width: int | None = None) -> SppResult | None:
+    """The answer that needs no generation, or None.
+
+    An empty on-set gets the empty form.  A completely specified
+    function whose on-set is itself one pseudocube (within
+    ``factor_width``, when given) gets that single pseudoproduct.
+    """
+    if not func.on_set:
+        return SppResult(SppForm(func.n, ()), 0, None, True, 0.0, 0.0)
+    if func.dc_set:
+        return None
+    t0 = time.perf_counter()
+    try:
+        single = Pseudocube.from_points(func.n, func.on_set)
+    except ValueError:
+        return None
+    if factor_width is not None and _basis_factor_width(func.n, single.basis) > factor_width:
+        return None
+    return SppResult(
+        form=SppForm(func.n, (single,)),
+        num_candidates=1,
+        generation=None,
+        covering_optimal=True,
+        seconds_generation=time.perf_counter() - t0,
+        seconds_covering=0.0,
+    )
 
 
 def minimize_spp(
@@ -175,26 +207,9 @@ def minimize_spp(
     cancellation raises :class:`repro.errors.BudgetExceeded` /
     :class:`repro.errors.Cancelled` from the inner loops.
     """
-    if not func.on_set:
-        return SppResult(SppForm(func.n, ()), 0, None, True, 0.0, 0.0)
-    if not func.dc_set:
-        t0 = time.perf_counter()
-        try:
-            single = Pseudocube.from_points(func.n, func.on_set)
-        except ValueError:
-            single = None
-        if single is not None and (
-            factor_width is None
-            or _basis_factor_width(func.n, single.basis) <= factor_width
-        ):
-            return SppResult(
-                form=SppForm(func.n, (single,)),
-                num_candidates=1,
-                generation=None,
-                covering_optimal=True,
-                seconds_generation=time.perf_counter() - t0,
-                seconds_covering=0.0,
-            )
+    trivial = trivial_result(func, factor_width)
+    if trivial is not None:
+        return trivial
     try:
         generation = generate_eppp(
             func,
@@ -217,7 +232,7 @@ def minimize_spp(
         candidates = candidates + [
             cube.to_pseudocube(func.n) for cube in prime_implicants(func)
         ]
-    form, optimal, cover_seconds, cover_stats = cover_with(
+    form, optimal, cover_seconds, cover_stats, problem = cover_with(
         func, candidates, covering=covering, cost=cost, budget=budget
     )
     return SppResult(
@@ -228,4 +243,5 @@ def minimize_spp(
         seconds_generation=generation.seconds,
         seconds_covering=cover_seconds,
         covering_stats=cover_stats,
+        problem=problem,
     )

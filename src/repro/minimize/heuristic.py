@@ -122,7 +122,7 @@ def minimize_spp_k(
     if backend not in ("index", "trie"):
         raise ValueError(f"unknown store backend {backend!r}")
     if not func.on_set:
-        form, optimal, seconds, stats = cover_with(func, [], covering=covering)
+        form, optimal, seconds, stats, _ = cover_with(func, [], covering=covering)
         return SppResult(form, 0, None, optimal, 0.0, seconds, covering_stats=stats)
 
     t0 = time.perf_counter()
@@ -194,7 +194,7 @@ def minimize_spp_k(
     )
     seconds_generation = time.perf_counter() - t0
 
-    form, optimal, seconds_covering, cover_stats = cover_with(
+    form, optimal, seconds_covering, cover_stats, _ = cover_with(
         func, candidates, covering=covering, cost=cost, budget=budget
     )
     result = SppResult(

@@ -33,21 +33,6 @@ __all__ = ["PartitionTrie"]
 
 T = TypeVar("T")
 
-_FP_MASK = (1 << 64) - 1
-_FP_MIX = 0x9E3779B97F4A7C15  # golden-ratio odd multiplier
-
-
-def _leaf_token(structure: tuple[int, ...], vector: tuple[int, ...]) -> int:
-    """64-bit token of one leaf's identity.
-
-    Built from the interned-pivot structure and complementation vector
-    only — ``hash`` over int tuples is deterministic across processes
-    (PYTHONHASHSEED randomizes str/bytes, not ints), so the fingerprint
-    is stable enough to persist inside context snapshots.
-    """
-    return ((hash((structure, vector)) * _FP_MIX) | 1) & _FP_MASK
-
-
 def _path_of_structure(structure: tuple[int, ...]) -> list[tuple[str, int]]:
     """Flatten a structure into the trie path: for each factor, the
     NC-node of its non-canonical (highest) variable, then C-nodes in
@@ -109,27 +94,12 @@ class PartitionTrie(Generic[T]):
         # same-structure pseudocubes (the common case — that sharing is
         # Theorem 1) compute pivots once per distinct basis.
         self._interner = BasisInterner()
-        self._fingerprint = 0
 
     def __len__(self) -> int:
         return self._size
 
     def __bool__(self) -> bool:
         return self._size > 0
-
-    @property
-    def fingerprint(self) -> int:
-        """Cheap structural fingerprint of the trie's leaf set.
-
-        An order-independent 64-bit accumulation of per-leaf tokens
-        (interned-pivot structure + complementation vector), maintained
-        incrementally at the single mutation point
-        (:meth:`insert_structure`).  Two tries hold the same expression
-        set iff their leaf-token multisets match, so context snapshots
-        (:mod:`repro.delta`) can detect staleness with one integer
-        comparison instead of a full walk.
-        """
-        return (self._fingerprint ^ (self._size * _FP_MIX)) & _FP_MASK
 
     # ------------------------------------------------------------------
     # Insertion / search on raw (structure, vector) pairs
@@ -152,7 +122,6 @@ class PartitionTrie(Generic[T]):
             return False
         node.leaves[vector] = Leaf(vector, payload)
         self._size += 1
-        self._fingerprint = (self._fingerprint + _leaf_token(structure, vector)) & _FP_MASK
         return True
 
     def search_structure(

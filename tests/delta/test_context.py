@@ -1,40 +1,34 @@
-"""Tests for minimization-context snapshots and the toggle vocabulary."""
+"""Tests for minimization contexts and the toggle vocabulary."""
 
 import pytest
 
 from repro.boolfunc.function import BoolFunc
-from repro.core.pseudocube import Pseudocube
 from repro.delta import build_context, toggle_points
-from repro.kernels.coverage import masks_and_costs
+from repro.delta import context as context_module
+from repro.kernels.coverage import build_problem
 from repro.minimize.exact import minimize_spp
 
 FUNC = BoolFunc(3, frozenset({0, 1, 3, 6}), frozenset({5}))
 
 
-def _context(func=FUNC, **kwargs):
-    result = minimize_spp(func)
-    return build_context(func, result, **kwargs)
-
-
 class TestBuildContext:
     def test_snapshot_matches_direct_mask_pass(self):
-        ctx = _context()
+        """The context references the cold solve's own candidate list and
+        covering problem, and that problem is the direct build."""
+        result = minimize_spp(FUNC)
+        ctx = build_context(FUNC, result)
         assert ctx is not None
-        assert ctx.rows == sorted(FUNC.on_set)
-        masks, costs = masks_and_costs(ctx.rows, ctx.candidates)
-        assert ctx.masks == masks
-        assert ctx.costs == costs
+        assert ctx.candidates is result.generation.eppps
+        assert ctx.problem is result.problem
+        assert ctx.problem == build_problem(sorted(FUNC.on_set), ctx.candidates)
 
     def test_snapshot_records_solver_parameters(self):
         result = minimize_spp(FUNC, covering="exact")
-        ctx = build_context(
-            FUNC, result, covering="exact", max_pseudoproducts=50_000
-        )
+        ctx = build_context(FUNC, result, covering="exact")
         assert ctx.covering == "exact"
-        assert ctx.max_pseudoproducts == 50_000
         assert ctx.form == result.form
         assert ctx.cost == result.num_literals
-        assert ctx.covering_optimal == result.covering_optimal
+        assert ctx.generation_comparisons == result.generation.total_comparisons
 
     def test_affine_fast_path_has_no_context(self):
         """{0,3,5,6} is an affine subspace: minimize_spp returns the
@@ -45,22 +39,15 @@ class TestBuildContext:
         assert result.generation is None
         assert build_context(func, result) is None
 
-    def test_oversized_generation_refused(self):
+    def test_oversized_generation_refused(self, monkeypatch):
+        monkeypatch.setattr(context_module, "MAX_CONTEXT_CANDIDATES", 1)
         result = minimize_spp(FUNC)
-        assert build_context(FUNC, result, max_candidates=1) is None
+        assert build_context(FUNC, result) is None
 
     def test_truncated_generation_refused(self):
         result = minimize_spp(FUNC, max_pseudoproducts=3, on_limit="stop")
         assert result.generation.truncated
         assert build_context(FUNC, result) is None
-
-    def test_staleness_detected_on_trie_mutation(self):
-        ctx = _context()
-        assert not ctx.is_stale()
-        extra = Pseudocube.from_point(3, 2)
-        if extra not in ctx.trie:
-            ctx.trie.insert(extra)
-        assert ctx.is_stale()
 
 
 class TestTogglePoints:

@@ -1,5 +1,6 @@
 """Tests for the near-duplicate index and the scheduler warm path."""
 
+from repro import verify as verify_module
 from repro.boolfunc.function import BoolFunc
 from repro.delta import (
     DeltaIndex,
@@ -11,8 +12,10 @@ from repro.delta import (
 from repro.delta import index as index_module
 from repro.engine import Job, run_batch
 from repro.engine.ladder import execute_rung, ladder_for
+from repro.kernels import coverage as coverage_module
 from repro.minimize.exact import minimize_spp
 from repro.serialize import form_from_dict
+from repro.trie.partition_trie import PartitionTrie
 from repro.verify import verify_form
 
 FUNC = BoolFunc(4, frozenset({0, 1, 3, 6, 9, 12, 14}), frozenset({5, 10}))
@@ -74,6 +77,38 @@ class TestLookup:
         assert index.lookup(Job(edited, method="exact")) is None
         assert index.stats()["fallback_reasons"] == {"edit-too-large": 1}
 
+    def test_gate_precedence(self):
+        """An entry of another dimension is skipped uncounted, and the
+        covering-mode gate reports before eligibility()'s reasons."""
+        index = DeltaIndex()
+        _put(index, BoolFunc(3, frozenset({0, 1, 3}), frozenset({6})))
+        grown = toggle_points(FUNC, [7])  # care set changed as well
+        assert index.lookup(Job(grown, method="exact", covering="exact")) is None
+        assert index.stats()["fallback_reasons"] == {}
+        _put(index)
+        assert index.lookup(Job(grown, method="exact", covering="exact")) is None
+        assert index.stats()["fallback_reasons"] == {"covering-mode-changed": 1}
+
+    def test_eligibility_runs_only_past_the_cheap_gates(self, monkeypatch):
+        """Care-set and edit checks run only for entries that pass the
+        dimension, covering-mode and cap gates."""
+        calls = []
+        check = index_module.eligibility
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(index_module, "eligibility", counted)
+        index = DeltaIndex()
+        _put(index)
+        edited = toggle_points(FUNC, [0])
+        assert index.lookup(Job(edited, method="exact", covering="exact")) is None
+        assert index.lookup(Job(edited, method="exact", max_pseudoproducts=1)) is None
+        assert calls == []
+        assert index.lookup(Job(edited, method="exact")) is not None
+        assert len(calls) == 1
+
     def test_smallest_edit_wins(self):
         index = DeltaIndex()
         near = toggle_points(FUNC, [0])
@@ -84,10 +119,11 @@ class TestLookup:
 
     def test_drop_quarantines(self):
         index = DeltaIndex()
-        job = _put(index)
-        index.drop(job.content_hash)
+        _put(index)
+        job = Job(toggle_points(FUNC, [0]), method="exact")
+        index.drop(index.lookup(job))
         assert len(index) == 0
-        assert index.lookup(Job(toggle_points(FUNC, [0]), method="exact")) is None
+        assert index.lookup(job) is None
 
 
 class TestLru:
@@ -132,6 +168,19 @@ class TestWarmRecord:
         job = Job(FUNC, method="exact")
         assert warm_record_for(job, index) is None
 
+    def test_verify_failure_quarantines_the_base(self, monkeypatch):
+        """The base context is stored under the *base* job's hash, so the
+        quarantine must drop the entry lookup chose, not the edited
+        job's key."""
+        index = DeltaIndex()
+        _put(index)
+        job = Job(toggle_points(FUNC, [0, 5]), method="exact")
+        monkeypatch.setattr(verify_module, "verify_form", lambda form, func: False)
+        assert warm_record_for(job, index) is None
+        assert index.stats()["fallback_reasons"] == {"verify-failed": 1}
+        assert len(index) == 0
+        assert index.lookup(job) is None
+
 
 class TestSchedulerIntegration:
     def test_run_batch_serves_edit_warm(self):
@@ -170,3 +219,22 @@ class TestSchedulerIntegration:
         assert stats["capture_errors"] == 1
         assert stats["fallbacks"] == 0 and stats["inserts"] == 0
         assert len(index) == 0
+
+    def test_capture_runs_no_kernel_and_builds_no_trie(self, monkeypatch):
+        """Capture references the cold solve's candidates and covering
+        problem: with the mask kernel and trie insertion broken, a
+        finished exact rung is still indexed."""
+        job = Job(FUNC, method="exact")
+        rung = ladder_for(job)[0]
+        result = minimize_spp(FUNC)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("capture must not recompute")
+
+        monkeypatch.setattr(coverage_module, "_masks_and_costs", broken)
+        monkeypatch.setattr(PartitionTrie, "insert", broken)
+        index = DeltaIndex()
+        index.observe(job, rung, result, {"truncated": False})
+        stats = index.stats()
+        assert stats["capture_errors"] == 0 and stats["inserts"] == 1
+        assert index.lookup(Job(toggle_points(FUNC, [0]), method="exact")) is not None

@@ -1,19 +1,17 @@
-"""Tests for warm re-minimization: patch parity, equivalence, fallbacks."""
+"""Tests for warm re-minimization: patch parity, equivalence, eligibility."""
 
 import pytest
 
 from repro.boolfunc.function import BoolFunc
-from repro.core.pseudocube import Pseudocube
 from repro.delta import (
     DeltaIneligible,
     build_context,
     eligibility,
-    reminimize,
     toggle_points,
     warm_minimize,
 )
-from repro.delta.reminimize import _patched_rows_and_masks
-from repro.kernels.coverage import masks_and_costs
+from repro.delta.reminimize import _patched_problem
+from repro.kernels.coverage import build_problem
 from repro.minimize.exact import minimize_spp
 from repro.verify import verify_form
 
@@ -28,7 +26,7 @@ def _context(func=FUNC, covering="greedy"):
 
 
 class TestPatchParity:
-    """The bit-surgered masks must equal a from-scratch mask pass."""
+    """The bit-surgered problem must equal a from-scratch build."""
 
     @pytest.mark.parametrize(
         "toggles",
@@ -43,10 +41,23 @@ class TestPatchParity:
     def test_patched_masks_match_cold_pass(self, toggles):
         ctx = _context()
         edited = toggle_points(FUNC, toggles)
-        rows, masks = _patched_rows_and_masks(ctx, edited, None)
-        want_masks, _ = masks_and_costs(sorted(edited.on_set), ctx.candidates)
-        assert rows == sorted(edited.on_set)
-        assert masks == want_masks
+        got = _patched_problem(ctx, edited, None)
+        assert got == build_problem(sorted(edited.on_set), ctx.candidates)
+
+    def test_dropped_column_revived(self):
+        """{6, 7} covers no row of the base, so the cold build drops it;
+        promoting dc point 6 to the on-set brings it back."""
+        func = BoolFunc(3, frozenset({0}), frozenset({6, 7}))
+        ctx = _context(func)
+        revived = next(pc for pc in ctx.candidates if set(pc.points()) == {6, 7})
+        assert revived not in ctx.problem.payloads
+        edited = toggle_points(func, [6])
+        got = _patched_problem(ctx, edited, None)
+        want = build_problem(sorted(edited.on_set), ctx.candidates)
+        assert revived in want.payloads
+        assert got.column_masks == want.column_masks
+        assert got.costs == want.costs
+        assert got.payloads == want.payloads
 
 
 class TestWarmEqualsCold:
@@ -94,13 +105,6 @@ class TestEligibility:
         edited = toggle_points(FUNC, [0, 1, 5])  # symmetric diff of 3
         assert eligibility(ctx, edited, max_edit=2) == "edit-too-large"
 
-    def test_context_stale(self):
-        ctx = _context()
-        extra = Pseudocube.from_point(4, 2)
-        if extra not in ctx.trie:
-            ctx.trie.insert(extra)
-        assert eligibility(ctx, toggle_points(FUNC, [0])) == "context-stale"
-
     def test_warm_minimize_raises_on_ineligible(self):
         ctx = _context()
         with pytest.raises(DeltaIneligible) as exc:
@@ -109,23 +113,6 @@ class TestEligibility:
 
 
 class TestReminimize:
-    def test_warm_path_reported(self):
-        ctx = _context()
-        out = reminimize(ctx, toggle_points(FUNC, [0, 5]))
-        assert out.warm
-        assert out.reason == "warm"
-        assert out.edit_size == 2
-
-    def test_cold_fallback_still_verifies(self):
-        ctx = _context()
-        edited = toggle_points(FUNC, [7])
-        out = reminimize(ctx, edited)
-        assert not out.warm
-        assert out.reason == "care-set-changed"
-        assert verify_form(out.result.form, edited)
-        cold = minimize_spp(edited, covering=ctx.covering)
-        assert out.result.form == cold.form
-
     def test_empty_onset_edit(self):
         """Toggling every on-point to dc leaves an empty on-set; the
         warm path must reproduce minimize_spp's trivial empty form."""

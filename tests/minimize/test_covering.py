@@ -230,6 +230,27 @@ class TestDispatch:
         with pytest.raises(ValueError):
             solve(problem, "magic")
 
+    @pytest.mark.parametrize("mode", ["greedy", "exact", "auto"])
+    def test_solve_leaves_problem_arrays_unchanged(self, mode):
+        """Delta contexts keep the cold solve's problem and warm solves
+        patch copies of its arrays, so no solver may write to them."""
+        from repro.bench.suite import get_benchmark
+        from repro.kernels.coverage import build_problem
+        from repro.minimize.eppp import generate_eppp
+
+        rng = random.Random(12)
+        problems = [random_problem(rng) for _ in range(20)]
+        problems += [sparse_problem(rng) for _ in range(20)]
+        problems.append(  # wide enough for the packed greedy path
+            sparse_problem(rng, num_rows=12, num_cols=bitmat.MIN_COLUMNS_FOR_VECTOR + 8)
+        )
+        fo = get_benchmark("adr3")[2]
+        problems.append(build_problem(sorted(fo.on_set), generate_eppp(fo).eppps))
+        for problem in problems:
+            before = (list(problem.column_masks), list(problem.costs), list(problem.payloads))
+            solve(problem, mode)
+            assert (problem.column_masks, problem.costs, problem.payloads) == before
+
 
 class TestReductionProperties:
     def test_reductions_preserve_optimal_cost(self):

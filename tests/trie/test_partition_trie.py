@@ -105,52 +105,6 @@ class TestGrouping:
         assert len(seen) == len(set(pcs))
 
 
-class TestFingerprint:
-    def test_empty_trie_fingerprint_is_stable(self):
-        assert PartitionTrie().fingerprint == PartitionTrie().fingerprint
-
-    def test_insert_changes_fingerprint(self):
-        trie = PartitionTrie()
-        before = trie.fingerprint
-        trie.insert(Pseudocube.from_point(3, 5))
-        assert trie.fingerprint != before
-
-    def test_duplicate_insert_keeps_fingerprint(self):
-        trie = PartitionTrie()
-        pc = Pseudocube.from_points(3, [0b011, 0b100])
-        trie.insert(pc)
-        fp = trie.fingerprint
-        trie.insert(pc)
-        assert trie.fingerprint == fp
-
-    @given(st.lists(pseudocubes(min_n=4, max_n=4), min_size=1, max_size=10))
-    def test_fingerprint_is_insertion_order_independent(self, pcs):
-        forward, backward = PartitionTrie(), PartitionTrie()
-        for pc in pcs:
-            forward.insert(pc)
-        for pc in reversed(pcs):
-            backward.insert(pc)
-        assert forward.fingerprint == backward.fingerprint
-
-    def test_mutating_onset_changes_fingerprint(self):
-        """The delta layer's staleness guard: the candidate tries of a
-        function and of a one-point edit of it must fingerprint
-        differently, so a context built before the edit is detectably
-        stale."""
-        from repro.boolfunc.function import BoolFunc
-        from repro.minimize.eppp import generate_eppp
-
-        base = BoolFunc(3, frozenset({0, 3, 5, 6}))
-        edited = BoolFunc(3, frozenset({0, 3, 5, 6, 7}))
-        fps = []
-        for func in (base, edited):
-            trie = PartitionTrie()
-            for pc in generate_eppp(func).eppps:
-                trie.insert(pc)
-            fps.append(trie.fingerprint)
-        assert fps[0] != fps[1]
-
-
 class TestRender:
     def test_render_marks_node_kinds(self):
         trie = PartitionTrie()
