@@ -5,7 +5,9 @@ Drives the service the way an operator would — through the CLI, over
 HTTP, with signals — and asserts the overload and shutdown contracts:
 
 1. the server comes up and reports healthy;
-2. malformed requests get a structured 400, never a dropped connection;
+2. a ``"verify": true`` request is re-checked and answers
+   ``X-Repro-Verified: full``; malformed requests (including a bad
+   option value) get a structured 400, never a dropped connection;
 3. a 4x-capacity concurrent burst sheds the excess with 429 +
    ``Retry-After`` while ``/healthz`` stays green;
 4. SIGTERM drains gracefully: exit code 0, "drained, exiting" on
@@ -95,9 +97,18 @@ def main() -> None:
             assert len(Manifest(manifest_dir).replay()) == 1
             print("single request ok, journal seeded")
 
+            # A client-requested re-check of the record just cached.
+            status, headers, body = request(
+                port, "POST", "/minimize", {"pla": PLA, "verify": True}
+            )
+            assert status == 200 and body["ok"], (status, body)
+            assert headers.get("X-Repro-Verified") == "full", headers
+            print("verify request answered 200, X-Repro-Verified: full")
+
             # Malformed requests: a structured client error each.
             for payload, code in (
                 ({"pla": PLA, "timeout": "x"}, "usage"),
+                ({"pla": PLA, "covering": "bogus"}, "usage"),
                 ({"pla": 5}, "parse"),
             ):
                 status, _, body = request(port, "POST", "/minimize", payload)

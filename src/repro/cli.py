@@ -85,9 +85,7 @@ def _minimize_one(fo: BoolFunc, label: str, args: argparse.Namespace):
                 on_limit="stop",
             )
         elif args.method == "heuristic":
-            result = minimize_spp_k(
-                fo, args.k, backend=args.backend, covering=args.covering
-            )
+            result = minimize_spp_k(fo, args.k, covering=args.covering)
         else:  # bounded
             result = minimize_spp_bounded(
                 fo, args.bound, backend=args.backend, covering=args.covering

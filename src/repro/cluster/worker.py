@@ -179,7 +179,7 @@ class WorkerProcess:
             return False
         try:
             status, _ = self.request("GET", "/healthz", timeout=timeout)
-        except OSError:
+        except (OSError, http.client.HTTPException):
             return False
         return status == 200
 
@@ -217,7 +217,9 @@ class WorkerProcess:
         """The worker's ``/stats`` document, or None when unreachable."""
         try:
             status, body = self.request("GET", "/stats", timeout=timeout)
-        except OSError:
+        except (OSError, http.client.HTTPException):
+            # A worker killed mid-reply leaves a short body, which
+            # http.client reports as IncompleteRead, not an OSError.
             return None
         if status != 200:
             return None

@@ -17,9 +17,10 @@ operation instead of a cold solve:
   cold one whenever the candidate list is reusable);
 * :mod:`repro.delta.index` — :class:`DeltaIndex`, the engine-level
   near-duplicate LRU keyed by a banded-minhash on-set signature, plus
-  :func:`warm_record_for`, which wraps a warm solve in the full engine
-  record (verify_form + integrity certificate — reuse can never change
-  answers, only speed).
+  :func:`warm_record_for`, which seals a warm solve with
+  :func:`repro.engine.ladder.seal_record`, the record builder every
+  cold rung uses (verify + integrity certificate — reuse can never
+  change answers, only speed).
 
 The soundness argument rests on candidate-order purity: EPPP generation
 is a pure function of the care set ``on ∪ dc`` alone, so any edit that

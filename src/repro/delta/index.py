@@ -10,12 +10,11 @@ edits *recent* functions, and the deterministic scan makes warm-path
 behaviour reproducible in tests and benches.)
 
 :func:`warm_record_for` is the scheduler's entry point: look up a base
-context, run the warm solve, and wrap it in a **full engine record** —
-``verify_form`` plus a fresh integrity certificate, exactly like
-:func:`repro.engine.ladder.execute_rung` — so a warm result is
-indistinguishable from a cold one downstream and reuse can never change
-answers, only speed.  Any integrity failure quarantines the context and
-falls back cold.
+context, run the warm solve, and seal it with
+:func:`repro.engine.ladder.seal_record`, the one record builder every
+cold rung uses, so a warm result is indistinguishable from a cold one
+downstream and reuse can never change answers, only speed.  A seal
+that raises quarantines the context and falls back cold.
 """
 
 from __future__ import annotations
@@ -34,7 +33,8 @@ from repro.delta.reminimize import (
     eligibility,
     warm_minimize,
 )
-from repro.errors import BudgetExceeded
+from repro.engine.ladder import _DEFAULT_EXACT_CAP, seal_record
+from repro.errors import BudgetExceeded, IntegrityError
 
 __all__ = ["DeltaIndex", "onset_signature", "warm_record_for"]
 
@@ -187,8 +187,6 @@ class DeltaIndex:
                     shortlist[key] = self._entries[key]
             for key in list(reversed(self._entries))[:_MRU_SCAN]:
                 shortlist.setdefault(key, self._entries[key])
-            from repro.engine.ladder import _DEFAULT_EXACT_CAP
-
             cap = job.max_pseudoproducts if job.max_pseudoproducts is not None else _DEFAULT_EXACT_CAP
             best: _Entry | None = None
             best_edit = -1
@@ -248,10 +246,10 @@ def warm_record_for(
 ) -> dict | None:
     """Try the warm path for ``job``; a full engine record or None.
 
-    The warm form goes through the same gauntlet as a cold rung —
-    ``verify_form`` against the edited function, then a fresh
-    :func:`~repro.integrity.make_certificate` — before a record is
-    built.  A verification failure quarantines the base context and
+    The warm form is sealed by :func:`repro.engine.ladder.seal_record`,
+    the builder every cold rung uses (verify against the edited
+    function, fresh certificate), so reuse can never change answers,
+    only speed.  A seal that raises quarantines the base context and
     returns None (the cold path recomputes); so does any unexpected
     error: the warm path is an optimization and must never take a
     request down.
@@ -259,12 +257,6 @@ def warm_record_for(
     base = index.lookup(job)
     if base is None:
         return None
-    from repro.engine.job import _SOLVER_VERSION, job_to_dict
-    from repro.engine.ladder import RECORD_VERSION
-    from repro.integrity import VERIFIED_FULL, make_certificate
-    from repro.serialize import form_to_dict
-    from repro.verify import verify_form
-
     func = job.func
     t0 = time.perf_counter()
     try:
@@ -277,22 +269,6 @@ def warm_record_for(
     except Exception:  # noqa: BLE001 — warm path must never break serving
         index.count_fallback("warm-error")
         return None
-    form = result.form
-    v0 = time.perf_counter()
-    report = verify_form(form, func)
-    verify_ms = (time.perf_counter() - v0) * 1000.0
-    if not report:
-        index.drop(base)
-        index.count_fallback("verify-failed")
-        return None
-    certificate = make_certificate(
-        func,
-        form,
-        solver_salt=_SOLVER_VERSION,
-        claimed_cost=form.num_literals,
-        verified=VERIFIED_FULL,
-        verify_ms=verify_ms,
-    )
     extras: dict[str, Any] = {
         "comparisons": base.generation_comparisons,
         "delta": {
@@ -303,19 +279,20 @@ def warm_record_for(
     }
     if result.covering_stats is not None:
         extras["covering"] = result.covering_stats
+    try:
+        record = seal_record(
+            job,
+            "exact",
+            result.form,
+            candidates=result.num_candidates,
+            optimal=result.covering_optimal,
+            truncated=False,
+            extras=extras,
+            started=t0,
+        )
+    except IntegrityError:
+        index.drop(base)
+        index.count_fallback("verify-failed")
+        return None
     index.count_warm_hit()
-    return {
-        "version": RECORD_VERSION,
-        "kind": "engine_record",
-        "job": job_to_dict(job),
-        "rung": "exact",
-        "literals": form.num_literals,
-        "pseudoproducts": form.num_pseudoproducts,
-        "candidates": result.num_candidates,
-        "seconds": time.perf_counter() - t0,
-        "optimal": result.covering_optimal,
-        "truncated": False,
-        "form": form_to_dict(form),
-        "integrity": certificate,
-        "extras": extras,
-    }
+    return record

@@ -49,7 +49,7 @@ from repro.engine.job import _SOLVER_VERSION
 from repro.engine.lockfile import FileLock, LockTimeout
 from repro.errors import IntegrityError
 from repro.integrity import check_certificate
-from repro.serialize import dump_json_file, form_from_dict, load_json_file
+from repro.serialize import dump_json_file, load_json_file
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.boolfunc.function import BoolFunc
@@ -334,17 +334,8 @@ class ResultCache:
             return record
         self.stats.audited += 1
         try:
-            form = form_from_dict(record["form"])
-            refreshed = check_certificate(
-                record, func, form, expected_salt=_SOLVER_VERSION
-            )
+            refreshed = check_certificate(record, func, expected_salt=_SOLVER_VERSION)
         except IntegrityError:
-            self.stats.audit_mismatches += 1
-            self._quarantine(path)
-            return None
-        except (KeyError, TypeError, ValueError):
-            # Record shape too mangled to even extract a form: same
-            # treatment as a failed checksum.
             self.stats.audit_mismatches += 1
             self._quarantine(path)
             return None

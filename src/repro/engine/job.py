@@ -20,9 +20,11 @@ from typing import Any
 from repro.boolfunc.function import BoolFunc
 from repro.serialize import canonical_dumps
 
-__all__ = ["Job", "METHODS", "job_to_dict", "job_from_dict"]
+__all__ = ["Job", "METHODS", "COVERINGS", "BACKENDS", "job_to_dict", "job_from_dict"]
 
 METHODS = ("exact", "bounded", "heuristic", "sp")
+COVERINGS = ("greedy", "exact", "auto")
+BACKENDS = ("index", "trie")  # EPPP store of the exact and bounded rungs
 
 _HASH_VERSION = 2
 
@@ -51,15 +53,27 @@ class Job:
     label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
+        """Reject a bad value of any option the method reads, so every
+        caller (CLI, HTTP payload, record replay) fails here, not inside
+        a rung the ladder would then degrade past."""
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.covering not in COVERINGS:
+            raise ValueError(f"covering must be one of {COVERINGS}, not {self.covering!r}")
+        if self.method in ("exact", "bounded"):
+            if self.backend not in BACKENDS:
+                raise ValueError(f"backend must be one of {BACKENDS}, not {self.backend!r}")
+            cap = self.max_pseudoproducts
+            if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int)):
+                raise ValueError(f"max_pseudoproducts must be an integer, not {cap!r}")
+        if self.method == "bounded" and self.bound < 1:
+            raise ValueError(f"bound must be at least 1, not {self.bound}")
 
     def normalized_params(self) -> dict[str, Any]:
         """The parameters the method reads, and only those."""
         params: dict[str, Any] = {"covering": self.covering}
-        if self.method in ("exact", "bounded", "heuristic"):
-            params["backend"] = self.backend
         if self.method in ("exact", "bounded"):
+            params["backend"] = self.backend
             params["max_pseudoproducts"] = self.max_pseudoproducts
         if self.method == "heuristic":
             params["k"] = self.k

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.budget import Budget
+from repro.core.spp_form import SppForm
 from repro.engine.job import _SOLVER_VERSION, Job, job_to_dict
-from repro.errors import IntegrityError
-from repro.integrity import VERIFIED_FULL, make_certificate, report_to_dict
+from repro.integrity import VERIFIED_FULL, cover_error, make_certificate
 from repro.minimize.bounded import minimize_spp_bounded
 from repro.minimize.exact import minimize_spp
 from repro.minimize.heuristic import minimize_spp_k
@@ -31,9 +31,64 @@ from repro.minimize.sp import minimize_sp
 from repro.serialize import form_to_dict
 from repro.verify import verify_form
 
-__all__ = ["Rung", "ladder_for", "execute_rung", "RECORD_VERSION"]
+__all__ = ["Rung", "ladder_for", "execute_rung", "seal_record", "RECORD_VERSION"]
 
 RECORD_VERSION = 1
+
+
+def seal_record(
+    job: Job,
+    rung: str,
+    form: SppForm,
+    *,
+    candidates: int,
+    optimal: bool,
+    truncated: bool,
+    extras: dict[str, Any],
+    started: float,
+) -> dict[str, Any]:
+    """Verify ``form`` against ``job.func``, stamp its certificate, and
+    build the engine record — the only place a record is built.
+
+    A cold rung (:func:`execute_rung`) and a warm re-solve
+    (:func:`repro.delta.warm_record_for`) both end here, so a warm
+    record is indistinguishable from a cold one downstream.  A wrong
+    cover raises :class:`~repro.errors.IntegrityError` with its
+    counterexamples, and so does a literal count the independent
+    recompute disagrees with: a wrong answer is an error, never a
+    result.  ``started`` is the ``perf_counter`` reading the record's
+    ``seconds`` is measured from.
+    """
+    func = job.func
+    v0 = time.perf_counter()
+    report = verify_form(form, func)
+    verify_ms = (time.perf_counter() - v0) * 1000.0
+    if not report:
+        raise cover_error(f"rung {rung} produced a wrong cover", report, rung=rung)
+    certificate = make_certificate(
+        func,
+        form,
+        solver_salt=_SOLVER_VERSION,
+        claimed_cost=form.num_literals,
+        verified=VERIFIED_FULL,
+        verify_ms=verify_ms,
+    )
+    return {
+        "version": RECORD_VERSION,
+        "kind": "engine_record",
+        "job": job_to_dict(job),
+        "rung": rung,
+        "literals": form.num_literals,
+        "pseudoproducts": form.num_pseudoproducts,
+        "candidates": candidates,
+        "seconds": time.perf_counter() - started,
+        "optimal": optimal,
+        "truncated": truncated,
+        "form": form_to_dict(form),
+        "integrity": certificate,
+        "extras": extras,
+    }
+
 
 # Keep exact and bounded generation bounded in memory even when the
 # caller sets no explicit budget: a deadline can kill a runaway rung, but
@@ -89,10 +144,7 @@ def execute_rung(
     budget: Budget | None = None,
     capture: Any = None,
 ) -> dict[str, Any]:
-    """Run one rung of ``job`` and return a result record.
-
-    The produced form is verified against the function before the
-    record is built — a wrong answer is an error, never a result.
+    """Run one rung of ``job`` and return its :func:`seal_record` record.
 
     ``budget`` is threaded into the minimizer's inner loops (see
     :mod:`repro.budget`); a blown deadline/ceiling or a cancellation
@@ -123,11 +175,7 @@ def execute_rung(
     else:
         if rung.method == "heuristic":
             result = minimize_spp_k(
-                func,
-                rung.params["k"],
-                backend=job.backend,
-                covering=job.covering,
-                budget=budget,
+                func, rung.params["k"], covering=job.covering, budget=budget
             )
             optimal = False
         else:  # exact, or bounded: the same pipeline under a width filter
@@ -152,44 +200,16 @@ def execute_rung(
         candidates = result.num_candidates
         if result.covering_stats is not None:
             extras["covering"] = result.covering_stats
-    v0 = time.perf_counter()
-    report = verify_form(form, func)
-    verify_ms = (time.perf_counter() - v0) * 1000.0
-    if not report:
-        raise IntegrityError(
-            f"rung {rung.name} produced a wrong cover: "
-            f"misses {len(report.uncovered_on_points)} on-points, "
-            f"covers {len(report.covered_off_points)} off-points"
-            + (" (scan truncated)" if report.truncated else ""),
-            report=report,
-            detail={
-                "rung": rung.name,
-                "counterexamples": report_to_dict(report),
-            },
-        )
-    certificate = make_certificate(
-        func,
+    record = seal_record(
+        job,
+        rung.name,
         form,
-        solver_salt=_SOLVER_VERSION,
-        claimed_cost=form.num_literals,
-        verified=VERIFIED_FULL,
-        verify_ms=verify_ms,
+        candidates=candidates,
+        optimal=optimal,
+        truncated=truncated,
+        extras=extras,
+        started=t0,
     )
-    record = {
-        "version": RECORD_VERSION,
-        "kind": "engine_record",
-        "job": job_to_dict(job),
-        "rung": rung.name,
-        "literals": form.num_literals,
-        "pseudoproducts": form.num_pseudoproducts,
-        "candidates": candidates,
-        "seconds": time.perf_counter() - t0,
-        "optimal": optimal,
-        "truncated": truncated,
-        "form": form_to_dict(form),
-        "integrity": certificate,
-        "extras": extras,
-    }
     if capture is not None and rung.method == "exact":
         capture(job, rung, result, record)
     return record

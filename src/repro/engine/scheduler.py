@@ -304,42 +304,6 @@ def run_batch(
         # a "crash" here simulates dying between jobs, the resume case.
         faults.maybe_fire("batch.job_done", label=job.display_label)
 
-    for index, job in enumerate(jobs):
-        key = job.content_hash
-        if resume and manifest is not None:
-            record = manifest.load(key)
-            if record is not None:
-                finish(index, job, record, SOURCE_MANIFEST)
-                continue
-        record = cache.get(key, func=job.func)
-        if record is not None:
-            if manifest is not None:
-                manifest.store(key, record)
-            finish(index, job, record, SOURCE_CACHE)
-            continue
-        if key in scheduled:
-            followers.setdefault(key, []).append(index)
-            continue
-        if delta_index is not None and job.method == "exact":
-            from repro.delta import warm_record_for  # lazy: optional subsystem
-
-            warm = None
-            try:
-                warm = warm_record_for(job, delta_index, budget=budget)
-            except BudgetExceeded:
-                pass  # let the normal path resolve the job as cancelled
-            if warm is not None:
-                warm["degraded"] = False
-                warm["attempts"] = []
-                cache.put(key, warm)
-                if manifest is not None:
-                    manifest.store(key, warm)
-                finish(index, job, warm, SOURCE_COMPUTED)
-                continue
-        pending = _Pending(index, job, ladder_for(job))
-        scheduled[key] = pending
-        to_run.append(pending)
-
     def resolve(
         pending: _Pending,
         record,
@@ -369,6 +333,37 @@ def run_batch(
             # eviction into a spurious failure.
             follower_source = SOURCE_CACHE if record is not None else source
             finish(follower_index, jobs[follower_index], record, follower_source)
+
+    for index, job in enumerate(jobs):
+        key = job.content_hash
+        if resume and manifest is not None:
+            record = manifest.load(key)
+            if record is not None:
+                finish(index, job, record, SOURCE_MANIFEST)
+                continue
+        record = cache.get(key, func=job.func)
+        if record is not None:
+            if manifest is not None:
+                manifest.store(key, record)
+            finish(index, job, record, SOURCE_CACHE)
+            continue
+        if key in scheduled:
+            followers.setdefault(key, []).append(index)
+            continue
+        warm = None
+        if delta_index is not None and job.method == "exact":
+            from repro.delta import warm_record_for  # lazy: optional subsystem
+
+            try:
+                warm = warm_record_for(job, delta_index, budget=budget)
+            except BudgetExceeded:
+                pass  # let the normal path resolve the job as cancelled
+        pending = _Pending(index, job, ladder_for(job))
+        if warm is not None:
+            resolve(pending, warm)
+            continue
+        scheduled[key] = pending
+        to_run.append(pending)
 
     def rung_timeout(pending: _Pending) -> float | None:
         # The last rung is the never-fails floor: no deadline.

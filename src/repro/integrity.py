@@ -1,10 +1,12 @@
 """Result certificates and independent re-verification.
 
-The engine already refuses to *produce* a wrong cover — every ladder
-rung runs :func:`repro.verify.verify_form` before building its record.
-But a record outlives the process that proved it: it sits in the disk
-cache, travels through the cluster, and is replayed from manifests.
-This module is the trust layer for that afterlife:
+The engine refuses to *produce* a wrong cover: every record, cold rung
+or warm re-solve, is built by :func:`repro.engine.ladder.seal_record`,
+which verifies the form against its function and stamps the
+certificate below before the record exists.  But a record outlives the
+process that proved it: it sits in the disk cache, travels through the
+cluster, and is replayed from manifests.  This module is the trust
+layer for that afterlife — one seal, one audit:
 
 * :func:`make_certificate` stamps a record with an **integrity
   envelope** ``{spec_hash, form_hash, cost_recomputed, solver_salt,
@@ -12,12 +14,15 @@ This module is the trust layer for that afterlife:
   the CEX expression builder (:func:`repro.core.cex.cex_of`) — a
   different code path from the closed-form ``Pseudocube.num_literals``
   the solvers use — so a cost-accounting bug in either path is caught
-  by the other.
-* :func:`check_certificate` re-derives everything the envelope claims
-  from the record it travels with and raises
-  :class:`~repro.errors.IntegrityError` on any disagreement.  It is
-  what verify-on-read cache auditing and serve-tier shadow verification
-  call; its ``detail`` dict is surfaced verbatim in HTTP 500 bodies.
+  by the other.  The seal is its only caller.
+* :func:`check_certificate` decodes the record's form, re-verifies it
+  against the spec, re-derives everything the record and its envelope
+  claim, and raises :class:`~repro.errors.IntegrityError` on any
+  disagreement.  It is the only re-check: verify-on-read cache
+  auditing, serve-tier shadow verification and a client's
+  ``"verify": true`` all call it, so they accept and reject the same
+  records.  Its ``detail`` dict is surfaced verbatim in HTTP 500
+  bodies.
 
 Certificates are *self-describing but not self-certifying*: the
 envelope hashes bind spec to form, and the semantic check re-verifies
@@ -35,7 +40,7 @@ from repro.boolfunc.function import BoolFunc
 from repro.core.cex import cex_of
 from repro.core.spp_form import SppForm
 from repro.errors import IntegrityError
-from repro.serialize import checksum_of, form_to_dict, func_to_dict
+from repro.serialize import checksum_of, form_from_dict, form_to_dict, func_to_dict
 from repro.verify import VerificationReport, verify_form
 
 __all__ = [
@@ -48,6 +53,7 @@ __all__ = [
     "recompute_cost",
     "make_certificate",
     "check_certificate",
+    "cover_error",
     "report_to_dict",
 ]
 
@@ -142,34 +148,46 @@ def report_to_dict(report: VerificationReport) -> dict[str, Any]:
     }
 
 
+def cover_error(message: str, report: VerificationReport, **detail: Any) -> IntegrityError:
+    """The error for a form ``report`` found wrong: ``message``, what
+    the scan found, and its counterexamples under ``detail``."""
+    return IntegrityError(
+        f"{message}: misses {len(report.uncovered_on_points)} on-points, "
+        f"covers {len(report.covered_off_points)} off-points"
+        + (" (scan truncated)" if report.truncated else ""),
+        report=report,
+        detail={**detail, "counterexamples": report_to_dict(report)},
+    )
+
+
 def check_certificate(
     record: dict[str, Any],
     func: BoolFunc,
-    form: SppForm,
     *,
     expected_salt: str | None = None,
-    semantic: bool = True,
-    max_counterexamples: int = 8,
 ) -> dict[str, Any]:
     """Audit ``record`` against the trusted spec ``func``.
 
-    Re-derives every claim in the record's ``integrity`` envelope:
+    Decodes the record's stored form (a form that does not decode is an
+    integrity failure) and re-derives every claim made about it:
 
-    * ``spec_hash`` must match the trusted spec (a record keyed to the
-      wrong function — hash collision in the cache layer, a routing
-      bug — is an integrity failure, not a miss);
-    * ``form_hash`` must match the form actually stored in the record
-      (a checksum-valid but semantically mutated payload breaks here);
-    * the recomputed literal cost must match both the envelope's
-      ``cost_recomputed`` and the record's top-level ``literals``;
-    * with ``semantic=True`` the form is re-verified against the spec
-      point by point.
+    * the recomputed literal cost must match the record's top-level
+      ``literals``;
+    * the envelope's ``spec_hash`` must match the trusted spec (a
+      record keyed to the wrong function — hash collision in the cache
+      layer, a routing bug — is an integrity failure, not a miss);
+    * its ``form_hash`` must match the stored form (a checksum-valid
+      but mutated payload breaks here);
+    * its ``cost_recomputed`` must match the recompute;
+    * the form is re-verified against the spec point by point.
 
-    Records without an envelope (pre-integrity cache dirs) are audited
-    semantically only.  Returns an *updated* envelope (``verified`` is
-    raised to ``sampled`` if a semantic check ran and the stamped level
-    was ``none``; ``verify_ms`` reflects this audit) — callers decide
-    whether to write it back.  Raises
+    The point-by-point check always runs, so whichever check fails
+    first, a wrong cover's counterexamples ride along in ``report`` and
+    ``detail``.  Records without an envelope (pre-integrity cache dirs)
+    are checked on their form and ``literals`` only.  Returns an
+    *updated* envelope (``verified`` is raised to ``sampled`` if the
+    stamped level was ``none``; ``verify_ms`` reflects this audit) —
+    callers decide whether to write it back.  Raises
     :class:`~repro.errors.IntegrityError` on any mismatch.
     """
     t0 = time.perf_counter()
@@ -177,50 +195,49 @@ def check_certificate(
     detail: dict[str, Any] = {}
     if expected_salt is not None:
         detail["expected_salt"] = expected_salt
+    try:
+        form = form_from_dict(record["form"])
+        report = verify_form(form, func)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise IntegrityError(f"stored form is undecodable: {exc}", detail=detail) from None
+    wrong_cover = None if report else report
+    if wrong_cover is not None:
+        detail["counterexamples"] = report_to_dict(report)
+
+    def mismatch(message: str, **extra: Any) -> IntegrityError:
+        return IntegrityError(message, report=wrong_cover, detail={**detail, **extra})
 
     fh = form_hash(form)
     cost = recompute_cost(form)
     claimed = record.get("literals")
     if claimed is not None and claimed != cost:
-        raise IntegrityError(
+        raise mismatch(
             f"record claims {claimed} literals, recompute finds {cost}",
-            detail={**detail, "claimed_cost": claimed, "cost_recomputed": cost},
+            claimed_cost=claimed, cost_recomputed=cost,
         )
     if cert is not None:
         sh = spec_hash(func)
         if cert.get("spec_hash") != sh:
-            raise IntegrityError(
+            raise mismatch(
                 "certificate spec_hash does not match the trusted spec",
-                detail={**detail, "spec_hash": sh,
-                        "certificate_spec_hash": cert.get("spec_hash")},
+                spec_hash=sh, certificate_spec_hash=cert.get("spec_hash"),
             )
         if cert.get("form_hash") != fh:
-            raise IntegrityError(
+            raise mismatch(
                 "certificate form_hash does not match the stored form",
-                detail={**detail, "form_hash": fh,
-                        "certificate_form_hash": cert.get("form_hash")},
+                form_hash=fh, certificate_form_hash=cert.get("form_hash"),
             )
         if cert.get("cost_recomputed") != cost:
-            raise IntegrityError(
+            raise mismatch(
                 f"certificate cost {cert.get('cost_recomputed')} disagrees "
                 f"with recompute {cost}",
-                detail={**detail, "cost_recomputed": cost,
-                        "certificate_cost": cert.get("cost_recomputed")},
+                cost_recomputed=cost, certificate_cost=cert.get("cost_recomputed"),
             )
-    if semantic:
-        report = verify_form(form, func, max_counterexamples=max_counterexamples)
-        if not report:
-            raise IntegrityError(
-                f"stored form is not equivalent to its spec: misses "
-                f"{len(report.uncovered_on_points)} on-points, covers "
-                f"{len(report.covered_off_points)} off-points"
-                + (" (scan truncated)" if report.truncated else ""),
-                report=report,
-                detail={**detail, "counterexamples": report_to_dict(report)},
-            )
+    if wrong_cover is not None:
+        raise cover_error("stored form is not equivalent to its spec", report, **detail)
     verify_ms = (time.perf_counter() - t0) * 1000.0
     level = (cert or {}).get("verified", VERIFIED_NONE)
-    if semantic and level == VERIFIED_NONE:
+    if level == VERIFIED_NONE:
         level = VERIFIED_SAMPLED
     return {
         "version": CERTIFICATE_VERSION,

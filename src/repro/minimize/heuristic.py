@@ -88,7 +88,6 @@ def minimize_spp_k(
     func: BoolFunc,
     k: int = 0,
     *,
-    backend: str = "index",
     covering: str = "greedy",
     cost: Callable[[Pseudocube], int] = literal_cost,
     discard_equal: bool = True,
@@ -111,16 +110,12 @@ def minimize_spp_k(
     care set, and together they must cover the on-set) — e.g. the rows
     of a PLA as parsed, skipping Quine–McCluskey entirely.
 
-    ``backend`` is accepted for API symmetry with
-    :func:`~repro.minimize.exact.minimize_spp`; the heuristic always
-    uses the bucket index internally (the partition-trie backend is
-    exercised through the exact engine).
+    The stores are always the bucket index; the partition-trie backend
+    is exercised through the exact engine.
     """
     n = func.n
     if not 0 <= k < n:
         raise ValueError("k must be in [0, n-1]")
-    if backend not in ("index", "trie"):
-        raise ValueError(f"unknown store backend {backend!r}")
     if not func.on_set:
         form, optimal, seconds, stats, _ = cover_with(func, [], covering=covering)
         return SppResult(form, 0, None, optimal, 0.0, seconds, covering_stats=stats)

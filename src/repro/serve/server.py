@@ -46,7 +46,7 @@ from repro.budget import Budget
 from repro.delta import DeltaIndex
 from repro.engine.batch import SOURCE_CANCELLED, Manifest
 from repro.engine.cache import ResultCache
-from repro.engine.job import METHODS, Job
+from repro.engine.job import Job
 from repro.engine.ladder import Rung
 from repro.engine.scheduler import run_batch
 from repro.errors import IntegrityError, UsageError
@@ -54,9 +54,8 @@ from repro.integrity import (
     VERIFIED_FULL,
     VERIFIED_NONE,
     VERIFIED_SAMPLED,
-    report_to_dict,
+    check_certificate,
 )
-from repro.serialize import form_from_dict
 from repro.serve.admission import AdmissionQueue
 from repro.serve.breaker import RungBreaker
 from repro.serve.deadline import DeadlineExpired
@@ -64,7 +63,6 @@ from repro.serve.metrics import LatencyHistogram, Metric, render_metrics
 from repro.serve.shadow import ShadowVerifier
 from repro.serve.tier import HttpTier, json_payload
 from repro.serve.watchdog import MemoryWatchdog
-from repro.verify import verify_form
 
 __all__ = [
     "ServeConfig",
@@ -148,11 +146,6 @@ def jobs_from_payload(payload: dict[str, Any], *, routing: bool = False) -> list
                 raise UsageError(str(exc)) from None
             out.append(replace(job, func=func, label=f"{job.label}+d{len(toggles)}"))
         return out
-    method = payload.get("method", "exact")
-    if method not in METHODS:
-        raise UsageError(
-            f"unknown method {method!r} (one of {', '.join(METHODS)})"
-        )
     if "pla" in payload:
         func = parse_pla(str(payload["pla"]), name="request")
         name = str(payload.get("label", "request"))
@@ -177,10 +170,10 @@ def jobs_from_payload(payload: dict[str, Any], *, routing: bool = False) -> list
         fo = func[o]
         if not fo.on_set:
             continue
-        jobs.append(
-            Job(
+        try:
+            job = Job(
                 fo,
-                method=method,
+                method=payload.get("method", "exact"),
                 k=k,
                 bound=bound,
                 covering=str(payload.get("covering", "greedy")),
@@ -188,7 +181,9 @@ def jobs_from_payload(payload: dict[str, Any], *, routing: bool = False) -> list
                 max_pseudoproducts=payload.get("max_pseudoproducts"),
                 label=f"{name}[{o}]",
             )
-        )
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        jobs.append(job)
     if not jobs:
         raise UsageError("every requested output is constant 0")
     return jobs
@@ -359,12 +354,12 @@ class MinimizeService(HttpTier):
         The returned headers carry ``X-Repro-Verified``: the weakest
         certificate level among the returned records (``full`` /
         ``sampled`` / ``none``).  With ``"verify": true`` in the payload
-        every record is synchronously re-verified before responding —
-        a failure becomes a 500 whose body carries the counterexamples
-        (:class:`~repro.errors.IntegrityError`).  Independently of all
-        that, a sample of successful responses is handed to the shadow
-        verifier after the response is built (off the hot path, bounded
-        by the request's remaining deadline).
+        every record is synchronously audited before responding — a
+        failure becomes a 500 (:class:`~repro.errors.IntegrityError`)
+        whose body carries a wrong cover's counterexamples.
+        Independently of all that, a sample of successful responses is
+        handed to the shadow verifier after the response is built (off
+        the hot path, bounded by the request's remaining deadline).
         """
         received = time.monotonic()
         payload = json_payload(body)
@@ -419,39 +414,25 @@ class MinimizeService(HttpTier):
     def _sync_verify(self, result) -> None:
         """Client-requested (``"verify": true``) pre-response verification.
 
-        Re-checks every returned record's form against its spec before
-        the response goes out — the paranoid mode that turns a wrong
-        cached or computed answer into a structured 500 (with
-        counterexamples) instead of a response.  A failing record is
+        Audits every returned record with
+        :func:`~repro.integrity.check_certificate` — the same check the
+        cache audit and the shadow lane run — before the response goes
+        out: the paranoid mode that turns a wrong cached or computed
+        answer into a structured 500 (with counterexamples when the
+        cover is wrong) instead of a response.  A failing record is
         purged from the cache and fed to the per-rung quarantine
         counter, same as a shadow-verification mismatch.
         """
         for outcome in result:
             record = outcome.record
-            if record is None or not isinstance(record.get("form"), dict):
+            if record is None:
                 continue
-            label = outcome.job.display_label
             try:
-                form = form_from_dict(record["form"])
-            except (KeyError, TypeError, ValueError) as exc:
+                check_certificate(record, outcome.job.func)
+            except IntegrityError as exc:
                 self._record_integrity_failure(outcome, record)
-                raise IntegrityError(
-                    f"stored form for {label} is undecodable: {exc}",
-                    detail={"label": label},
-                ) from exc
-            report = verify_form(form, outcome.job.func)
-            if not report:
-                self._record_integrity_failure(outcome, record)
-                raise IntegrityError(
-                    f"result for {label} failed verification: misses "
-                    f"{len(report.uncovered_on_points)} on-points, covers "
-                    f"{len(report.covered_off_points)} off-points",
-                    report=report,
-                    detail={
-                        "label": label,
-                        "counterexamples": report_to_dict(report),
-                    },
-                )
+                exc.detail["label"] = outcome.job.display_label
+                raise
 
     def _record_integrity_failure(self, outcome, record) -> None:
         self._bump("integrity")

@@ -1,11 +1,13 @@
 """Sampled shadow verification: re-check served responses off the hot path.
 
 The serving tier answers from three sources — freshly computed records
-(verified synchronously by the ladder), disk-cache hits (sampled by
+(verified synchronously by the seal), disk-cache hits (sampled by
 verify-on-read auditing), and in-memory LRU hits (not re-checked at
 all).  Shadow verification closes the remaining gap without touching
-request latency: a sample of successful responses is re-verified on a
-background thread *after* the response went out.
+request latency: a sample of successful responses is re-audited on a
+background thread *after* the response went out, by the same
+:func:`~repro.integrity.check_certificate` the cache audit runs (cover,
+cost and certificate hashes alike).
 
 Budget awareness: each submission carries the request's remaining
 end-to-end deadline as its allowance (a generous default when the
@@ -37,8 +39,8 @@ import threading
 import time
 from typing import TYPE_CHECKING, Any
 
-from repro.serialize import form_from_dict
-from repro.verify import verify_form
+from repro.errors import IntegrityError
+from repro.integrity import check_certificate
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.cache import ResultCache
@@ -105,19 +107,11 @@ class ShadowVerifier:
             with self._lock:
                 self.expired += 1
             return False
-        items = []
-        for outcome in outcomes:
-            record = outcome.record
-            if record is None or not isinstance(record.get("form"), dict):
-                continue
-            items.append(
-                (
-                    outcome.job.func,
-                    outcome.job.content_hash,
-                    record.get("rung", ""),
-                    record["form"],
-                )
-            )
+        items = [
+            (outcome.job.func, outcome.job.content_hash, outcome.record)
+            for outcome in outcomes
+            if outcome.record is not None
+        ]
         if not items:
             return False
         allowance = _DEFAULT_ALLOWANCE if remaining is None else remaining
@@ -166,13 +160,12 @@ class ShadowVerifier:
 
     def _verify_items(self, items) -> None:
         t0 = time.perf_counter()
-        for func, key, rung, form_dict in items:
+        for func, key, record in items:
             try:
-                form = form_from_dict(form_dict)
-                report = verify_form(form, func)
-                ok = bool(report)
-            except (KeyError, TypeError, ValueError):
-                ok = False  # undecodable form is as wrong as a bad cover
+                check_certificate(record, func)
+                ok = True
+            except IntegrityError:
+                ok = False
             with self._lock:
                 if ok:
                     self.verified += 1
@@ -182,7 +175,9 @@ class ShadowVerifier:
                 if self.cache is not None:
                     self.cache.quarantine_key(key)
                 if self.breaker is not None:
-                    self.breaker.record_mismatch(rung, len(func.on_set))
+                    self.breaker.record_mismatch(
+                        record.get("rung", ""), len(func.on_set)
+                    )
         with self._lock:
             self.verify_seconds += time.perf_counter() - t0
 

@@ -11,12 +11,16 @@ import http.client
 import json
 import os
 import signal
+import socket
+import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cli import build_parser
 from repro.cluster import ClusterConfig, ClusterCoordinator
+from repro.cluster.worker import WorkerProcess
 from tests.serve.test_metrics import parse_prometheus
 from tests.serve.test_serve import raw_post
 
@@ -95,6 +99,46 @@ class TestWorkerFlags:
         )
 
 
+class TestWorkerProbes:
+    """The coordinator's health thread calls ``healthy`` and ``stats``:
+    a worker killed mid-reply must read as down, not raise."""
+
+    @pytest.fixture()
+    def truncating_worker(self):
+        """A fake worker that answers every request with a 200 whose
+        ``Content-Length`` promises more body than it sends, then
+        closes — what a worker SIGKILLed mid-reply looks like."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.1)
+        stop = threading.Event()
+
+        def serve() -> None:
+            while not stop.is_set():
+                try:
+                    conn, _ = listener.accept()
+                except TimeoutError:
+                    continue
+                with conn:
+                    conn.recv(65536)
+                    conn.sendall(
+                        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                        b"Content-Length: 64\r\n\r\n{\"ok\": "
+                    )
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        worker = WorkerProcess("fake", listener.getsockname()[1])
+        worker._proc = SimpleNamespace(poll=lambda: None, pid=None)  # alive
+        yield worker
+        stop.set()
+        thread.join(timeout=5)
+        listener.close()
+
+    def test_truncated_reply_reads_as_down(self, truncating_worker):
+        assert truncating_worker.stats(timeout=5) is None
+        assert truncating_worker.healthy(timeout=5) is False
+
+
 @pytest.fixture(scope="module")
 def cluster():
     coordinator = ClusterCoordinator(ClusterConfig(
@@ -160,6 +204,16 @@ MALFORMED = {
     "timeout-str": ("/minimize", _body(PLAS[0], timeout="x"), 400, "usage"),
     "max-rung-list": (
         "/minimize", _body(PLAS[0], max_rung=["sp"]), 400, "usage",
+    ),
+    "covering-bogus": (
+        "/minimize", _body(PLAS[0], covering="bogus"), 400, "usage",
+    ),
+    "backend-btree": ("/minimize", _body(PLAS[0], backend="btree"), 400, "usage"),
+    "bounded-bound-0": (
+        "/minimize", _body(PLAS[0], method="bounded", bound=0), 400, "usage",
+    ),
+    "max-pseudoproducts-str": (
+        "/minimize", _body(PLAS[0], max_pseudoproducts="many"), 400, "usage",
     ),
     "wrong-path": ("/nope", _body(PLAS[0]), 404, "not-found"),
 }

@@ -1,6 +1,5 @@
 """Tests for the near-duplicate index and the scheduler warm path."""
 
-from repro import verify as verify_module
 from repro.boolfunc.function import BoolFunc
 from repro.delta import (
     DeltaIndex,
@@ -11,12 +10,13 @@ from repro.delta import (
 )
 from repro.delta import index as index_module
 from repro.engine import Job, run_batch
+from repro.engine import ladder as ladder_module
 from repro.engine.ladder import execute_rung, ladder_for
 from repro.kernels import coverage as coverage_module
 from repro.minimize.exact import minimize_spp
 from repro.serialize import form_from_dict
 from repro.trie.partition_trie import PartitionTrie
-from repro.verify import verify_form
+from repro.verify import VerificationReport, verify_form
 
 FUNC = BoolFunc(4, frozenset({0, 1, 3, 6, 9, 12, 14}), frozenset({5, 10}))
 
@@ -175,7 +175,11 @@ class TestWarmRecord:
         index = DeltaIndex()
         _put(index)
         job = Job(toggle_points(FUNC, [0, 5]), method="exact")
-        monkeypatch.setattr(verify_module, "verify_form", lambda form, func: False)
+        monkeypatch.setattr(
+            ladder_module,
+            "verify_form",
+            lambda form, func: VerificationReport(False, (0,), ()),
+        )
         assert warm_record_for(job, index) is None
         assert index.stats()["fallback_reasons"] == {"verify-failed": 1}
         assert len(index) == 0

@@ -47,6 +47,10 @@ class TestContentHash:
         assert Job(_func(), method="sp", bound=2).content_hash == Job(
             _func(), method="sp", bound=4
         ).content_hash
+        # The heuristic always uses the bucket index: backend is no knob.
+        assert Job(_func(), method="heuristic", backend="index").content_hash == Job(
+            _func(), method="heuristic", backend="trie"
+        ).content_hash
 
     def test_relevant_params_participate(self):
         assert Job(_func(), method="heuristic", k=0).content_hash != Job(
@@ -69,6 +73,25 @@ class TestContentHash:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             Job(_func(), method="quantum")
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"method": "sp", "covering": "bogus"},
+            {"method": "heuristic", "covering": "bogus"},
+            {"method": "exact", "backend": "btree"},
+            {"method": "bounded", "backend": "btree"},
+            {"method": "exact", "max_pseudoproducts": "many"},
+            {"method": "bounded", "max_pseudoproducts": True},
+            {"method": "bounded", "bound": 0},
+        ],
+        ids=lambda options: "-".join(str(v) for v in options.values()),
+    )
+    def test_bad_option_values_rejected(self, options):
+        with pytest.raises(ValueError):
+            Job(_func(), **options)
 
 
 class TestRoundTrip:

@@ -1,11 +1,14 @@
 """End-to-end integrity behavior of the serving tier.
 
-A tampered-but-checksum-valid cache record is planted via the
-``cache.disk.corrupt_payload`` fault site; these tests prove the three
-serving-side defenses catch it: synchronous ``"verify": true``
-(HTTP 500 with counterexamples), sampled shadow verification
-(post-response quarantine + breaker feed), and the ``X-Repro-Verified``
-header reporting the weakest certificate level served.
+A tampered-but-checksum-valid cache record is planted, either via the
+``cache.disk.corrupt_payload`` fault site (a wrong cover) or by lowering
+its ``literals`` (a wrong cost); these tests prove the serving-side
+defenses catch it: verify-on-read auditing (quarantine + recompute),
+synchronous ``"verify": true`` (HTTP 500 with counterexamples), sampled
+shadow verification (post-response quarantine + breaker feed), and the
+``X-Repro-Verified`` header reporting the weakest certificate level
+served.  The three checks are one function
+(:func:`repro.integrity.check_certificate`), so they reject alike.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import pytest
 
 from repro import faults
 from repro.faults import FaultPlan, FaultRule
+from repro.serialize import dump_json_file, load_json_file
 from repro.serve import VERIFIED_HEADER, MinimizeService, ServeConfig
 
 PLA = ".i 3\n.o 1\n1-- 1\n-11 1\n.e\n"
@@ -58,16 +62,39 @@ def _post(port: int, payload, headers=None):
 
 def _plant_corrupt_record(service, tmp_path):
     """Compute once with the payload-corruption fault live, then drain:
-    the shared disk tier now holds a checksum-valid wrong record."""
+    the shared disk tier now holds a checksum-valid wrong record.
+    Returns the honest literal count."""
     faults.install(FaultPlan([
         FaultRule(site="cache.disk.corrupt_payload",
                   kind="corrupt_payload", times=1),
     ]))
     svc, port = service(cache_dir=str(tmp_path / "cache"), shadow_rate=0)
-    status, _, _ = _post(port, {"pla": PLA})
+    status, _, body = _post(port, {"pla": PLA})
     assert status == 200
     svc.drain(grace=0.0)
     faults.uninstall()
+    return body["results"][0]["literals"]
+
+
+def _plant_cost_tampered_record(service, tmp_path):
+    """Compute once, drain, then lower the disk record's ``literals`` by
+    one and re-wrap its checksum: the cover and its certificate are
+    intact, only the served cost is a lie.  Returns the honest count."""
+    svc, port = service(cache_dir=str(tmp_path / "cache"), shadow_rate=0)
+    status, _, body = _post(port, {"pla": PLA})
+    assert status == 200
+    svc.drain(grace=0.0)
+    [path] = (tmp_path / "cache" / "objects").glob("*/*.json")
+    record = load_json_file(path)
+    record["literals"] -= 1
+    dump_json_file(path, record, checksum=True)
+    return body["results"][0]["literals"]
+
+
+_PLANTS = {
+    "cost-tampered": _plant_cost_tampered_record,
+    "corrupt-payload": _plant_corrupt_record,
+}
 
 
 class TestVerifiedHeader:
@@ -123,6 +150,43 @@ class TestSyncVerification:
         assert headers[VERIFIED_HEADER] == "full"
         cache_stats = svc.cache.stats
         assert cache_stats.audit_mismatches == 1
+
+
+class TestAuditParity:
+    @pytest.mark.parametrize("check", ["audit", "shadow", "verify"])
+    @pytest.mark.parametrize("plant", sorted(_PLANTS))
+    def test_every_check_rejects_every_bad_record(
+        self, service, tmp_path, plant, check
+    ):
+        """Cache audit, shadow verification and ``"verify": true`` run
+        one check, so each rejects whatever the others reject."""
+        honest = _PLANTS[plant](service, tmp_path)
+        svc, port = service(
+            cache_dir=str(tmp_path / "cache"),
+            audit_rate=1 if check == "audit" else 0,
+            shadow_rate=1 if check == "shadow" else 0,
+        )
+        status, _, body = _post(port, {"pla": PLA, "verify": check == "verify"})
+        if check == "verify":
+            assert status == 500
+            assert body["error"]["code"] == "integrity"
+            if plant == "corrupt-payload":
+                assert not body["error"]["counterexamples"]["ok"]
+            assert svc.stats()["counters"]["integrity"] == 1
+        elif check == "audit":
+            # Quarantined on read and recomputed: the client never sees
+            # the bad record.
+            assert status == 200
+            assert body["results"][0]["literals"] == honest
+            assert svc.cache.stats.audit_mismatches == 1
+        else:
+            # Served (nothing checks it in-band), then caught off-path.
+            assert status == 200
+            assert svc.shadow.flush()
+            assert svc.shadow.snapshot()["mismatches"] == 1
+        assert sum(svc.stats()["breaker"]["quarantined"].values()) == (
+            0 if check == "audit" else 1
+        )
 
 
 class TestShadowVerification:

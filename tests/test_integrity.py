@@ -96,19 +96,19 @@ class TestCheckCertificate:
     def test_clean_record_passes_and_refreshes(self, pair):
         func, form = pair
         record = _record(func, form)
-        refreshed = check_certificate(record, func, form)
+        refreshed = check_certificate(record, func)
         assert refreshed["verified"] == VERIFIED_FULL
 
     def test_semantic_audit_raises_none_to_sampled(self, pair):
         func, form = pair
         record = _record(func, form, verified=VERIFIED_NONE)
-        refreshed = check_certificate(record, func, form)
+        refreshed = check_certificate(record, func)
         assert refreshed["verified"] == VERIFIED_SAMPLED
 
     def test_record_without_envelope_is_audited_semantically(self, pair):
         func, form = pair
         record = {"literals": form.num_literals, "form": form_to_dict(form)}
-        refreshed = check_certificate(record, func, form)
+        refreshed = check_certificate(record, func)
         assert refreshed["verified"] == VERIFIED_SAMPLED
 
     def test_wrong_literal_claim_is_caught(self, pair):
@@ -116,22 +116,25 @@ class TestCheckCertificate:
         record = _record(func, form)
         record["literals"] += 1
         with pytest.raises(IntegrityError, match="literals"):
-            check_certificate(record, func, form)
+            check_certificate(record, func)
 
     def test_spec_hash_mismatch_is_caught(self, pair):
         func, form = pair
         record = _record(func, form)
         other = BoolFunc(func.n, frozenset({1, 2}))
         with pytest.raises(IntegrityError, match="spec_hash"):
-            check_certificate(record, other, form)
+            check_certificate(record, other)
 
     def test_mutated_form_is_caught_by_form_hash(self, pair):
         func, form = pair
         record = _record(func, form)
         mutated = SppForm(form.n, form.pseudoproducts[:-1])
+        record["form"] = form_to_dict(mutated)
         record["literals"] = mutated.num_literals
-        with pytest.raises(IntegrityError, match="form_hash"):
-            check_certificate(record, func, mutated)
+        with pytest.raises(IntegrityError, match="form_hash") as exc:
+            check_certificate(record, func)
+        # The cover is wrong too: its counterexamples ride along.
+        assert not exc.value.detail["counterexamples"]["ok"]
 
     def test_wrong_cover_is_caught_semantically(self, pair):
         func, form = pair
@@ -143,16 +146,13 @@ class TestCheckCertificate:
             "form": form_to_dict(mutated),
         }
         with pytest.raises(IntegrityError, match="not equivalent") as exc:
-            check_certificate(record, func, mutated)
+            check_certificate(record, func)
         assert exc.value.report is not None
         assert not exc.value.report.ok
 
-    def test_semantic_false_skips_pointwise_check(self, pair):
+    def test_undecodable_form_is_an_integrity_error(self, pair):
         func, form = pair
-        mutated = SppForm(form.n, form.pseudoproducts[:-1])
-        record = {
-            "literals": mutated.num_literals,
-            "form": form_to_dict(mutated),
-        }
-        refreshed = check_certificate(record, func, mutated, semantic=False)
-        assert refreshed["verified"] == VERIFIED_NONE
+        record = _record(func, form)
+        record["form"] = {"garbage": True}
+        with pytest.raises(IntegrityError, match="undecodable"):
+            check_certificate(record, func)
