@@ -49,8 +49,12 @@ SCHEMA = "repro-bench/1"
 
 # Pinned suite instances.  Small enough for CI, large enough that the
 # covering-build kernel's structure grouping is actually exercised
-# (adr4[4] alone has ~5000 distinct direction bases).
-GENERATION_CASES = [("adr3", 2), ("dist3", 1), ("life6", 0)]
+# (adr4[4] alone has ~5000 distinct direction bases).  Generation runs
+# the n=6 proxies and the full-width functions the ladder and delta
+# gates use.
+GENERATION_CASES = [
+    ("adr3", 2), ("dist3", 1), ("life6", 0), ("life", 0), ("dist", 1), ("adr4", 3),
+]
 COVERING_CASES = [("adr4", 3), ("adr4", 4), ("life", 0)]
 E2E_TABLE1_CASES = ["adr3", "dist3", "life6"]
 # Incremental re-minimization: (benchmark, output, edit size).  Each
@@ -303,12 +307,31 @@ def run_perf_suite(
         if not wanted(label):
             continue
         fo = get_benchmark(name)[output]
-        gen_case = lambda fo=fo: generate_eppp(  # noqa: E731
-            fo, max_pseudoproducts=200_000, on_limit="stop"
-        )
+        runs = []
+
+        def gen_case(fo=fo, runs=runs):
+            t0 = time.perf_counter()
+            result = generate_eppp(fo, max_pseudoproducts=200_000, on_limit="stop")
+            runs.append((time.perf_counter() - t0, result.steps))
+
         best, mean = _time_best(gen_case, repeats)
+        # The per-degree split of the fastest timed run.
+        steps = min(runs, key=lambda run: run[0])[1]
         profile(label, gen_case)
-        meta: dict[str, Any] = {"n": fo.n}
+        meta: dict[str, Any] = {
+            "n": fo.n,
+            "steps": [
+                {
+                    "degree": step.degree,
+                    "seconds": step.seconds,
+                    "comparisons": step.comparisons,
+                    "generated": step.generated,
+                    "duplicates": step.duplicates,
+                    "retained": step.retained,
+                }
+                for step in steps
+            ],
+        }
         if gf2mat.AVAILABLE:
             # Paired control: the scalar fallback timed in the same
             # process, seconds apart.  Shared-host noise moves both

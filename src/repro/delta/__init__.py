@@ -23,9 +23,9 @@ operation instead of a cold solve:
   change answers, only speed).
 
 The soundness argument rests on candidate-order purity: EPPP generation
-is a pure function of the care set ``on ∪ dc`` alone, so any edit that
-preserves the care set (on↔dc toggles) reuses the base candidate list
-*verbatim*, in order.  Care-set-changing edits fall back to the cold
+is a pure function of the care set ``on ∪ dc`` alone (every level
+sorted by (basis, anchor)), so any edit that preserves the care set
+(on↔dc toggles) reuses the base candidate list *verbatim*, in order.  Care-set-changing edits fall back to the cold
 path — greedy covering is order-sensitive, so there is no sound way to
 splice new candidates into the stream without risking a different
 cover.

@@ -1,11 +1,10 @@
 """Delta application — patch, don't recompute.
 
 The warm path rests on **candidate-order purity**: EPPP generation is a
-pure function of the care set ``on ∪ dc`` alone (the degree-0 bucket is
-``sorted(care_set)`` and every later bucket/anchor order derives
-deterministically from it).  So for a care-set-preserving edit (on↔dc
-toggles) the base candidate list is reusable *verbatim, in order*, and
-the only work left is the covering step:
+pure function of the care set ``on ∪ dc`` alone (every level sorted by
+(basis, anchor)).  So for a care-set-preserving edit (on↔dc toggles)
+the base candidate list is reusable *verbatim, in order*, and the only
+work left is the covering step:
 
 1. patch the base covering problem by bit surgery when the edit only
    retires rows — delete the mask bits of retired rows and re-apply

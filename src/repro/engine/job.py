@@ -32,7 +32,7 @@ _HASH_VERSION = 2
 # change can alter results for identical inputs (e.g. a different
 # covering heuristic), so stale cache entries from older builds are
 # never served as if they came from the current solver.
-_SOLVER_VERSION = "delta-4"
+_SOLVER_VERSION = "canon-5"
 
 
 @dataclass(frozen=True)

@@ -10,20 +10,24 @@ uniform rank per step (every degree-``k`` pseudocube has a rank-``k``
 direction space), which is what makes whole-step batching practical:
 one ``(groups, degree)`` matrix per step, no padding, no ragged rows.
 
-The functions here mirror the :mod:`repro.core.gf2` API — ``rref``,
-``insert_vector``/``insert_reduced_batch``, ``reduce_vectors``,
-``pivot_masks``, ``span_points``, ``intersect_spaces`` — and are pinned
-bit-identical to it by ``tests/kernels/test_gf2mat.py``.  NumPy is an
-*optional* accelerator: ``AVAILABLE`` is False when numpy (with
-``bitwise_count``) is missing **or** the ``REPRO_NO_NUMPY`` environment
-variable is set, and every caller keeps the pure-Python path as the
-pinned fallback, so outputs are unchanged to the bit either way.
+The single-basis functions mirror the :mod:`repro.core.gf2` API —
+``rref``, ``insert_vector``, ``reduce_vectors``, ``pivot_masks``,
+``span_points``, ``intersect_spaces`` — and are pinned bit-identical
+to it by ``tests/kernels/test_gf2mat.py``.  The generation step uses
+three kernels: ``pair_rows`` decodes a step's pair stream into item
+indices, ``basis_literals`` counts the literals of a batch of bases,
+and ``columns_reach`` is the bit-sliced width test of the bounded
+lane.  NumPy is an *optional* accelerator: ``AVAILABLE`` is False when
+numpy (with ``bitwise_count``) is missing **or** the ``REPRO_NO_NUMPY``
+environment variable is set, and every caller keeps the pure-Python
+path as the pinned fallback, so outputs are unchanged to the bit either
+way.  Every function here is pure: no module state, so concurrent
+generations on several threads cannot interfere.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 
 try:  # gated: the container may lack numpy; callers fall back to core.gf2
     import numpy as _np
@@ -37,8 +41,8 @@ except ImportError:  # pragma: no cover — exercised via the fallback path
 #: ``REPRO_NO_NUMPY=1`` pins the pure-Python ``core.gf2`` path fleet-wide.
 AVAILABLE = _HAVE and not os.environ.get("REPRO_NO_NUMPY")
 
-#: Vectors wider than this cannot share a uint64 with a tag in the
-#: packed dedup keys; the generation front-end falls back past it.
+#: Widest function the packed generation front-end takes: its sort key
+#: packs a delta and an anchor into one uint64.
 MAX_PACKED_N = 32
 
 __all__ = [
@@ -51,15 +55,12 @@ __all__ = [
     "rref",
     "insert_vector",
     "reduce_vectors",
-    "insert_reduced_batch",
     "pivot_masks",
     "basis_literals",
-    "basis_factor_width",
     "span_points",
     "intersect_spaces",
-    "pair_split",
-    "unique_sorted_first",
-    "unique_with_inverse",
+    "pair_rows",
+    "columns_reach",
 ]
 
 _U64 = "uint64"
@@ -189,29 +190,6 @@ def basis_literals(mat, n: int):
     return weights - rank + (n - rank)
 
 
-def basis_factor_width(mat, n: int):
-    """Widest EXOR factor of any pseudocube with each basis — batched
-    ``_basis_factor_width``: one plus the most rows sharing a non-pivot
-    column, 0 at full rank.
-
-    ``mat`` is ``(batch, rank)`` with uniform rank, like
-    :func:`basis_literals`.  The per-column counts come from unpacking
-    each row's non-pivot bits; the byte order of the unpacked columns is
-    the same for every row, so it cannot change a column maximum.
-    """
-    if mat.ndim == 1:
-        mat = mat[None, :]
-    batch, rank = mat.shape
-    if rank == n:
-        return _np.zeros(batch, dtype=_np.int64)
-    if rank == 0:
-        return _np.ones(batch, dtype=_np.int64)
-    rest = _np.ascontiguousarray(mat & (mat - _u(1)))
-    bits = _np.unpackbits(rest.view(_np.uint8), axis=1).reshape(batch, rank, 64)
-    # rank < n <= 64, so a column count always fits one byte.
-    return bits.sum(axis=1, dtype=_np.uint8).max(axis=1).astype(_np.int64) + 1
-
-
 def span_points(basis: tuple[int, ...], offset: int = 0):
     """The coset ``offset + span(basis)`` in the exact Gray-code order
     of :func:`repro.core.gf2.span_points`, as a uint64 array.
@@ -252,211 +230,54 @@ def intersect_spaces(
 # The generation-step kernels (uniform-rank batches)
 # ----------------------------------------------------------------------
 
-def insert_reduced_batch(parents, deltas):
-    """Insert one **already-reduced** nonzero vector into each parent
-    basis of a uniform-rank batch.
+def pair_rows(sizes, limit: int | None = None):
+    """Every same-group pair of a whole batch of groups, as item indices.
 
-    ``parents`` is ``(batch, rank)`` (rows in RREF, pivots increasing
-    along the row axis); ``deltas`` is ``(batch,)`` with every delta
-    reduced modulo its parent (zero on the parent's pivot positions)
-    and nonzero.  Returns the ``(batch, rank + 1)`` child bases, again
-    in RREF with increasing pivots — exactly
-    ``gf2.insert_vector(parent, delta)`` row for row.
-    """
-    rank = parents.shape[1] if parents.ndim == 2 else 0
-    if rank == 0:
-        return deltas[:, None].copy()
-    pivot = _lowbit(deltas)
-    # Rows containing the delta's pivot position absorb the delta; row
-    # pivots are unchanged (a row's own pivot is below any absorbed bit).
-    cleaned = _np.where(
-        (parents & pivot[:, None]) != 0, parents ^ deltas[:, None], parents
-    )
-    # Append the delta, then sort each row set by pivot value: parent
-    # pivots are already increasing and all rank+1 pivots are distinct,
-    # so the row-wise argsort is exactly the RREF insertion slot.  The
-    # gather uses flat take — np.take_along_axis's broadcasting wrapper
-    # costs more than this whole function at generation-step sizes.
-    combo = _np.concatenate([cleaned, deltas[:, None]], axis=1)
-    order = _lowbit(combo).argsort(axis=1)
-    width = rank + 1
-    flat_base = _np.arange(0, deltas.shape[0] * width, width)[:, None]
-    return combo.take(order + flat_base)
+    Items are numbered group after group (``sizes`` gives each group's
+    size), and item ``i`` of a group whose last item is ``e`` owns the
+    row of pairs ``(i, i+1), ..., (i, e)``.  Returns ``(group, left,
+    right, row_ends)``: per pair its group and both item indices, in the
+    order of the nested scalar loops (groups in order, rows in order),
+    and the stream length at the end of each non-empty row.
 
-
-# pair_split is a pure function of (sizes, limit) and step shapes repeat
-# heavily — the bench repeats each function and real traffic is mostly
-# near-duplicate functions — so small decoded streams are memoized.
-# Entries are immutable by convention: callers only read the arrays.
-# Insertion and eviction hold ``_PAIR_LOCK``: serving threads generate
-# concurrently, and two evictions must not race on the oldest key.
-_PAIR_CACHE: dict[tuple[bytes, int | None], tuple] = {}
-_PAIR_LOCK = threading.Lock()
-_PAIR_CACHE_MAX = 128
-_PAIR_CACHE_MAX_PAIRS = 1 << 16
-
-
-def pair_split(sizes, limit: int | None = None):
-    """Row-major upper-triangle pair indices for a whole batch of
-    groups at once.
-
-    Given group sizes ``[g_0, g_1, ...]`` returns ``(group, i, j)``
-    arrays of length ``sum g*(g-1)/2``, ordered exactly like the nested
-    scalar loops: groups in order, within a group ``(0,1), (0,2), ...,
-    (0,g-1), (1,2), ...`` — the order the pinned pure-Python path
-    visits pairs in, which is what makes first-occurrence dedup
-    reproduce its insertion order.
-
-    ``limit`` truncates the stream to its first ``limit`` pairs without
-    materializing the rest — the generation front-end passes its
-    comparison-cap bound so an overflowing step costs O(cap), not
-    O(pairs), exactly like the scalar loop's early break.
-
-    Callers must treat the returned arrays as read-only (they may be
-    served from a small memo keyed on the size vector).
+    ``limit`` (at least 1) keeps only the shortest prefix of whole rows
+    that holds at least ``limit`` pairs, so a capped step decodes
+    O(cap) pairs, not O(pairs), and still ends on a row end like the
+    scalar loop's early break.
     """
     sizes = _np.asarray(sizes, dtype=_np.int64)
-    key = (sizes.tobytes(), limit)
-    cached = _PAIR_CACHE.get(key)
-    if cached is not None:
-        return cached
-    out = _pair_split_compute(sizes, limit)
-    if out[0].size <= _PAIR_CACHE_MAX_PAIRS:
-        with _PAIR_LOCK:
-            if len(_PAIR_CACHE) >= _PAIR_CACHE_MAX:
-                _PAIR_CACHE.pop(next(iter(_PAIR_CACHE)), None)
-            _PAIR_CACHE[key] = out
-    return out
+    m = int(sizes.sum())
+    item = _np.arange(m, dtype=_np.int64)
+    group_of = _np.arange(sizes.size, dtype=_np.int64).repeat(sizes)
+    lengths = sizes.cumsum()[group_of] - item - 1
+    row_ends = lengths.cumsum()
+    if limit is not None and m and limit < int(row_ends[-1]):
+        rows = int(_np.searchsorted(row_ends, limit)) + 1
+        item, group_of = item[:rows], group_of[:rows]
+        lengths, row_ends = lengths[:rows], row_ends[:rows]
+    total = int(row_ends[-1]) if m else 0
+    starts = row_ends - lengths
+    # The pair at stream position k in the row of item i, which starts
+    # at position s, is (i, i + 1 + k - s).
+    right = _np.arange(total, dtype=_np.int64) + (item + 1 - starts).repeat(lengths)
+    return group_of.repeat(lengths), item.repeat(lengths), right, row_ends[lengths > 0]
 
 
-def _pair_split_compute(sizes, limit: int | None):
-    counts = sizes * (sizes - 1) // 2
-    cum = _np.cumsum(counts)
-    total = int(cum[-1]) if cum.size else 0
-    take = counts
-    if limit is not None and limit < total:
-        ngroups = int(_np.searchsorted(cum, limit, side="left")) + 1
-        take = counts[:ngroups].copy()
-        take[ngroups - 1] -= int(cum[ngroups - 1]) - limit
-        total = limit
-    group = _np.repeat(_np.arange(take.shape[0], dtype=_np.int64), take)
-    offsets = _np.concatenate([_np.zeros(1, dtype=_np.int64), _np.cumsum(take)])
-    r = _np.arange(total, dtype=_np.int64) - offsets[group]
-    g = sizes[group]
-    b = 2 * g - 1
-    # Row i starts at rank i*(b-i)/2; invert the quadratic with a float
-    # sqrt, then correct the (at most off-by-one) rounding exactly.
-    i = ((b - _np.sqrt((b * b - 8 * r).astype(_np.float64))) // 2).astype(_np.int64)
-    i = _np.clip(i, 0, g - 2)
-    too_big = i * (b - i) // 2 > r
-    i = _np.where(too_big, i - 1, i)
-    nxt = (i + 1) * (b - i - 1) // 2
-    i = _np.where(nxt <= r, i + 1, i)
-    j = r - i * (b - i) // 2 + i + 1
-    return group, i, j
+def columns_reach(rows, bound: int):
+    """Whether some bit position is set in at least ``bound`` of
+    ``rows``, a list of equal-length uint64 arrays read element-wise.
 
-
-# Dense first-occurrence dedup scratch.  For narrow keys a direct
-# scatter into a table beats any sort: write positions back-to-front so
-# the lowest (first) stream position wins, then one linear scan of the
-# table yields the distinct keys in sorted order with their first
-# occurrences.  The table is epoch-tagged (entries below the thread's
-# ``base`` are stale) so it is reused across calls without clearing.
-# Each thread owns its table: concurrent generations in one process
-# (the serving tier's request threads) would otherwise overwrite each
-# other's entries between the scatter and the scan.
-_DENSE_MAXVAL = 1 << 16
-_DENSE = threading.local()
-
-
-def _dense_scatter(keys, maxval: int):
-    """Scatter stream positions into this thread's scratch table,
-    back-to-front.  Returns ``(view, base)``: ``view[k] - base`` is the
-    first stream position of key ``k`` wherever ``view >= base``;
-    smaller entries are stale leftovers from earlier calls."""
-    scratch = _DENSE
-    table = getattr(scratch, "table", None)
-    if table is None or table.size < maxval:
-        table = scratch.table = _np.zeros(max(maxval, 1 << 12), dtype=_np.int64)
-        scratch.base = 1
-    size = int(keys.size)
-    base = scratch.base
-    scratch.base = base + size
-    table[keys[::-1]] = _np.arange(base + size - 1, base - 1, -1, dtype=_np.int64)
-    return table[:maxval], base
-
-
-def _dense_first(keys, maxval: int):
-    """(sorted distinct keys, first occurrence index of each) by direct
-    scatter — no sort.  Requires ``maxval <= _DENSE_MAXVAL``."""
-    view, base = _dense_scatter(keys, maxval)
-    fresh = view >= base
-    uniq = fresh.nonzero()[0].astype(_U64)
-    return uniq, view[fresh] - base
-
-
-def dense_first_inverse(keys, maxval: int):
-    """(first occurrence index per sorted distinct key, inverse map
-    from each stream position to its key's dense rank) — the
-    ``np.unique(..., return_index=True, return_inverse=True)`` pair for
-    narrow keys, with no sort."""
-    view, base = _dense_scatter(keys, maxval)
-    fresh = view >= base
-    rank = fresh.cumsum()
-    return view[fresh] - base, rank[keys] - 1
-
-
-def _argsort_keys(keys, maxval: int | None):
-    """Argsort of integer keys, choosing the cheapest kind.
-
-    numpy's stable sort on (u)int16 is a radix sort — ~3× faster than
-    the uint64 quicksort at generation-step sizes — so keys known to be
-    narrow are downcast first.  Returns ``(order, stable)``: when
-    ``stable`` is False, equal keys appear in arbitrary order.
+    Bit-sliced counting: ``level[t]`` holds the positions set in more
+    than ``t`` of the rows seen so far, so each row costs ``2 * bound``
+    word ops per element however many positions it holds.  Fed the
+    rows of RREF bases without their pivots, it is the bounded lane's
+    width test: a basis whose pseudocubes have an EXOR factor wider
+    than ``B`` is exactly one with some non-pivot column in at least
+    ``B`` rows.
     """
-    if maxval is not None and maxval < (1 << 16):
-        return keys.astype(_np.uint16).argsort(kind="stable"), True
-    return keys.argsort(), False
-
-
-def unique_sorted_first(keys, maxval: int | None = None):
-    """``np.unique(keys, return_index=True)``, cheaper.
-
-    With narrow keys (``maxval < 2**16``) a radix argsort is stable and
-    first occurrences fall out of the sorted order directly; otherwise
-    a plain quicksort loses the tie order and each key's first
-    occurrence is recovered as a per-run minimum over original
-    positions — both beat the stable uint64 argsort ``np.unique``
-    needs for ``return_index``.  Narrower still (``maxval`` at most
-    2**16) skips sorting entirely via the dense scatter table.
-    """
-    if not keys.size:
-        return keys, _np.zeros(0, dtype=_np.int64)
-    if (
-        maxval is not None
-        and 0 < maxval <= _DENSE_MAXVAL
-        and maxval <= max(4096, int(keys.size) << 5)
-    ):
-        return _dense_first(keys, maxval)
-    order, stable = _argsort_keys(keys, maxval)
-    sk = keys[order]
-    run_start = _np.empty(sk.size, dtype=bool)
-    run_start[0] = True
-    _np.not_equal(sk[1:], sk[:-1], out=run_start[1:])
-    run_idx = run_start.nonzero()[0]
-    if stable:
-        return sk[run_idx], order[run_idx]
-    return sk[run_idx], _np.minimum.reduceat(order, run_idx)
-
-
-def unique_with_inverse(keys, maxval: int | None = None):
-    """``np.unique(keys, return_inverse=True)``, cheaper (radix argsort
-    for narrow keys, no wrapper overhead)."""
-    order, _ = _argsort_keys(keys, maxval)
-    sk = keys[order]
-    run_start = _np.empty(sk.size, dtype=bool)
-    run_start[0] = True
-    _np.not_equal(sk[1:], sk[:-1], out=run_start[1:])
-    inv = _np.empty(keys.size, dtype=_np.int64)
-    inv[order] = run_start.cumsum() - 1
-    return sk[run_start.nonzero()[0]], inv
+    levels = [_np.zeros_like(rows[0]) for _ in range(bound)]
+    for row in rows:
+        for t in range(bound - 1, 0, -1):
+            levels[t] |= levels[t - 1] & row
+        levels[0] |= row
+    return levels[-1] != 0

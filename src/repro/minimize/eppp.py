@@ -10,18 +10,31 @@ no more literals (Definition 3's *extended prime pseudoproducts*).
 The same-structure grouping is delegated to a pluggable *store*:
 
 * ``"index"`` — hash map keyed by the direction basis (the fast
-  default).  This backend additionally exploits that within a group all
-  pairs with the same anchor difference ``delta`` produce unions with
-  the same direction space: basis insertion and literal counting are
-  cached per ``delta``, and the new anchor is a single conditional XOR.
-  When :mod:`repro.kernels.gf2mat` is available the whole step runs as
-  packed matrix ops (see ``_generate_packed``); the scalar loop is the
-  pinned bit-identical fallback (``REPRO_NO_NUMPY=1`` forces it).
+  default).  Within a group all pairs with the same anchor difference
+  ``delta`` produce unions with the same direction space, so basis
+  insertion and literal counting are cached per ``delta``, and the new
+  anchor is a single conditional XOR.  When :mod:`repro.kernels.gf2mat`
+  is available the whole step runs as packed array ops (see
+  ``_generate_packed``); the scalar loop is the pinned reference
+  (``REPRO_NO_NUMPY=1`` forces it).
 * ``"trie"`` — :class:`repro.trie.PartitionTrie`, the paper's data
   structure node for node.
 
 Both produce identical groups, hence identical EPPP sets; the ablation
 benchmark measures their constant factors.
+
+A degree-``k+1`` union arises from ``2^(k+1) - 1`` pairs, one per
+hyperplane of its direction space.  The index store builds it from one
+of them only, its *canonical* pair: the pair whose parents span the
+union's RREF rows minus the highest-pivot row.  In the parent group's
+terms the delta's lowest set bit lies above the top pivot and in no
+basis row, so the child basis is the parent basis with the delta
+appended.  Every other pair still counts as a comparison (a
+``duplicates`` tick) and still decides Definition 3 retention.  Each
+level is complete (every pseudocube of its degree in the care set), so
+every union's canonical pair is in the stream, and every level comes
+out sorted by ``(basis, anchor)`` — candidate order is a pure function
+of the care set.
 
 A *factor-width bound* ``B`` (``factor_width``) turns the same step into
 the bounded family: a union whose CEX has an EXOR factor of more than
@@ -29,7 +42,9 @@ the bounded family: a union whose CEX has an EXOR factor of more than
 retire its parents, so the search walks exactly the ``B``-bounded
 pseudoproduct lattice.  ``B = 1`` is Quine–McCluskey (an SP form),
 ``B = 2`` the 2-SPP forms of :mod:`repro.minimize.bounded`, and
-``B >= n`` is Algorithm 2 unchanged.
+``B >= n`` is Algorithm 2 unchanged.  Dropping a union's top row only
+shrinks its factors, so a union that fits ``B`` has a canonical pair
+that fits too, and the bounded levels stay complete.
 
 Instrumentation: each step records the number of pair unifications
 performed (``Σ_j |X_j|·(|X_j|-1)/2`` over the groups) next to the
@@ -174,7 +189,9 @@ def generate_eppp(
 # Fast path: dict-of-dicts buckets, per-delta caching (index backend)
 # ----------------------------------------------------------------------
 
-#: One degree level: basis -> {anchor: None}, both in insertion order.
+#: One degree level: basis -> {anchor: None}.  Levels built by
+#: `_fast_steps` are sorted by (basis, anchor); the heuristic's stores
+#: keep insertion order.
 Buckets = dict[tuple[int, ...], dict[int, None]]
 
 
@@ -203,6 +220,26 @@ def _basis_factor_width(n: int, basis: tuple[int, ...]) -> int:
     return 1 + max(counts.values(), default=0)
 
 
+def _canonical_bits(basis: tuple[int, ...]) -> int:
+    """The bits above the top pivot of ``basis`` and in none of its rows.
+
+    A pair of the group whose delta has its lowest set bit here is its
+    union's canonical pair: inserting the delta leaves every row as it
+    is and appends the delta as the new top row.
+    """
+    if not basis:
+        return -1
+    rows = 0
+    for vec in basis:
+        rows |= vec
+    return ~rows & -((basis[-1] & -basis[-1]) << 1)
+
+
+def _sorted_level(level: Buckets) -> Buckets:
+    """``level`` reordered by (basis, anchor)."""
+    return {basis: dict.fromkeys(sorted(level[basis])) for basis in sorted(level)}
+
+
 def _generate_fast(
     func: BoolFunc,
     discard_equal: bool,
@@ -211,9 +248,8 @@ def _generate_fast(
     on_limit: str,
     budget: Budget | None = None,
 ) -> EpppResult:
-    # The degree-0 basis is (); equal child bases arrive from
-    # independent insert_vector calls, and interning makes the bucket
-    # probes identity-hits with one tuple per distinct basis.
+    # The degree-0 basis is (); interning makes the bucket probes
+    # identity-hits with one tuple per distinct basis.
     buckets: Buckets = {(): {p: None for p in sorted(func.care_set)}}
     return _fast_steps(
         func.n,
@@ -238,6 +274,7 @@ def _union_step(
     discard_equal: bool,
     factor_width: int | None,
     budget: Budget | None,
+    complete: bool,
     max_generated: int | None = None,
     max_comparisons: int | None = None,
 ) -> tuple[list[Pseudocube], int, int, int, bool]:
@@ -254,8 +291,15 @@ def _union_step(
 
     Within a group all pairs with the same anchor difference ``delta``
     produce unions with the same direction space, so basis insertion,
-    the width filter and literal counting run once per delta, and the
-    new anchor is one conditional XOR.
+    the width filter, literal counting and the canonical test run once
+    per delta, and the new anchor is one conditional XOR.
+
+    ``complete`` says ``buckets`` holds every pseudocube of its degree
+    in the care set (the exact and bounded levels of `_fast_steps`), so
+    each union's canonical pair is in the stream: only canonical pairs
+    are inserted, and every other pair is a duplicate without a lookup.
+    The heuristic's stores are pre-filled and incomplete, so it inserts
+    every pair and deduplicates by dict.
     """
     comparisons = generated = duplicates = 0
     retained: list[Pseudocube] = []
@@ -266,8 +310,9 @@ def _union_step(
             retained.extend(Pseudocube._unsafe(n, a, basis) for a in anchor_list)
             continue
         parent_literals = _basis_literals(n, basis)
-        # delta -> (child basis, pivot bit, covers parents?), or () when
-        # the union is wider than factor_width.
+        canonical_bits = _canonical_bits(basis)
+        # delta -> (child basis, pivot bit, covers parents?, canonical?),
+        # or () when the union is wider than factor_width.
         delta_cache: dict[int, tuple] = {}
         covered: set[int] = set()
         for i in range(g - 1):
@@ -291,28 +336,33 @@ def _union_step(
                         info = ()
                     else:
                         child_literals = _basis_literals(n, child_basis)
+                        pivot_bit = delta & -delta
                         info = (
                             interner.intern(child_basis),
-                            delta & -delta,
+                            pivot_bit,
                             child_literals < parent_literals
                             or (discard_equal and child_literals == parent_literals),
+                            not complete or bool(pivot_bit & canonical_bits),
                         )
                     delta_cache[delta] = info
                 comparisons += 1
                 if not info:
                     continue
-                child_basis, pivot_bit, covers = info
-                # New anchor: parents share it; one conditional XOR.
-                anchor = ai ^ delta if ai & pivot_bit else ai
-                bucket = target.get(child_basis)
-                if bucket is None:
-                    target[child_basis] = {anchor: None}
-                    generated += 1
-                elif anchor in bucket:
-                    duplicates += 1
+                child_basis, pivot_bit, covers, insert = info
+                if not insert:
+                    duplicates += 1  # its canonical pair inserts this union
                 else:
-                    bucket[anchor] = None
-                    generated += 1
+                    # New anchor: parents share it; one conditional XOR.
+                    anchor = ai ^ delta if ai & pivot_bit else ai
+                    bucket = target.get(child_basis)
+                    if bucket is None:
+                        target[child_basis] = {anchor: None}
+                        generated += 1
+                    elif anchor in bucket:
+                        duplicates += 1
+                    else:
+                        bucket[anchor] = None
+                        generated += 1
                 if covers:
                     covered.add(ai)
                     covered.add(aj)
@@ -339,12 +389,12 @@ def _fast_steps(
     on_limit: str,
     budget: Budget | None,
 ) -> EpppResult:
-    """The scalar step loop, resumable from any (buckets, degree, total)
-    state — both the plain fallback entry point and the hand-off target
-    when a packed step would be too large to materialize as arrays."""
-    # XOR-rich groups regenerate the same union 2^{k+1}-1 times; those
-    # duplicates do not count toward the distinct-pseudoproduct budget,
-    # so bound the raw union work as well (per step).
+    """The scalar step loop, resumable from any complete (buckets,
+    degree, total) state sorted by (basis, anchor) — both the plain
+    fallback entry point and the hand-off target when a packed step
+    would be too large to materialize as arrays."""
+    # The raw union work per step is bounded as well as the distinct
+    # pseudoproducts: an XOR-rich step makes 2^{k+1}-1 pairs per union.
     capped = max_pseudoproducts is not None
     comparison_cap = 8 * max_pseudoproducts if capped else None
 
@@ -360,9 +410,11 @@ def _fast_steps(
             discard_equal,
             factor_width,
             budget,
+            complete=True,
             max_generated=max_pseudoproducts - total if capped else None,
             max_comparisons=comparison_cap,
         )
+        next_buckets = _sorted_level(next_buckets)
         if overflow:
             if on_limit == "raise":
                 raise GenerationBudgetExceeded(
@@ -400,18 +452,24 @@ def _fast_steps(
 
 
 # ----------------------------------------------------------------------
-# Packed path: whole-step batched GF(2) matrix ops (kernels.gf2mat)
+# Packed path: whole-step array ops over the pair stream (kernels.gf2mat)
 # ----------------------------------------------------------------------
 
 # Above this many pairs in one step the packed path hands the remaining
-# degrees to the scalar loop instead of materializing the pair arrays
-# (~50 MB at the cap; also keeps every dedup key within 63 bits).
+# degrees to the scalar loop instead of materializing the pair arrays.
+# A step peaks at about 100 bytes per pair (95-125 B measured on adr4,
+# dist and mlp4 outputs: index, delta and row arrays of 8 B a pair plus
+# temporaries), so about 1 GB at the cap.
 _MAX_PACKED_PAIRS = 1 << 23
 
-# Below this many pairs the fixed cost of a packed step (~40 vector
-# dispatches plus two sorts) loses to the scalar dict loop, so the tail
-# degrees — and tiny functions outright — run scalar.  Tests monkeypatch
-# this to 0 to force every step through the packed lanes.
+# Below this many pairs the scalar dict loop wins, so the tail degrees
+# — and tiny functions outright — run scalar.  A packed step costs about
+# 0.1 ms before its first pair (some fifty array calls, one sort and the
+# state conversions), the scalar loop a few microseconds per pair: a
+# lone degree-0 step breaks even near 40 pairs on a 2-core x86 host, and
+# on the n=6 proxies every threshold from 0 to 96 times within noise of
+# 24.  Tests monkeypatch this to 0 to force every step through the
+# packed lanes.
 _MIN_PACKED_PAIRS = 24
 
 
@@ -438,39 +496,47 @@ def _generate_packed(
     on_limit: str,
     budget: Budget | None = None,
 ) -> EpppResult:
-    """`_generate_fast` with every step computed as packed matrix ops.
+    """`_generate_fast` with every step computed as packed array ops.
 
     Per-step state is columnar: ``anchors`` (one uint64 per pseudocube,
-    grouped by bucket in bucket order), ``sizes`` (bucket sizes), and
-    ``rows`` — one ``(groups, degree)`` uint64 matrix holding every
-    bucket's RREF basis (uniform rank: every degree-``k`` pseudocube has
-    ``k`` direction rows).  One step is then:
+    grouped by bucket), ``sizes`` (bucket sizes), ``rows`` — one
+    ``(groups, degree)`` uint64 matrix holding every bucket's RREF basis
+    (uniform rank: every degree-``k`` pseudocube has ``k`` direction
+    rows) — and ``lits``, each bucket's literal count.  Buckets are in
+    basis order and anchors ascend within a bucket.  One step is:
 
-    1. decode all pair indices of all groups at once (``pair_split``);
-    2. batch-insert every pair's delta into its parent basis
-       (``insert_reduced_batch``), then pack each child basis into one
-       uint64 and dedup — one pass subsuming both the scalar path's
-       per-group ``delta_cache`` and its cross-group basis unification;
-    3. dedup ``(child basis, anchor)`` items by first occurrence in the
-       pair stream — the packed form of ``next_buckets`` insertion;
-    4. rebuild next-step state ordered by first appearance, which is
-       exactly the scalar dict insertion order, so candidate order —
-       and therefore covering tie-breaks, SPP forms and costs — is
-       bit-identical to the fallback.
+    1. decode every pair of every group into item indices and row ends
+       (``pair_rows``) and take each pair's delta ``Δ = a_i ^ a_j`` and
+       its lowest set bit ``p``;
+    2. classify each pair by bit tests on its parent rows, building no
+       child basis.  In the child a parent row ``r`` holding ``p``
+       becomes ``r ^ Δ``, the other rows stay and ``Δ`` joins as a row,
+       so the popcount total of those rows decides Definition 3
+       coverage, and under a width bound their bit-sliced column counts
+       decide whether the union fits ``B``;
+    3. keep the canonical pairs: ``p`` above the parent's top pivot and
+       in no parent row.  Inserting such a ``Δ`` changes no row and
+       appends ``Δ`` as the top row, so the child basis is the parent
+       rows followed by ``Δ``.  A child has one RREF basis, so only the
+       pair whose parents span its rows minus the top row passes (and
+       that pair does: its delta is the top row).  Every level is
+       complete, so that pair is in the stream;
+    4. sort the canonical pairs by ``(parent group, Δ, anchor)`` — the
+       anchor is the parent with bit ``p`` clear.  Parent groups are in
+       basis order, so this is (child basis, anchor) order, and the runs
+       of equal ``(group, Δ)`` are the next level's buckets.
 
-    The width filter runs once per distinct child basis
-    (``basis_factor_width`` beside ``basis_literals``; at degree 0 the
-    width follows from the delta's popcount).  Too-wide pairs stay in
-    the stream — they are comparisons and sit on row ends — but drop out
-    of step 3 and of the retention mask.
+    Counters match the scalar lane: every pair is a comparison, the
+    fitting canonical pairs are ``generated`` and the other fitting
+    pairs ``duplicates``.
 
     Overflow replicates the scalar loop's row-granular check: the
-    budget condition is evaluated at every row-end position of the pair
-    stream and the stream truncated at the first hit, which this path
-    proves equal to breaking out of the nested loops.  Budget ticks are
-    batched (one ``tick(pairs)`` per step instead of one per row):
-    cumulative accounting is identical and a packed step is far below
-    any cancellation latency target.
+    budget condition is evaluated at every row end of the pair stream
+    and the step stops at the first hit, keeping the canonical children
+    before it, sorted like a full level.  Budget ticks are batched (one
+    ``tick(pairs)`` per step instead of one per row): cumulative
+    accounting is identical and a packed step is far below any
+    cancellation latency target.
     """
     np = gf2mat._np
     n = func.n
@@ -482,13 +548,12 @@ def _generate_packed(
     budget_left = None if max_pseudoproducts is None else max_pseudoproducts - total
     comparison_cap = 0 if max_pseudoproducts is None else 8 * max_pseudoproducts
 
-    shift = np.uint64(n)
-    mask = np.uint64((1 << n) - 1)
+    zero = np.uint64(0)
+    one = np.uint64(1)
     anchors = np.array(points, dtype=np.uint64)
     sizes = np.array([len(points)], dtype=np.int64)
     rows = np.zeros((1, 0), dtype=np.uint64)
-    # Literal count of each group's bases, carried across steps (a
-    # step's child literals are the next step's parent literals).
+    # Literal count of each group's bases, carried across steps.
     lits = np.full(1, n, dtype=np.int64)
 
     # Every iteration either returns (no pairs / no union fits / overflow
@@ -503,18 +568,20 @@ def _generate_packed(
         naive = m * (m - 1) // 2
 
         pair_total = int((sizes * (sizes - 1) // 2).sum())
-        # An overflowing step can never proceed past the first row-end
-        # at or beyond the comparison cap, and row length is < m.
-        stream_limit = (
+        # An overflowing step stops at the first row end past the
+        # comparison cap, and a row holds fewer than m pairs.
+        stream_bound = (
             pair_total
             if budget_left is None
-            else min(pair_total, comparison_cap + m + 1)
+            else min(pair_total, comparison_cap + m)
         )
+        # The sort key (group, Δ, anchor) packs into one uint64 only
+        # while bits(groups) + 2n <= 64; wider steps run scalar.
         if (
-            stream_limit > _MAX_PACKED_PAIRS
+            stream_bound > _MAX_PACKED_PAIRS
             or pair_total < _MIN_PACKED_PAIRS
             or pair_total == 0
-            or m.bit_length() + n > 62
+            or (num_groups - 1).bit_length() + 2 * n > 64
         ):
             return _fast_steps(
                 n,
@@ -530,10 +597,10 @@ def _generate_packed(
                 budget,
             )
 
-        gidx, pi, pj = gf2mat.pair_split(
-            sizes, None if budget_left is None else stream_limit
+        group, left, right, row_ends = gf2mat.pair_rows(
+            sizes, None if budget_left is None else comparison_cap + 1
         )
-        stream = int(gidx.size)
+        stream = int(left.size)
         if budget is not None:
             # One bulk tick per step, unless a tick cap would trip
             # inside it — then chunk at the scalar loop's granularity
@@ -548,162 +615,60 @@ def _generate_packed(
                 for start in range(0, stream, chunk):
                     budget.tick(min(chunk, stream - start))
 
-        if num_groups == 1:
-            left, right = pi, pj
-        else:
-            starts = sizes.cumsum() - sizes
-            left = starts[gidx] + pi
-            right = starts[gidx] + pj
-        ai = anchors[left]
-        aj = anchors[right]
         # Anchors are zero on the parent pivots, hence so is the delta:
         # it is already reduced modulo the parent basis.
-        delta = ai ^ aj
-
-        if degree == 0:
-            # Degree-0 lane: a pair's child basis IS its delta (one RREF
-            # row), so basis identity needs no batched insert and no row
-            # dedup — the delta doubles as the child key.  Literals:
-            # child popcount-1 + (n-1) vs parent n, so a union covers
-            # its parents iff popcount <= 2 (== 1 under strict fewer).
-            weight = np.bitwise_count(delta)
-            covers_pair = (weight <= 2) if discard_equal else (weight == 1)
-            # A one-row basis has 2-literal factors iff the delta has a
-            # second bit, so only B = 1 filters at this degree.
-            fits = weight == 1 if factor_width == 1 else None
-            child_key = delta
-            uniq_rows = None
-            key2_max = 1 << (2 * n)
+        delta = anchors.take(left) ^ anchors.take(right)
+        pivot = delta & (zero - delta)
+        # The child's rows: each parent row, XORed with the delta where
+        # it holds the pivot bit, then the delta.  Sum their popcounts,
+        # and under a reachable width bound keep each without its pivot
+        # (a bound above the row count cannot be reached).
+        weight = np.bitwise_count(delta).astype(np.int64)
+        check_width = factor_width is not None and factor_width <= degree + 1
+        factor_rows = [delta ^ pivot] if check_width else None
+        for column in rows.T.copy():
+            r = column.take(group)
+            # The delta where r holds the pivot bit (-p covers every bit
+            # of the delta), else 0.
+            r ^= delta & (zero - (r & pivot))
+            weight += np.bitwise_count(r)
+            if check_width:
+                factor_rows.append(r & (r - one))
+        # Child literals are weight + n - 2(degree + 1): a union covers
+        # its parents when that is at most (below) the parents' count.
+        weight_cap = (lits + (2 * degree + 2 - n)).take(group)
+        covers = weight <= weight_cap if discard_equal else weight < weight_cap
+        if degree:
+            top = rows[:, -1] & (zero - rows[:, -1])
+            free = ~np.bitwise_or.reduce(rows, axis=1) & (zero - (top << one))
+            canonical = (pivot & free.take(group)) != 0
         else:
-            # Child bases for the whole pair stream in one batched
-            # insert (anchors are zero on parent pivots, so each delta
-            # is already reduced), then child-basis identity by packing
-            # every child basis into one uint64 — its sort order IS the
-            # lexicographic row order, so a 1-D dedup replaces both the
-            # scalar path's per-group delta_cache and the cross-group
-            # basis unification in one pass.
-            child_rows_s = gf2mat.insert_reduced_batch(rows[gidx], delta)
-            rplus = child_rows_s.shape[1]
-            if rplus * n <= 64:
-                acc = child_rows_s[:, 0].copy()
-                for c in range(1, rplus):
-                    acc <<= shift
-                    acc |= child_rows_s[:, c]
-                maxacc = 1 << (rplus * n)
-                if maxacc <= gf2mat._DENSE_MAXVAL and maxacc <= max(
-                    4096, stream << 5
-                ):
-                    # Narrow packed bases: dedup by dense scatter table,
-                    # no sort (rank order == sorted acc order, matching
-                    # the sort branch bit for bit).
-                    rep, child_of_s = gf2mat.dense_first_inverse(acc, maxacc)
-                else:
-                    order_s = gf2mat._argsort_keys(acc, maxacc)[0]
-                    sa = acc[order_s]
-                    rs = np.empty(sa.size, dtype=bool)
-                    rs[0] = True
-                    np.not_equal(sa[1:], sa[:-1], out=rs[1:])
-                    rep = order_s[rs.nonzero()[0]]
-                    child_of_s = np.empty(sa.size, dtype=np.int64)
-                    child_of_s[order_s] = rs.cumsum() - 1
-                uniq_rows = child_rows_s[rep]
-            else:
-                uniq_rows, rep, child_of_s = np.unique(
-                    child_rows_s, axis=0, return_index=True, return_inverse=True
-                )
-                child_of_s = child_of_s.reshape(-1)
-            lits_of_child = gf2mat.basis_literals(uniq_rows, n)
-            child_lits = lits_of_child[child_of_s]
-            if discard_equal:
-                covers_pair = child_lits <= lits[gidx]
-            else:
-                covers_pair = child_lits < lits[gidx]
-            fits = None
-            if factor_width is not None:
-                width = gf2mat.basis_factor_width(uniq_rows, n)
-                fits = (width <= factor_width)[child_of_s]
-            child_key = child_of_s.astype(np.uint64)
-            key2_max = uniq_rows.shape[0] << n
-
-        pivot = delta & (np.uint64(0) - delta)
-        # New anchor: ai ^ delta when ai holds the delta's pivot — which
-        # is aj; one conditional select instead of an XOR.
-        anchor = np.where((ai & pivot) != 0, aj, ai)
-        key2 = (child_key << shift) | anchor
-        if fits is None:
-            uk2, first2 = gf2mat.unique_sorted_first(key2, key2_max)
-        else:
-            # Too-wide unions neither enter the next step nor retire
-            # their parents; first occurrences keep stream positions.
-            covers_pair &= fits
-            fit_pos = fits.nonzero()[0]
-            uk2, first2 = gf2mat.unique_sorted_first(key2[fit_pos], key2_max)
-            first2 = fit_pos[first2]
-        generated = int(first2.size)
-
-        def build_next(uk2_sel, first2_sel):
-            # Items of uk2_sel are key2-sorted, so equal child keys form
-            # contiguous runs; a run is one next-step bucket.  Scalar dict
-            # insertion orders are reproduced exactly: buckets by first
-            # appearance of any of their items in the pair stream, items
-            # within a bucket by their own first appearance.
-            child_sorted = uk2_sel >> shift
-            nitems = int(uk2_sel.size)
-            run_start = np.empty(nitems, dtype=bool)
-            run_start[0] = True
-            np.not_equal(child_sorted[1:], child_sorted[:-1], out=run_start[1:])
-            run_idx = run_start.nonzero()[0]
-            bucket_first = np.minimum.reduceat(first2_sel, run_idx)
-            # bucket_first values are distinct (a bucket's earliest item
-            # position belongs to it alone), so no stable sort needed.
-            appearance = bucket_first.argsort()
-            item_first = bucket_first[run_start.cumsum() - 1]
-            # Sort items by (bucket first appearance, own first
-            # occurrence): both are distinct stream positions < stream,
-            # so the pair order fuses into one integer key — much
-            # cheaper than np.lexsort's two stable passes.
-            order = (item_first * stream + first2_sel).argsort()
-            bucket_child = child_sorted[run_idx][appearance]
-            if uniq_rows is None:
-                new_rows = bucket_child[:, None].copy()
-            else:
-                new_rows = uniq_rows[bucket_child.astype(np.int64)]
-            # Run sizes without np.diff (its wrapper dominates here).
-            run_sizes = np.empty(run_idx.size, dtype=np.int64)
-            np.subtract(run_idx[1:], run_idx[:-1], out=run_sizes[:-1])
-            run_sizes[-1] = nitems - int(run_idx[-1])
-            return (
-                (uk2_sel & mask)[order],
-                run_sizes[appearance],
-                new_rows,
-                bucket_child,
-            )
+            canonical = None  # a degree-1 union has one pair
+        fits = None
+        if check_width:
+            fits = ~gf2mat.columns_reach(factor_rows, factor_width)
+            covers &= fits
+            canonical = fits if canonical is None else canonical & fits
+        chosen = np.arange(stream) if canonical is None else canonical.nonzero()[0]
+        generated = int(chosen.size)
 
         if budget_left is not None and (
             stream > comparison_cap or generated > budget_left
         ):
-            # Overflow.  The scalar loop checks after each row; row-end
-            # pairs are exactly those with j == group_size - 1 and both
+            # Overflow.  The scalar loop checks after each row and both
             # conditions are monotone in the stream position, so the
-            # first qualifying row-end is where it broke out — and one
-            # always exists here (the stream either ends on a row-end
-            # or was pre-truncated past the comparison cap).
-            is_first = np.zeros(stream, dtype=bool)
-            is_first[first2] = True
-            trigger = (pj == sizes[gidx] - 1) & (
-                (np.cumsum(is_first) > budget_left)
-                | (np.arange(1, stream + 1) > comparison_cap)
-            )
-            processed = int(np.flatnonzero(trigger)[0]) + 1
+            # first row end where one holds is where it broke out; the
+            # last row end always qualifies here.
+            made = np.searchsorted(chosen, row_ends)
+            trigger = (made > budget_left) | (row_ends > comparison_cap)
+            hit = int(trigger.argmax())
+            processed = int(row_ends[hit])
             if on_limit == "raise":
                 raise GenerationBudgetExceeded(
                     f"generated more than {max_pseudoproducts} pseudoproducts"
                 )
-            # A key first occurring before the truncation point is still
-            # a first occurrence after it, so the truncated next state
-            # is a subset selection of the full-stream dedup.
-            kept = first2 < processed
-            generated = int(np.count_nonzero(kept))
+            chosen = chosen[: int(made[hit])]
+            generated = int(chosen.size)
             inserted = processed if fits is None else int(
                 np.count_nonzero(fits[:processed])
             )
@@ -711,22 +676,18 @@ def _generate_packed(
             # superset (every discarded pseudoproduct's coverer kept).
             result.eppps.extend(
                 _materialize_packed(
-                    n,
-                    anchors,
-                    np.repeat(np.arange(num_groups), sizes),
-                    rows,
-                    interner,
+                    n, anchors, np.arange(num_groups).repeat(sizes), rows, interner
                 )
             )
             if generated:
-                next_anchors, next_sizes, next_rows, _ = build_next(
-                    uk2[kept], first2[kept]
+                next_anchors, next_sizes, next_rows = _next_level(
+                    n, anchors, rows, group, left, delta, pivot, chosen
                 )
                 result.eppps.extend(
                     _materialize_packed(
                         n,
                         next_anchors,
-                        np.repeat(np.arange(int(next_sizes.size)), next_sizes),
+                        np.arange(next_sizes.size).repeat(next_sizes),
                         next_rows,
                         interner,
                     )
@@ -747,22 +708,12 @@ def _generate_packed(
             )
             return result
 
-        inserted = stream if fits is None else int(fit_pos.size)
-        if generated:
-            next_anchors, next_sizes, next_rows, bucket_child = build_next(
-                uk2, first2
-            )
-            if degree == 0:
-                # Child basis is a single delta row: popcount - 1 + (n - 1).
-                next_lits = np.bitwise_count(bucket_child).astype(np.int64) + (n - 2)
-            else:
-                next_lits = lits_of_child[bucket_child.astype(np.int64)]
-
+        inserted = stream if fits is None else int(np.count_nonzero(fits))
         # Definition 3 retention: an item survives unless some union
         # covering it had no more literals.
         covered = np.zeros(m, dtype=bool)
-        covered[left[covers_pair]] = True
-        covered[right[covers_pair]] = True
+        covered[left[covers]] = True
+        covered[right[covers]] = True
         keep = (~covered).nonzero()[0]
         if keep.size:
             item_group = np.arange(num_groups).repeat(sizes)
@@ -788,11 +739,44 @@ def _generate_packed(
         )
         if not generated:
             return result  # every union was wider than factor_width
+        anchors, sizes, rows = _next_level(
+            n, anchors, rows, group, left, delta, pivot, chosen
+        )
+        lits = gf2mat.basis_literals(rows, n)
         total += generated
         if budget_left is not None:
             budget_left = max_pseudoproducts - total
-        anchors, sizes, rows, lits = next_anchors, next_sizes, next_rows, next_lits
         degree += 1
+
+
+def _next_level(n, anchors, rows, group, left, delta, pivot, chosen):
+    """The children of the canonical pairs at stream positions
+    ``chosen`` as next-step ``(anchors, sizes, rows)``, sorted by
+    (basis, anchor).
+
+    A child's basis is its parent group's rows followed by its delta and
+    its anchor is the parent with the delta's pivot bit clear.  One sort
+    of the packed keys ``(group, Δ, anchor)`` orders them; each run of
+    equal ``(group, Δ)`` is one bucket.
+    """
+    np = gf2mat._np
+    shift = np.uint64(n)
+    low = np.uint64((1 << n) - 1)
+    d = delta[chosen]
+    base = anchors[left[chosen]]
+    key = (d << shift) | np.where((base & pivot[chosen]) != 0, base ^ d, base)
+    if rows.shape[0] > 1:
+        key |= group[chosen].astype(np.uint64) << (shift + shift)
+    key.sort()
+    head = key >> shift
+    run_idx = np.flatnonzero(np.concatenate(([True], head[1:] != head[:-1])))
+    head = head[run_idx]
+    parents = rows[(head >> shift).astype(np.int64)]
+    return (
+        key & low,
+        np.diff(run_idx, append=key.size),
+        np.concatenate([parents, (head & low)[:, None]], axis=1),
+    )
 
 
 def _materialize_packed(n, anchors, groups, rows, interner):

@@ -172,7 +172,7 @@ def minimize_spp_k(
             continue
         retained, step_comparisons, _, _, overflow = _union_step(
             n, source, stores[degree + 1], interner, discard_equal, None, budget,
-            max_comparisons=max_comparisons,
+            complete=False, max_comparisons=max_comparisons,
         )
         comparisons += step_comparisons
         if overflow:

@@ -259,12 +259,12 @@ class TestVerifyOnRead:
         assert cache.stats.audit_mismatches == 0
 
     def test_previous_generation_salt_is_stale(self, tmp_path):
-        """Records written by earlier builds (salts ``mincov-2`` and
-        ``genkernels-3``) must be treated as salt-stale under
-        ``delta-4``: always re-audited on read, never served on the
-        producer's word alone."""
-        assert _SOLVER_VERSION == "delta-4"
-        for stale_salt in ("mincov-2", "genkernels-3"):
+        """Records written by earlier builds (salts ``mincov-2``,
+        ``genkernels-3`` and ``delta-4``) must be treated as salt-stale
+        under ``canon-5``: always re-audited on read, never served on
+        the producer's word alone."""
+        assert _SOLVER_VERSION == "canon-5"
+        for stale_salt in ("mincov-2", "genkernels-3", "delta-4"):
             cache_dir = tmp_path / stale_salt
             record = _verified_record(salt=stale_salt)
             cache = self._disk_cache(cache_dir, record, audit_rate=0)

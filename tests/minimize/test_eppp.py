@@ -1,12 +1,11 @@
 """Tests for EPPP generation (Algorithm 2, steps 1–2)."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.boolfunc.function import BoolFunc
+from repro.core import gf2
 from repro.core.pseudocube import Pseudocube
 from repro.kernels import gf2mat
 from repro.minimize.eppp import (
@@ -17,18 +16,23 @@ from repro.minimize.eppp import (
 
 
 def _all_pseudoproducts(func: BoolFunc) -> set[Pseudocube]:
-    """Every pseudocube contained in the care set (brute force)."""
-    care = sorted(func.care_set)
+    """Every pseudocube contained in the care set (brute force: every
+    direction space of B^n, every coset of it inside the care set)."""
+    care = func.care_set
     found = set()
-    for size_log in range(len(care).bit_length()):
-        size = 1 << size_log
-        if size > len(care):
-            break
-        for subset in itertools.combinations(care, size):
-            try:
-                found.add(Pseudocube.from_points(func.n, subset))
-            except ValueError:
-                continue
+    spaces = {()}
+    while spaces:
+        for basis in spaces:
+            span = list(gf2.span_points(basis))
+            for x in care:
+                if all(x ^ v in care for v in span):
+                    found.add(Pseudocube.from_points(func.n, [x ^ v for v in span]))
+        spaces = {
+            gf2.insert_vector(basis, v)
+            for basis in spaces
+            for v in range(1, 1 << func.n)
+            if not gf2.contains(basis, v)
+        }
     return found
 
 
