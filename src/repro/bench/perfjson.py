@@ -225,12 +225,17 @@ def load_report(path: str) -> dict[str, Any]:
 # The pinned suite
 # ----------------------------------------------------------------------
 
-def _time_best(fn, repeats: int) -> tuple[float, float]:
-    """(best, mean) wall-clock seconds of ``repeats`` calls."""
+def _time_best(fn, repeats: int, setup=None) -> tuple[float, float]:
+    """(best, mean) wall-clock seconds of ``repeats`` calls.
+
+    With ``setup``, each call is ``fn(setup())`` and only ``fn`` is
+    timed: the argument is built fresh outside the timer.
+    """
     times = []
     for _ in range(repeats):
+        arg = setup() if setup is not None else None
         t0 = time.perf_counter()
-        fn()
+        fn() if setup is None else fn(arg)
         times.append(time.perf_counter() - t0)
     return min(times), sum(times) / len(times)
 
@@ -280,7 +285,7 @@ def run_perf_suite(
     """
     from repro.bench import harness
     from repro.bench.suite import get_benchmark
-    from repro.kernels import gf2mat
+    from repro.kernels import bitmat, gf2mat
     from repro.kernels.coverage import build_problem
     from repro.minimize import covering as cov
     from repro.minimize.cost import literal_cost
@@ -439,13 +444,17 @@ def run_perf_suite(
     for solve_label, problem in cover_problems.items():
         if not wanted(solve_label):
             continue
-        solve_case = lambda problem=problem: cov.solve_greedy(problem)  # noqa: E731
-        best, mean = _time_best(solve_case, repeats)
-        profile(solve_label, solve_case)
+        # Every timed solve gets a fresh problem over the same lists, so
+        # the packing each cold or warm solve pays stays in the timing.
+        fresh = lambda problem=problem: cov.CoveringProblem(  # noqa: E731
+            problem.num_rows, problem.column_masks, problem.costs, problem.payloads
+        )
+        best, mean = _time_best(cov.solve_greedy, repeats, setup=fresh)
+        profile(solve_label, lambda fresh=fresh: cov.solve_greedy(fresh()))
         # One extra solve outside the timed loop records the cover cost
         # (regressions must not buy speed with worse covers) and the
         # covering reduction report.
-        solution = cov.solve_greedy(problem)
+        solution = cov.solve_greedy(fresh())
         meta: dict[str, Any] = {
             "rows": problem.num_rows,
             "columns": problem.num_columns,
@@ -453,6 +462,17 @@ def run_perf_suite(
         }
         if solution.stats is not None:
             meta["reduction"] = solution.stats.as_dict()
+        if bitmat.HAVE_NUMPY:
+            # Paired control, as for gen/*: the scalar path (Python-int
+            # reduction and CELF heap) timed in the same process.
+            bitmat.HAVE_NUMPY = False
+            try:
+                fb_best, fb_mean = _time_best(cov.solve_greedy, repeats, setup=fresh)
+            finally:
+                bitmat.HAVE_NUMPY = True
+            meta["fallback_best"] = fb_best
+            meta["fallback_mean"] = fb_mean
+            meta["speedup"] = round(fb_best / best, 2) if best > 0 else 0.0
         emit(
             BenchEntry(
                 solve_label, "covering_solve", best, mean, repeats, meta

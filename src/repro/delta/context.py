@@ -6,9 +6,10 @@ minimization already built, for reuse on a near-duplicate function:
 * the EPPP candidate list **in generation order** (order matters —
   greedy covering is order-sensitive, and bit-identical warm results
   depend on replaying the exact same column stream);
-* the covering problem the cold solve selected its cover from, so an
-  edit that only retires rows can patch its masks by bit surgery
-  instead of rebuilding them;
+* the covering problem the cold solve selected its cover from, with
+  the packed matrix the cold greedy solve built for it, so an edit that
+  only retires rows can patch that matrix (or, on the scalar path, its
+  masks) instead of rebuilding the problem;
 * the base cover and the covering mode that produced it.
 
 Capture copies and computes nothing: it runs no kernel and builds no

@@ -6,12 +6,19 @@ pure function of the care set ``on ∪ dc`` alone (every level sorted by
 the base candidate list is reusable *verbatim, in order*, and the only
 work left is the covering step:
 
-1. patch the base covering problem by bit surgery when the edit only
-   retires rows — delete the mask bits of retired rows and re-apply
+1. patch the base covering problem when the edit only retires rows —
+   delete the retired rows and re-apply
    :func:`~repro.kernels.coverage.build_problem`'s zero-mask drop
-   filter; an edit that appends rows rebuilds the problem with
-   ``build_problem`` over the base candidates.  Either way the problem
-   is **bit-identical** to the one a cold solve would build;
+   filter.  Where the base problem has a packed matrix (numpy, and at
+   least ``MIN_COLUMNS_FOR_VECTOR`` columns) the rows are deleted from
+   it with word shifts, the empty columns dropped with one ``any``, and
+   the edited problem's masks unpacked from the result, which becomes
+   its matrix: the greedy solve then neither re-packs nor re-proves
+   anything Python-int-wise.  Smaller problems, and ``REPRO_NO_NUMPY=1``,
+   patch the Python-int masks by bit surgery.  An edit that appends rows
+   rebuilds the problem with ``build_problem`` over the base candidates.
+   Either way the problem is **bit-identical** to the one a cold solve
+   would build;
 2. run the identical solver.  Identical problem + deterministic solver
    ⇒ identical cover, so warm results match cold results bit for bit.
    In exact mode the prior cover is additionally passed as a warm-start
@@ -85,10 +92,14 @@ def _patched_problem(
     """The covering problem of the edited on-set over the base candidates.
 
     An edit that only retires rows can only empty columns, so the base
-    problem is patched by bit surgery: each retired row's bit is
-    deleted (higher bits shift down) and the zero-mask drop re-applied.
-    An edit that appends rows can revive a column the cold build
-    dropped, so it rebuilds with
+    problem is patched: each retired row is deleted (higher rows shift
+    down) and the columns left empty are dropped.  Where the base has a
+    packed matrix, the patch runs on it
+    (:meth:`~repro.kernels.bitmat.BitMatrix.delete_rows`), the edited
+    problem keeps the result as its own matrix and its masks are
+    unpacked from it; otherwise the masks are patched by Python-int bit
+    surgery.  An edit that appends rows can revive a column the cold
+    build dropped, so it rebuilds with
     :func:`~repro.kernels.coverage.build_problem`.  Either way the
     result equals ``build_problem(sorted(on′), candidates)`` exactly —
     asserted by the patch-parity tests.
@@ -98,13 +109,23 @@ def _patched_problem(
     if on2 - on1:
         return build_problem(sorted(on2), base.candidates, budget=budget)
     rows1 = sorted(on1)
-    # Delete highest positions first so lower ones stay valid.
-    rem_pos = sorted((bisect_left(rows1, p) for p in on1 - on2), reverse=True)
+    rem_pos = [bisect_left(rows1, p) for p in on1 - on2]
     problem = base.problem
+    if budget is not None:
+        budget.tick(-(-problem.num_columns // 4096))  # one per 4096 columns, rounded up
+    bm = problem.packed()
+    if bm is not None:
+        matrix, kept = bm.delete_rows(rem_pos)
+        if kept is None:
+            costs, payloads = list(problem.costs), list(problem.payloads)
+        else:
+            costs = [problem.costs[i] for i in kept]
+            payloads = [problem.payloads[i] for i in kept]
+        return cov.CoveringProblem(len(on2), matrix.masks(), costs, payloads, matrix=matrix)
+    # Delete highest positions first so lower ones stay valid.
+    rem_pos.sort(reverse=True)
     out = []
-    for j, mask in enumerate(problem.column_masks):
-        if budget is not None and j % 4096 == 0:
-            budget.tick()
+    for mask in problem.column_masks:
         for i in rem_pos:
             low = (1 << i) - 1
             mask = (mask & low) | ((mask >> 1) & ~low)

@@ -8,10 +8,12 @@ per-point generator enumeration, and provides the interned-basis table
 (:mod:`repro.kernels.intern`) the grouping dictionaries share keys
 through.
 
-:mod:`repro.kernels.bitmat` packs the resulting column masks into
-uint64 matrices so the covering greedy's per-round gain computation is
-a handful of NumPy ops (``HAVE_NUMPY`` gates the optional accelerator;
-solvers fall back to the pure-Python heap path without it).
+:mod:`repro.kernels.bitmat` packs the resulting column masks word-major
+into uint64 matrices, on which the covering greedy proves its light
+reduction a no-op, computes each round's gains in a handful of NumPy
+ops, and the delta warm path retires rows (``HAVE_NUMPY`` gates the
+optional accelerator; solvers fall back to the pure-Python paths
+without it).
 """
 
 from repro.kernels.bitmat import HAVE_NUMPY, BitMatrix

@@ -4,20 +4,19 @@
 Every GF(2) vector over ``B^n`` with ``n <= 64`` fits one ``uint64``,
 so a *batch* of vectors is a 1-D uint64 array and a *batch of bases* is
 a 2-D ``(batch, rank)`` uint64 matrix — row ``r`` of basis ``b`` lives
-in ``mat[b, r]``, padded with zero rows past each basis' rank when
-ranks are mixed.  The generation front-end only ever holds bases of one
-uniform rank per step (every degree-``k`` pseudocube has a rank-``k``
-direction space), which is what makes whole-step batching practical:
-one ``(groups, degree)`` matrix per step, no padding, no ragged rows.
+in ``mat[b, r]``.  The generation front-end only ever holds bases of
+one uniform rank per step (every degree-``k`` pseudocube has a
+rank-``k`` direction space), which is what makes whole-step batching
+practical: one ``(groups, degree)`` matrix per step, no padding, no
+ragged rows.
 
-The single-basis functions mirror the :mod:`repro.core.gf2` API —
-``rref``, ``insert_vector``, ``reduce_vectors``, ``pivot_masks``,
-``span_points``, ``intersect_spaces`` — and are pinned bit-identical
-to it by ``tests/kernels/test_gf2mat.py``.  The generation step uses
-three kernels: ``pair_rows`` decodes a step's pair stream into item
-indices, ``basis_literals`` counts the literals of a batch of bases,
-and ``columns_reach`` is the bit-sliced width test of the bounded
-lane.  NumPy is an *optional* accelerator: ``AVAILABLE`` is False when
+The generation step uses three kernels, pinned against the scalar
+loops they replace by ``tests/kernels/test_gf2mat.py``: ``pair_rows``
+decodes a step's pair stream into item indices, ``basis_literals``
+counts the literals of a batch of bases, and ``columns_reach`` is the
+bit-sliced width test of the bounded lane.  The single-basis
+operations stay scalar, in :mod:`repro.core.gf2`.  NumPy is an
+*optional* accelerator: ``AVAILABLE`` is False when
 numpy (with ``bitwise_count``) is missing **or** the ``REPRO_NO_NUMPY``
 environment variable is set, and every caller keeps the pure-Python
 path as the pinned fallback, so outputs are unchanged to the bit either
@@ -48,131 +47,15 @@ MAX_PACKED_N = 32
 __all__ = [
     "AVAILABLE",
     "MAX_PACKED_N",
-    "pack_vectors",
-    "unpack_vectors",
-    "pack_basis",
-    "unpack_basis",
-    "rref",
-    "insert_vector",
-    "reduce_vectors",
-    "pivot_masks",
     "basis_literals",
-    "span_points",
-    "intersect_spaces",
     "pair_rows",
     "columns_reach",
 ]
 
-_U64 = "uint64"
-
-
-def _u(x):
-    return _np.uint64(x)
-
 
 # ----------------------------------------------------------------------
-# Packing
+# The generation-step kernels (uniform-rank batches)
 # ----------------------------------------------------------------------
-
-def pack_vectors(vectors):
-    """A sequence of int vectors as a uint64 array."""
-    return _np.array(list(vectors), dtype=_U64)
-
-
-def unpack_vectors(arr) -> list[int]:
-    """Inverse of :func:`pack_vectors` (Python ints)."""
-    return [int(v) for v in arr.tolist()]
-
-
-def pack_basis(basis: tuple[int, ...]):
-    """One RREF basis tuple as a ``(rank,)`` uint64 row vector."""
-    return _np.array(basis, dtype=_U64)
-
-
-def unpack_basis(row, rank: int | None = None) -> tuple[int, ...]:
-    """A packed basis row back to the canonical tuple form."""
-    vals = row.tolist()
-    if rank is not None:
-        vals = vals[:rank]
-    return tuple(int(v) for v in vals if v)
-
-
-# ----------------------------------------------------------------------
-# Single-basis operations (API mirror; the batched forms are below)
-# ----------------------------------------------------------------------
-
-def _lowbit(arr):
-    """Lowest set bit of each element (0 stays 0)."""
-    return arr & (_np.uint64(0) - arr)
-
-
-def rref(vectors) -> tuple[int, ...]:
-    """Canonical RREF basis of the span — packed
-    :func:`repro.core.gf2.rref`.
-
-    The elimination is sequential in the input vectors (RREF is), but
-    each insertion updates the whole basis in one vector op.
-    """
-    rows = _np.zeros(0, dtype=_U64)
-    for v in _np.asarray(vectors, dtype=_U64):
-        rows = _insert_one(rows, v)
-    return tuple(int(b) for b in rows.tolist())
-
-
-def _insert_one(rows, v):
-    """Insert ``v`` into a packed RREF basis; returns the new row array
-    (the same array when ``v`` was dependent)."""
-    if rows.size:
-        # Reduce v by every row whose pivot it contains.
-        piv = _lowbit(rows)
-        for b, p in zip(rows.tolist(), piv.tolist()):
-            if int(v) & p:
-                v = v ^ _u(b)
-    if int(v) == 0:
-        return rows
-    low = int(v) & -int(v)
-    if rows.size:
-        rows = _np.where((rows & _u(low)) != 0, rows ^ v, rows)
-        pos = int(_np.count_nonzero(_lowbit(rows) < _u(low)))
-    else:
-        pos = 0
-    return _np.concatenate([rows[:pos], _np.array([v], dtype=_U64), rows[pos:]])
-
-
-def insert_vector(basis: tuple[int, ...], v: int) -> tuple[int, ...]:
-    """Packed :func:`repro.core.gf2.insert_vector` (same contract: the
-    input tuple is returned unchanged when ``v`` is in the span)."""
-    rows = pack_basis(basis)
-    out = _insert_one(rows, _u(v))
-    if out is rows:
-        return basis
-    return tuple(int(b) for b in out.tolist())
-
-
-def reduce_vectors(basis: tuple[int, ...], vectors):
-    """Batched :func:`repro.core.gf2.reduce_vector`: reduce every
-    element of ``vectors`` modulo ``span(basis)`` at once.
-
-    One pass per basis row (rank passes total), each a whole-batch
-    vector op.
-    """
-    vs = _np.asarray(vectors, dtype=_U64).copy()
-    for b in basis:
-        low = _u(b & -b)
-        vs ^= _np.where((vs & low) != 0, _u(b), _u(0))
-    return vs
-
-
-def pivot_masks(mat):
-    """Pivot-position mask of each basis in a ``(batch, rank)`` matrix —
-    batched :func:`repro.core.gf2.pivot_mask`.  Padding zero rows
-    contribute nothing."""
-    if mat.ndim == 1:
-        mat = mat[None, :]
-    if mat.shape[1] == 0:
-        return _np.zeros(mat.shape[0], dtype=_U64)
-    return _np.bitwise_or.reduce(_lowbit(mat), axis=1)
-
 
 def basis_literals(mat, n: int):
     """Literal count of any pseudocube with each basis — batched
@@ -189,46 +72,6 @@ def basis_literals(mat, n: int):
     weights = _np.bitwise_count(mat).sum(axis=1, dtype=_np.int64)
     return weights - rank + (n - rank)
 
-
-def span_points(basis: tuple[int, ...], offset: int = 0):
-    """The coset ``offset + span(basis)`` in the exact Gray-code order
-    of :func:`repro.core.gf2.span_points`, as a uint64 array.
-
-    Built by subset-XOR doubling, then reindexed through the Gray code
-    ``i ^ (i >> 1)`` so element ``i`` matches the generator's ``i``-th
-    yield.
-    """
-    combos = _np.array([offset], dtype=_U64)
-    for b in basis:
-        combos = _np.concatenate([combos, combos ^ _u(b)])
-    idx = _np.arange(combos.size, dtype=_np.uint64)
-    return combos[idx ^ (idx >> _u(1))]
-
-
-def intersect_spaces(
-    basis_a: tuple[int, ...], basis_b: tuple[int, ...], n: int
-) -> tuple[int, ...]:
-    """Packed Zassenhaus — :func:`repro.core.gf2.intersect_spaces`.
-
-    Pairs ``(v, v)`` / ``(w, 0)`` are packed into single uint64 words
-    (first component in the low ``n`` bits), so this requires
-    ``2n <= 64``.
-    """
-    if 2 * n > 64:
-        raise ValueError(f"intersect_spaces needs 2n <= 64, got n={n}")
-    rows = _np.zeros(0, dtype=_U64)
-    for v in basis_a:
-        rows = _insert_one(rows, _u(v | (v << n)))
-    for w in basis_b:
-        rows = _insert_one(rows, _u(w))
-    low_mask = _u((1 << n) - 1)
-    inter = rows[(rows & low_mask) == 0] >> _u(n)
-    return rref(inter)
-
-
-# ----------------------------------------------------------------------
-# The generation-step kernels (uniform-rank batches)
-# ----------------------------------------------------------------------
 
 def pair_rows(sizes, limit: int | None = None):
     """Every same-group pair of a whole batch of groups, as item indices.

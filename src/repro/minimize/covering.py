@@ -29,9 +29,11 @@ what the reduction did.  The solvers:
   columns: on EPPP matrices the columns are maximal and dominance almost
   never fires, so its O(columns·rows) passes would cost more than they
   save), then per component the ratio-greedy with reverse-delete and a
-  1-removal improvement pass.  The paper also used covering heuristics
-  ("the numbers … are upper bounds for the minimal solution"), so this
-  is the default and the faithful choice.
+  1-removal improvement pass.  On EPPP matrices the light reduction
+  itself almost always finds nothing, so the packed path proves that
+  first (below) and runs it only when the proof fails.  The paper also
+  used covering heuristics ("the numbers … are upper bounds for the
+  minimal solution"), so this is the default and the faithful choice.
 * :func:`solve_exact` — the full fixpoint, then per component a
   branch-and-bound that re-runs the same essential and dominance passes
   at every node (the classical *mincov* loop) under an independent-row
@@ -43,14 +45,29 @@ what the reduction did.  The solvers:
   reduction, and covers the rest greedily.
 
 The light reduction finds essential columns with a transpose-free
-once/twice accumulator; the exact path works on a per-row column
-transpose, built once for the reduction and once per searched
-component, and runs the same essential and dominance passes on both.
-When NumPy is available
-the greedy selection loop runs on a packed
-:class:`repro.kernels.bitmat.BitMatrix` (one vectorized gain
-computation per round instead of a Python heap), pinned bit-for-bit
-equivalent to the CELF heap path.
+once/twice accumulator: ``once`` ORs every live column's rows and
+``twice`` collects the rows a column shares with the columns before it,
+so ``once & ~twice`` is exactly the rows with a unique column.  The
+exact path works on a per-row column transpose, built once for the
+reduction and once per searched component, and runs the same essential
+and dominance passes on both.
+
+When NumPy is available and a problem has at least
+``MIN_COLUMNS_FOR_VECTOR`` columns, the greedy path works on the
+problem's packed :class:`repro.kernels.bitmat.BitMatrix`
+(:meth:`CoveringProblem.packed`, built once per problem, or derived
+from the base problem's by the delta warm patch).  On it
+:func:`solve_greedy` checks feasibility, proves the light reduction a
+no-op (every column non-empty, and the same accumulator, with
+``twice`` read off a prefix-OR accumulate along the columns, finds no
+unique row) and proves the rows connected (a frontier closure from row
+0), then greedy-covers the problem in place with a whole gain vector
+per selection round instead of a Python heap.  A failed proof falls
+back to :func:`reduce_problem` and :func:`split_components`.  The
+Python-int reduction, component split and CELF heap remain the path
+for smaller problems and the ``REPRO_NO_NUMPY=1`` reference; the two
+paths are pinned to the same covers and reports, and the proofs charge
+the budget the ticks of the reduction pass they skip.
 """
 
 from __future__ import annotations
@@ -93,18 +110,40 @@ NODE_DOMINANCE_MAX_COLUMNS = 768
 
 @dataclass
 class CoveringProblem(Generic[T]):
-    """Rows 0..num_rows-1; column ``i`` covers ``column_masks[i]``."""
+    """Rows 0..num_rows-1; column ``i`` covers ``column_masks[i]``.
+
+    ``matrix`` is the problem's packed
+    :class:`~repro.kernels.bitmat.BitMatrix` — the greedy path's working
+    form, built once by :meth:`packed` (or handed over by a caller that
+    derived it, like the delta warm patch) and never modified.  It is a
+    cache of ``column_masks``/``costs``, so equality ignores it.
+    """
 
     num_rows: int
     column_masks: list[int]
     costs: list[int]
     payloads: list[T]
+    matrix: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (len(self.column_masks) == len(self.costs) == len(self.payloads)):
             raise ValueError("column arrays must have equal length")
         if any(c <= 0 for c in self.costs):
             raise ValueError("costs must be positive")
+
+    def packed(self):
+        """The packed matrix, or None where the vector path does not
+        apply (no numpy, or too few columns to beat the heap)."""
+        from repro.kernels import bitmat  # repro.kernels imports this module
+
+        if not bitmat.HAVE_NUMPY or self.num_columns < bitmat.MIN_COLUMNS_FOR_VECTOR:
+            return None
+        if self.matrix is None:
+            # Racing threads build equal matrices; either store wins.
+            self.matrix = bitmat.BitMatrix.from_masks(
+                self.column_masks, self.costs, self.num_rows
+            )
+        return self.matrix
 
     @property
     def universe(self) -> int:
@@ -274,7 +313,10 @@ def solve_greedy(
 
     The light reduction (essential columns to fixpoint, empty columns)
     runs first and the greedy then covers each connected component of
-    the core.  ``optimal`` is True only when the reduction solved the
+    the core.  On a packed problem the reduction runs only when it
+    cannot be proved a no-op on one component; the proof charges the
+    budget and reports exactly what the reduction's one idle pass
+    would have.  ``optimal`` is True only when the reduction solved the
     instance outright (essential columns alone form a cover — they are
     members of *every* feasible cover, so their cost is a lower bound
     met with equality).
@@ -289,9 +331,31 @@ def solve_greedy(
     ``budget`` is ticked per column scan, so a blown deadline or a
     cancellation surfaces from inside the selection loop.
     """
-    empty = _empty_or_check(problem)
-    if empty is not None:
-        return empty
+    if problem.num_rows == 0:
+        return CoveringSolution([], 0, True, [])
+    bm = problem.packed()
+    if not (problem.is_feasible() if bm is None else bm.is_feasible()):
+        raise ValueError("covering problem is infeasible")
+    if bm is not None and bm.light_reduction_is_noop() and bm.is_connected():
+        # Proved: the light reduction's one pass would eliminate nothing
+        # and leave one component, so the greedy covers the problem in
+        # place.  The tick and the report are that pass's.
+        if budget is not None:
+            budget.tick(problem.num_columns)
+        solution = _greedy_cover(problem, budget=budget)
+        solution.stats = ReductionStats(
+            rows=problem.num_rows,
+            columns=problem.num_columns,
+            core_rows=problem.num_rows,
+            core_columns=problem.num_columns,
+            essential=0,
+            dominated_rows=0,
+            dominated_columns=0,
+            components=1,
+            passes=1,
+            dominance=False,
+        )
+        return solution
     core = reduce_problem(problem, budget=budget, dominance=False)
     stats = core.stats
     if not core.row_ids:
@@ -299,8 +363,7 @@ def solve_greedy(
     comps = split_components(len(core.row_ids), core.masks)
     stats.components = len(comps)
     if len(comps) == 1 and not core.forced and len(core.col_ids) == problem.num_columns:
-        # Nothing reduced: solve in place so repeated solves on the same
-        # problem object share its cached bit-matrix packing.
+        # Nothing reduced: solve in place.
         solution = _greedy_cover(problem, budget=budget)
         solution.stats = stats
         return solution
@@ -893,28 +956,6 @@ def _greedy_cover(
     return _finish(problem, best, False, None)
 
 
-def _bitmat_of(problem: CoveringProblem[T]):
-    """The problem's packed bit-matrix, or None when the vector path
-    doesn't apply (no numpy, or too few columns to beat the heap).
-
-    The matrix is cached on the problem object — packing is O(columns ×
-    words) and every `_improve` round would otherwise repay it.
-    """
-    from repro.kernels import bitmat  # repro.kernels imports this module
-
-    if not bitmat.HAVE_NUMPY:
-        return None
-    if problem.num_columns < bitmat.MIN_COLUMNS_FOR_VECTOR:
-        return None
-    cached = getattr(problem, "_bitmat", None)
-    if cached is None:
-        cached = bitmat.BitMatrix(
-            problem.column_masks, problem.costs, problem.num_rows
-        )
-        problem._bitmat = cached
-    return cached
-
-
 def _greedy_pass(
     problem: CoveringProblem[T],
     strategy: str,
@@ -925,8 +966,9 @@ def _greedy_pass(
     """One greedy cover; ``forbidden`` column is skipped, ``seed``
     columns are pre-selected.
 
-    Two implementations, selected by :func:`_bitmat_of` and pinned
-    bit-for-bit equivalent by ``tests/minimize/test_lazy_greedy.py``:
+    Two implementations, selected by :meth:`CoveringProblem.packed` and
+    pinned bit-for-bit equivalent by ``tests/minimize/test_lazy_greedy.py``
+    and ``tests/minimize/test_covering.py``:
 
     * vectorized — gains for *all* columns in one packed-uint64
       ``bitwise_count`` per selection round (numpy, large column
@@ -951,7 +993,7 @@ def _greedy_pass(
     if covered != universe:
         if budget is not None:
             budget.tick(max(problem.num_columns, 1))
-        bm = _bitmat_of(problem)
+        bm = problem.packed()
         if bm is not None:
             from repro.kernels.bitmat import select_greedy
 

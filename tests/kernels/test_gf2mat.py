@@ -1,10 +1,10 @@
-"""Property tests pinning :mod:`repro.kernels.gf2mat` bit-identical to
-the pure-Python :mod:`repro.core.gf2` reference.
+"""Property tests pinning the :mod:`repro.kernels.gf2mat` generation
+kernels bit-identical to the pure-Python references they replace.
 
-Every function in the packed module mirrors a scalar one; these tests
-draw random inputs and assert exact equality of outputs (values *and*
-orders — the generation front-end relies on the pair decoder visiting
-pairs in the scalar loops' order).  The suite skips itself when the
+Each kernel has a scalar counterpart; these tests draw random inputs
+and assert exact equality of outputs (values *and* orders — the
+generation front-end relies on the pair decoder visiting pairs in the
+scalar loops' order).  The suite skips itself when the
 numpy kernels are unavailable (missing numpy or ``REPRO_NO_NUMPY``):
 under the CI fallback-parity leg there is nothing to compare against.
 """
@@ -40,45 +40,6 @@ def basis_and_n(draw, max_n=12, max_len=8):
 
 
 class TestSingleBasisParity:
-    @given(vectors_and_n())
-    def test_rref(self, nv):
-        _, vs = nv
-        assert gf2mat.rref(vs) == gf2.rref(vs)
-
-    @given(basis_and_n(), st.integers(0, (1 << 12) - 1))
-    def test_insert_vector(self, nb, v):
-        n, basis = nb
-        v &= (1 << n) - 1
-        assert gf2mat.insert_vector(basis, v) == gf2.insert_vector(basis, v)
-
-    @given(basis_and_n())
-    def test_insert_dependent_returns_same_object(self, nb):
-        """The same-object contract callers use as a dependence test."""
-        _, basis = nb
-        for v in basis:
-            assert gf2mat.insert_vector(basis, v) is basis
-
-    @given(basis_and_n(), st.lists(st.integers(0, (1 << 12) - 1), min_size=1, max_size=10))
-    def test_reduce_vectors(self, nb, vs):
-        n, basis = nb
-        vs = [v & ((1 << n) - 1) for v in vs]
-        got = gf2mat.reduce_vectors(basis, vs)
-        assert got.tolist() == [gf2.reduce_vector(basis, v) for v in vs]
-
-    @given(st.lists(basis_and_n(), min_size=1, max_size=5))
-    def test_pivot_masks(self, nbs):
-        """Mixed-rank batches zero-padded to one width: padding rows
-        must contribute nothing to the masks."""
-        bases = [b for _, b in nbs]
-        width = max(len(b) for b in bases)
-        if width == 0:
-            width = 1
-        mat = np.zeros((len(bases), width), dtype=np.uint64)
-        for r, b in enumerate(bases):
-            mat[r, : len(b)] = b
-        got = gf2mat.pivot_masks(mat)
-        assert got.tolist() == [gf2.pivot_mask(b) for b in bases]
-
     @given(st.integers(1, 12), st.lists(basis_and_n(max_n=12), min_size=1, max_size=5))
     def test_basis_literals(self, n, nbs):
         """Uniform-rank layout: truncate every basis to the batch's
@@ -88,25 +49,6 @@ class TestSingleBasisParity:
         mat = np.array([list(b) for b in bases], dtype=np.uint64).reshape(len(bases), rank)
         got = gf2mat.basis_literals(mat, n)
         assert got.tolist() == [_basis_literals(n, b) for b in bases]
-
-    @given(basis_and_n(max_n=8, max_len=6), st.integers(0, 255))
-    def test_span_points_gray_order(self, nb, offset):
-        n, basis = nb
-        offset &= (1 << n) - 1
-        got = gf2mat.span_points(basis, offset)
-        assert got.tolist() == list(gf2.span_points(basis, offset))
-
-    @given(basis_and_n(max_n=10), basis_and_n(max_n=10))
-    def test_intersect_spaces(self, na, nb):
-        n = max(na[0], nb[0])
-        assert gf2mat.intersect_spaces(na[1], nb[1], n) == gf2.intersect_spaces(
-            na[1], nb[1], n
-        )
-
-    @given(vectors_and_n())
-    def test_pack_unpack_roundtrip(self, nv):
-        _, vs = nv
-        assert gf2mat.unpack_vectors(gf2mat.pack_vectors(vs)) == list(vs)
 
 
 class TestBatchKernels:

@@ -348,8 +348,9 @@ class TestVectorizedGreedy:
         if not bitmat.HAVE_NUMPY:
             pytest.skip("numpy with bitwise_count unavailable")
         rng = random.Random(5)
-        for _ in range(25):
-            num_rows = rng.randint(1, 80)
+        for trial in range(40):
+            # Past 128 rows the packed columns span three or more words.
+            num_rows = rng.randint(1, 80) if trial < 25 else rng.randint(129, 300)
             num_cols = rng.randint(200, 400)  # above MIN_COLUMNS_FOR_VECTOR
             universe = (1 << num_rows) - 1
             masks = [rng.getrandbits(num_rows) for _ in range(num_cols)]
@@ -369,7 +370,7 @@ class TestVectorizedGreedy:
             saved = bitmat.MIN_COLUMNS_FOR_VECTOR
             try:
                 bitmat.MIN_COLUMNS_FOR_VECTOR = 1  # force the vector path
-                assert cov._bitmat_of(vec_problem) is not None
+                assert vec_problem.packed() is not None
                 vec = cov._greedy_cover(vec_problem)
                 bitmat.MIN_COLUMNS_FOR_VECTOR = 10**9  # force the heap path
                 heap = cov._greedy_cover(heap_problem)
@@ -377,6 +378,130 @@ class TestVectorizedGreedy:
                 bitmat.MIN_COLUMNS_FOR_VECTOR = saved
             assert vec.selected == heap.selected
             assert vec.cost == heap.cost
+
+
+def _ring_problem(rng, rows, extra=90, offset=0):
+    """Rows ``offset..offset+rows-1`` closed into a ring of two-row
+    columns (every row covered twice, one component) plus ``extra``
+    random columns inside the same rows."""
+    masks = [
+        (1 << (offset + r)) | (1 << (offset + (r + 1) % rows)) for r in range(rows)
+    ]
+    for _ in range(extra):
+        masks.append(sum(1 << (offset + r) for r in rng.sample(range(rows), 6)))
+    return masks
+
+
+def _proof_problem(defect):
+    """A packed-path problem (240+ columns, 150 rows) whose light
+    reduction is a no-op and whose core is connected — unless
+    ``defect`` adds an essential column, an empty column or splits the
+    rows into two components."""
+    rng = random.Random(21)
+    num_rows = 150
+    if defect == "components":
+        masks = _ring_problem(rng, 75, extra=45)
+        masks += _ring_problem(rng, 75, extra=45, offset=75)
+    else:
+        masks = _ring_problem(rng, num_rows)
+    if defect == "essential":
+        masks.append((1 << num_rows) | 1)  # the only column of the new row
+        num_rows += 1
+    elif defect == "empty":
+        masks.insert(100, 0)
+    costs = [rng.randint(1, 5) for _ in masks]
+    return CoveringProblem(num_rows, masks, costs, list(range(len(masks))))
+
+
+class TestPackedProofs:
+    """On the packed path ``solve_greedy`` first proves the light
+    reduction a no-op and the core connected; only a failed proof runs
+    ``reduce_problem``.  Either way the result and the report equal the
+    scalar path's, and the budget ticks equal those of the packed path
+    with the proof skipped (the heap ticks per pop, not per round, so
+    its count differs by design)."""
+
+    @pytest.mark.parametrize(
+        "defect, stat, value",
+        [
+            (None, "passes", 1),
+            ("essential", "essential", 1),
+            ("empty", "dominated_columns", 1),
+            ("components", "components", 2),
+        ],
+    )
+    def test_failed_proof_runs_the_reduction(self, monkeypatch, defect, stat, value):
+        if not bitmat.HAVE_NUMPY:
+            pytest.skip("numpy with bitwise_count unavailable")
+        from repro.budget import Budget
+
+        def fresh():
+            problem = _proof_problem(defect)
+            assert problem.num_columns >= bitmat.MIN_COLUMNS_FOR_VECTOR
+            return problem
+
+        reductions = []
+        reduce_problem = cov.reduce_problem
+
+        def counted(*args, **kwargs):
+            reductions.append(1)
+            return reduce_problem(*args, **kwargs)
+
+        monkeypatch.setattr(cov, "reduce_problem", counted)
+        problem = fresh()
+        budget = Budget(tick_every=1 << 40)
+        packed = cov.solve_greedy(problem, budget=budget)
+        assert problem.matrix is not None
+        assert bool(reductions) == (defect is not None)
+        assert packed.stats.as_dict()[stat] == value
+
+        monkeypatch.setattr(
+            bitmat.BitMatrix, "light_reduction_is_noop", lambda self: False
+        )
+        unproved_budget = Budget(tick_every=1 << 40)
+        unproved = cov.solve_greedy(fresh(), budget=unproved_budget)
+        assert _bits(packed) == _bits(unproved)
+        assert budget.ticks == unproved_budget.ticks
+
+        monkeypatch.setattr(bitmat, "HAVE_NUMPY", False)
+        scalar_problem = fresh()
+        scalar = cov.solve_greedy(scalar_problem)
+        assert scalar_problem.matrix is None
+        assert _bits(packed) == _bits(scalar)
+
+    def test_proofs_agree_with_the_scalar_reductions(self):
+        """``light_reduction_is_noop`` is exactly "the light reduction
+        eliminates nothing", and ``is_connected`` exactly "one
+        component", on random matrices of 1 to 200 rows."""
+        if not bitmat.HAVE_NUMPY:
+            pytest.skip("numpy with bitwise_count unavailable")
+        rng = random.Random(22)
+        seen = set()
+        for trial in range(120):
+            num_rows = rng.randint(1, 200)
+            per_column = rng.choice((1, 2, 3, 8))
+            masks = [
+                sum(1 << r for r in rng.sample(range(num_rows), min(per_column, num_rows)))
+                for _ in range(rng.randint(1, 260))
+            ]
+            if trial % 5 == 0:
+                masks[rng.randrange(len(masks))] = 0
+            problem = CoveringProblem(
+                num_rows, masks, [1] * len(masks), list(range(len(masks)))
+            )
+            bm = bitmat.BitMatrix.from_masks(masks, problem.costs, num_rows)
+            if not problem.is_feasible():
+                assert not bm.is_feasible()
+                continue
+            assert bm.is_feasible()
+            core = cov.reduce_problem(problem, dominance=False)
+            noop = not core.forced and core.stats.dominated_columns == 0
+            assert bm.light_reduction_is_noop() == noop
+            if noop:
+                one = len(cov.split_components(num_rows, masks)) == 1
+                assert bm.is_connected() == one
+                seen.add(one)
+        assert seen == {True, False}  # both outcomes were exercised
 
 
 class TestPerNodePruning:
