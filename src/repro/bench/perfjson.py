@@ -240,6 +240,22 @@ def _time_best(fn, repeats: int, setup=None) -> tuple[float, float]:
     return min(times), sum(times) / len(times)
 
 
+def _traced_peak_mib(fn) -> float:
+    """Peak traced allocation of one call of ``fn``, in MiB.
+
+    tracemalloc slows every allocation, so this call is separate from
+    the timed runs, like the profiled one.
+    """
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn()
+        return round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
+    finally:
+        tracemalloc.stop()
+
+
 def _profile_entry(label: str, fn, profile_dir: str) -> str:
     """One profiled call of ``fn``: top-20 cumulative functions to a
     ``<profile_dir>/<label>.txt`` pstats dump.  Returns the path.
@@ -325,6 +341,7 @@ def run_perf_suite(
         profile(label, gen_case)
         meta: dict[str, Any] = {
             "n": fo.n,
+            "peak_mib": _traced_peak_mib(gen_case),
             "steps": [
                 {
                     "degree": step.degree,

@@ -1,23 +1,26 @@
 """Bit-packed GF(2) linear algebra — the batched counterpart of
 :mod:`repro.core.gf2`.
 
-Every GF(2) vector over ``B^n`` with ``n <= 64`` fits one ``uint64``,
-so a *batch* of vectors is a 1-D uint64 array and a *batch of bases* is
-a 2-D ``(batch, rank)`` uint64 matrix — row ``r`` of basis ``b`` lives
-in ``mat[b, r]``.  The generation front-end only ever holds bases of
-one uniform rank per step (every degree-``k`` pseudocube has a
+The packed generation front-end takes functions of ``n <=
+MAX_PACKED_N = 32`` variables, so every GF(2) vector over ``B^n`` fits
+one ``uint32``: a *batch* of vectors is a 1-D uint32 array and a *batch
+of bases* is a 2-D ``(batch, rank)`` uint32 matrix — row ``r`` of basis
+``b`` lives in ``mat[b, r]``.  The generation front-end only ever holds
+bases of one uniform rank per step (every degree-``k`` pseudocube has a
 rank-``k`` direction space), which is what makes whole-step batching
 practical: one ``(groups, degree)`` matrix per step, no padding, no
-ragged rows.
+ragged rows.  Only its sort key, ``(group, Δ, anchor)``, needs a
+``uint64``.
 
-The generation step uses three kernels, pinned against the scalar
-loops they replace by ``tests/kernels/test_gf2mat.py``: ``pair_rows``
-decodes a step's pair stream into item indices, ``basis_literals``
-counts the literals of a batch of bases, and ``columns_reach`` is the
-bit-sliced width test of the bounded lane.  The single-basis
-operations stay scalar, in :mod:`repro.core.gf2`.  NumPy is an
-*optional* accelerator: ``AVAILABLE`` is False when
-numpy (with ``bitwise_count``) is missing **or** the ``REPRO_NO_NUMPY``
+The generation step uses four kernels, pinned against the scalar
+loops they replace by ``tests/kernels/test_gf2mat.py``:
+``row_lengths`` lays a step's pair stream out as one row of pairs per
+item, ``pair_block`` decodes a block of those rows into int32 item
+indices, ``basis_literals`` counts the literals of a batch of bases,
+and ``columns_reach`` is the bit-sliced width test of the bounded lane.
+The single-basis operations stay scalar, in :mod:`repro.core.gf2`.
+NumPy is an *optional* accelerator: ``AVAILABLE`` is False when numpy
+(with ``bitwise_count``) is missing **or** the ``REPRO_NO_NUMPY``
 environment variable is set, and every caller keeps the pure-Python
 path as the pinned fallback, so outputs are unchanged to the bit either
 way.  Every function here is pure: no module state, so concurrent
@@ -40,15 +43,17 @@ except ImportError:  # pragma: no cover — exercised via the fallback path
 #: ``REPRO_NO_NUMPY=1`` pins the pure-Python ``core.gf2`` path fleet-wide.
 AVAILABLE = _HAVE and not os.environ.get("REPRO_NO_NUMPY")
 
-#: Widest function the packed generation front-end takes: its sort key
-#: packs a delta and an anchor into one uint64.
+#: Widest function the packed generation front-end takes: its vectors
+#: fit one uint32, and its sort key packs a delta and an anchor into one
+#: uint64.
 MAX_PACKED_N = 32
 
 __all__ = [
     "AVAILABLE",
     "MAX_PACKED_N",
     "basis_literals",
-    "pair_rows",
+    "row_lengths",
+    "pair_block",
     "columns_reach",
 ]
 
@@ -73,42 +78,38 @@ def basis_literals(mat, n: int):
     return weights - rank + (n - rank)
 
 
-def pair_rows(sizes, limit: int | None = None):
-    """Every same-group pair of a whole batch of groups, as item indices.
-
-    Items are numbered group after group (``sizes`` gives each group's
-    size), and item ``i`` of a group whose last item is ``e`` owns the
-    row of pairs ``(i, i+1), ..., (i, e)``.  Returns ``(group, left,
-    right, row_ends)``: per pair its group and both item indices, in the
-    order of the nested scalar loops (groups in order, rows in order),
-    and the stream length at the end of each non-empty row.
-
-    ``limit`` (at least 1) keeps only the shortest prefix of whole rows
-    that holds at least ``limit`` pairs, so a capped step decodes
-    O(cap) pairs, not O(pairs), and still ends on a row end like the
-    scalar loop's early break.
-    """
+def row_lengths(sizes):
+    """The pair rows of a whole batch of groups: items are numbered
+    group after group (``sizes`` gives each group's size), and item
+    ``i`` of a group whose last item is ``e`` owns the row of pairs
+    ``(i, i+1), ..., (i, e)``.  Returns each item's row length, int64;
+    rows in item order are the nested scalar loops' pair order."""
     sizes = _np.asarray(sizes, dtype=_np.int64)
-    m = int(sizes.sum())
-    item = _np.arange(m, dtype=_np.int64)
-    group_of = _np.arange(sizes.size, dtype=_np.int64).repeat(sizes)
-    lengths = sizes.cumsum()[group_of] - item - 1
-    row_ends = lengths.cumsum()
-    if limit is not None and m and limit < int(row_ends[-1]):
-        rows = int(_np.searchsorted(row_ends, limit)) + 1
-        item, group_of = item[:rows], group_of[:rows]
-        lengths, row_ends = lengths[:rows], row_ends[:rows]
-    total = int(row_ends[-1]) if m else 0
-    starts = row_ends - lengths
-    # The pair at stream position k in the row of item i, which starts
+    return sizes.cumsum().repeat(sizes) - _np.arange(int(sizes.sum())) - 1
+
+
+def pair_block(lengths, start: int, stop: int):
+    """The pairs of item rows ``start..stop-1`` as int32 item indices
+    ``(left, right)``, in row order (``lengths`` from `row_lengths`).
+
+    A generation step decodes its stream one block of whole rows at a
+    time, so it never holds more than one block of pairs.
+    """
+    lens = lengths[start:stop]
+    ends = lens.cumsum()
+    item = _np.arange(start, stop, dtype=_np.int32)
+    # The pair at block position k in the row of item i, which starts
     # at position s, is (i, i + 1 + k - s).
-    right = _np.arange(total, dtype=_np.int64) + (item + 1 - starts).repeat(lengths)
-    return group_of.repeat(lengths), item.repeat(lengths), right, row_ends[lengths > 0]
+    shift = (item + 1 - (ends - lens)).astype(_np.int32)
+    total = int(ends[-1]) if lens.size else 0
+    right = _np.arange(total, dtype=_np.int32) + shift.repeat(lens)
+    return item.repeat(lens), right
 
 
 def columns_reach(rows, bound: int):
     """Whether some bit position is set in at least ``bound`` of
-    ``rows``, a list of equal-length uint64 arrays read element-wise.
+    ``rows``, a list of equal-length unsigned integer arrays read
+    element-wise.
 
     Bit-sliced counting: ``level[t]`` holds the positions set in more
     than ``t`` of the rows seen so far, so each row costs ``2 * bound``

@@ -14,9 +14,10 @@ The same-structure grouping is delegated to a pluggable *store*:
   ``delta`` produce unions with the same direction space, so basis
   insertion and literal counting are cached per ``delta``, and the new
   anchor is a single conditional XOR.  When :mod:`repro.kernels.gf2mat`
-  is available the whole step runs as packed array ops (see
-  ``_generate_packed``); the scalar loop is the pinned reference
-  (``REPRO_NO_NUMPY=1`` forces it).
+  is available each step runs as packed array ops over blocks of its
+  pair stream (see ``_generate_packed``), so its memory follows the
+  block and level sizes, not the pair count; the scalar loop is the
+  pinned reference (``REPRO_NO_NUMPY=1`` forces it).
 * ``"trie"`` — :class:`repro.trie.PartitionTrie`, the paper's data
   structure node for node.
 
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from repro.boolfunc.function import BoolFunc
 from repro.budget import Budget
@@ -164,8 +166,9 @@ def generate_eppp(
     flagged ``truncated``).
 
     ``budget`` is a cooperative :class:`~repro.budget.Budget`, ticked
-    per union row from inside the pairing loops: a blown deadline or a
-    cancellation raises :class:`repro.errors.BudgetExceeded` /
+    one unit per pair from inside the pairing loops (per row in the
+    scalar lane, per block of rows in the packed one): a blown deadline
+    or a cancellation raises :class:`repro.errors.BudgetExceeded` /
     :class:`repro.errors.Cancelled` promptly even mid-step (the
     generation's explosive phase), on any thread.
     """
@@ -391,8 +394,9 @@ def _fast_steps(
 ) -> EpppResult:
     """The scalar step loop, resumable from any complete (buckets,
     degree, total) state sorted by (basis, anchor) — both the plain
-    fallback entry point and the hand-off target when a packed step
-    would be too large to materialize as arrays."""
+    fallback entry point and the hand-off target when a packed step has
+    too few pairs to pay for its array calls or a sort key wider than
+    64 bits."""
     # The raw union work per step is bounded as well as the distinct
     # pseudoproducts: an XOR-rich step makes 2^{k+1}-1 pairs per union.
     capped = max_pseudoproducts is not None
@@ -452,15 +456,18 @@ def _fast_steps(
 
 
 # ----------------------------------------------------------------------
-# Packed path: whole-step array ops over the pair stream (kernels.gf2mat)
+# Packed path: blocked array ops over the pair stream (kernels.gf2mat)
 # ----------------------------------------------------------------------
 
-# Above this many pairs in one step the packed path hands the remaining
-# degrees to the scalar loop instead of materializing the pair arrays.
-# A step peaks at about 100 bytes per pair (95-125 B measured on adr4,
-# dist and mlp4 outputs: index, delta and row arrays of 8 B a pair plus
-# temporaries), so about 1 GB at the cap.
-_MAX_PACKED_PAIRS = 1 << 23
+# Pairs per block of a packed step (blocks end on row ends, so a block
+# holds this many pairs plus at most one row, bar the stream's last).
+# A block's arrays, two int32 item indices and a few uint32 words a
+# pair, then stay in the core's caches.  Generating the 29-output pool
+# on a 2-core x86 host (two interleaved sweeps, best of 4 per function)
+# took 0.72-0.76 s at 2^14 and 2^15 pairs, 0.76-0.80 s at 2^16,
+# 0.81-0.82 s at 2^13, 0.79-0.88 s at 2^17 and 0.91 s at 2^12: smaller
+# blocks pay more per-block array calls, larger ones miss the cache.
+_BLOCK_PAIRS = 1 << 15
 
 # Below this many pairs the scalar dict loop wins, so the tail degrees
 # — and tiny functions outright — run scalar.  A packed step costs about
@@ -473,19 +480,30 @@ _MAX_PACKED_PAIRS = 1 << 23
 _MIN_PACKED_PAIRS = 24
 
 
-def _packed_to_buckets(anchors, sizes, rows, interner):
+def _packed_to_buckets(anchors, sizes, rows):
     """Packed step state → the scalar loop's bucket dicts, preserving
     bucket order and within-bucket anchor order exactly."""
-    buckets: dict[tuple[int, ...], dict[int, None]] = {}
+    buckets: Buckets = {}
     anchor_list = anchors.tolist()
-    row_list = rows.tolist()  # uniform full rank: no zero padding to strip
-    intern = interner.intern
     start = 0
-    for g, count in enumerate(sizes.tolist()):
-        stop = start + count
-        buckets[intern(tuple(row_list[g]))] = dict.fromkeys(anchor_list[start:stop])
-        start = stop
+    # Uniform full rank: no zero padding to strip from the rows.
+    for row, count in zip(rows.tolist(), sizes.tolist()):
+        buckets[tuple(row)] = dict.fromkeys(anchor_list[start : start + count])
+        start += count
     return buckets
+
+
+def _tick(budget: Budget, count: int, n: int) -> None:
+    """Tick ``count`` pairs in one call, unless a tick cap would trip
+    inside them: then in chunks of at most ``2^n`` (the scalar loop's
+    longest row), so the overshoot past the cap stays bounded the same
+    way it is for the pairwise loop."""
+    if budget.max_ticks is None or budget.ticks + count <= budget.max_ticks:
+        budget.tick(count)
+    else:
+        chunk = 1 << n
+        for start in range(0, count, chunk):
+            budget.tick(min(chunk, count - start))
 
 
 def _generate_packed(
@@ -498,18 +516,23 @@ def _generate_packed(
 ) -> EpppResult:
     """`_generate_fast` with every step computed as packed array ops.
 
-    Per-step state is columnar: ``anchors`` (one uint64 per pseudocube,
-    grouped by bucket), ``sizes`` (bucket sizes), ``rows`` — one
-    ``(groups, degree)`` uint64 matrix holding every bucket's RREF basis
-    (uniform rank: every degree-``k`` pseudocube has ``k`` direction
-    rows) — and ``lits``, each bucket's literal count.  Buckets are in
-    basis order and anchors ascend within a bucket.  One step is:
+    Per-step state is columnar: ``anchors`` (one uint32 per pseudocube,
+    grouped by bucket; ``n <= MAX_PACKED_N = 32``), ``sizes`` (bucket
+    sizes), ``rows`` — one ``(groups, degree)`` uint32 matrix holding
+    every bucket's RREF basis (uniform rank: every degree-``k``
+    pseudocube has ``k`` direction rows) — and ``lits``, each bucket's
+    literal count.  Buckets are in basis order and anchors ascend
+    within a bucket.  A step walks its pair stream in blocks of whole
+    rows, about ``_BLOCK_PAIRS`` pairs each, so its memory follows the
+    block size and the level sizes, not the pair count.  Per block:
 
-    1. decode every pair of every group into item indices and row ends
-       (``pair_rows``) and take each pair's delta ``Δ = a_i ^ a_j`` and
-       its lowest set bit ``p``;
+    1. decode the block's rows into int32 item indices
+       (``gf2mat.pair_block``) and take each pair's delta
+       ``Δ = a_i ^ a_j`` and its lowest set bit ``p``;
     2. classify each pair by bit tests on its parent rows, building no
-       child basis.  In the child a parent row ``r`` holding ``p``
+       child basis; a row's pairs share their left item, so its group's
+       rows are repeated along the row, not gathered per pair.  In the
+       child a parent row ``r`` holding ``p``
        becomes ``r ^ Δ``, the other rows stay and ``Δ`` joins as a row,
        so the popcount total of those rows decides Definition 3
        coverage, and under a width bound their bit-sliced column counts
@@ -521,38 +544,47 @@ def _generate_packed(
        pair whose parents span its rows minus the top row passes (and
        that pair does: its delta is the top row).  Every level is
        complete, so that pair is in the stream;
-    4. sort the canonical pairs by ``(parent group, Δ, anchor)`` — the
-       anchor is the parent with bit ``p`` clear.  Parent groups are in
-       basis order, so this is (child basis, anchor) order, and the runs
-       of equal ``(group, Δ)`` are the next level's buckets.
+    4. mark the covered parents: one ``logical_or.reduceat`` over the
+       block's rows for the left items (``left`` ascends, one run per
+       row) and one scatter of the right items, sent to a sink slot
+       where the pair covers nothing;
+    5. emit the canonical pairs' sort keys ``(parent group, Δ,
+       anchor)`` — the anchor is the parent with bit ``p`` clear.
+
+    One sort of the step's keys builds the next level: parent groups
+    are in basis order, so this is (child basis, anchor) order, and the
+    runs of equal ``(group, Δ)`` are its buckets.
 
     Counters match the scalar lane: every pair is a comparison, the
     fitting canonical pairs are ``generated`` and the other fitting
     pairs ``duplicates``.
 
-    Overflow replicates the scalar loop's row-granular check: the
-    budget condition is evaluated at every row end of the pair stream
-    and the step stops at the first hit, keeping the canonical children
-    before it, sorted like a full level.  Budget ticks are batched (one
-    ``tick(pairs)`` per step instead of one per row): cumulative
-    accounting is identical and a packed step is far below any
-    cancellation latency target.
+    Each block ticks the budget for its pairs before decoding them, so
+    a deadline or cancel lands within a block.  Caps replicate the
+    scalar loop's row-granular check: the block whose last row end
+    breaks a cap finds the first row end inside it that does (both
+    conditions are monotone in the stream position), and the step stops
+    there, keeping the canonical children before it, sorted like a full
+    level.  An overflowing step's stream ends at the first row end past
+    the comparison cap, and it ticks to there even when the pseudoproduct
+    cap stops it sooner, so tick totals do not depend on the block size.
     """
     np = gf2mat._np
     n = func.n
     points = sorted(func.care_set)
-    interner = BasisInterner()
     result = EpppResult(n, [])
     degree = 0
     total = len(points)
-    budget_left = None if max_pseudoproducts is None else max_pseudoproducts - total
-    comparison_cap = 0 if max_pseudoproducts is None else 8 * max_pseudoproducts
+    capped = max_pseudoproducts is not None
+    budget_left = max_pseudoproducts - total if capped else 0
+    comparison_cap = 8 * max_pseudoproducts if capped else 0
 
-    zero = np.uint64(0)
-    one = np.uint64(1)
-    anchors = np.array(points, dtype=np.uint64)
+    zero = np.uint32(0)
+    one = np.uint32(1)
+    shift = np.uint64(n)
+    anchors = np.array(points, dtype=np.uint32)
     sizes = np.array([len(points)], dtype=np.int64)
-    rows = np.zeros((1, 0), dtype=np.uint64)
+    rows = np.zeros((1, 0), dtype=np.uint32)
     # Literal count of each group's bases, carried across steps.
     lits = np.full(1, n, dtype=np.int64)
 
@@ -565,31 +597,21 @@ def _generate_packed(
         t0 = time.perf_counter()
         m = int(anchors.size)
         num_groups = int(sizes.size)
-        naive = m * (m - 1) // 2
-
         pair_total = int((sizes * (sizes - 1) // 2).sum())
-        # An overflowing step stops at the first row end past the
-        # comparison cap, and a row holds fewer than m pairs.
-        stream_bound = (
-            pair_total
-            if budget_left is None
-            else min(pair_total, comparison_cap + m)
-        )
         # The sort key (group, Δ, anchor) packs into one uint64 only
         # while bits(groups) + 2n <= 64; wider steps run scalar.
         if (
-            stream_bound > _MAX_PACKED_PAIRS
-            or pair_total < _MIN_PACKED_PAIRS
+            pair_total < _MIN_PACKED_PAIRS
             or pair_total == 0
             or (num_groups - 1).bit_length() + 2 * n > 64
         ):
             return _fast_steps(
                 n,
-                _packed_to_buckets(anchors, sizes, rows, interner),
+                _packed_to_buckets(anchors, sizes, rows),
                 result,
                 degree,
                 total,
-                interner,
+                BasisInterner(),
                 discard_equal,
                 factor_width,
                 max_pseudoproducts,
@@ -597,204 +619,227 @@ def _generate_packed(
                 budget,
             )
 
-        group, left, right, row_ends = gf2mat.pair_rows(
-            sizes, None if budget_left is None else comparison_cap + 1
-        )
-        stream = int(left.size)
-        if budget is not None:
-            # One bulk tick per step, unless a tick cap would trip
-            # inside it — then chunk at the scalar loop's granularity
-            # (one row, <= 2^n ticks) so the overshoot stays bounded
-            # the same way it is for the pairwise loop.
-            if budget.max_ticks is None or (
-                budget.ticks + stream <= budget.max_ticks
-            ):
-                budget.tick(stream)
-            else:
-                chunk = 1 << n
-                for start in range(0, stream, chunk):
-                    budget.tick(min(chunk, stream - start))
+        lengths = gf2mat.row_lengths(sizes)
+        row_ends = lengths.cumsum()
+        # An overflowing step stops at the first row end past the
+        # comparison cap, so the stream ends there at the latest.
+        stop = pair_total
+        if capped and pair_total > comparison_cap:
+            stop = int(row_ends[np.searchsorted(row_ends, comparison_cap + 1)])
+        # Blocks of whole rows: block k ends on the first row end at or
+        # past k * _BLOCK_PAIRS, the last block on the stream's end.
+        last = int(np.searchsorted(row_ends, stop)) + 1
+        block_ends = []
+        if stop > _BLOCK_PAIRS:
+            targets = np.arange(_BLOCK_PAIRS, stop, _BLOCK_PAIRS)
+            block_ends = np.unique(np.searchsorted(row_ends, targets) + 1).tolist()
+        if not block_ends or block_ends[-1] < last:
+            block_ends.append(last)
 
-        # Anchors are zero on the parent pivots, hence so is the delta:
-        # it is already reduced modulo the parent basis.
-        delta = anchors.take(left) ^ anchors.take(right)
-        pivot = delta & (zero - delta)
-        # The child's rows: each parent row, XORed with the delta where
-        # it holds the pivot bit, then the delta.  Sum their popcounts,
-        # and under a reachable width bound keep each without its pivot
-        # (a bound above the row count cannot be reached).
-        weight = np.bitwise_count(delta).astype(np.int64)
-        check_width = factor_width is not None and factor_width <= degree + 1
-        factor_rows = [delta ^ pivot] if check_width else None
-        for column in rows.T.copy():
-            r = column.take(group)
-            # The delta where r holds the pivot bit (-p covers every bit
-            # of the delta), else 0.
-            r ^= delta & (zero - (r & pivot))
-            weight += np.bitwise_count(r)
-            if check_width:
-                factor_rows.append(r & (r - one))
+        group_of = np.arange(num_groups, dtype=np.int32).repeat(sizes)
         # Child literals are weight + n - 2(degree + 1): a union covers
         # its parents when that is at most (below) the parents' count.
-        weight_cap = (lits + (2 * degree + 2 - n)).take(group)
-        covers = weight <= weight_cap if discard_equal else weight < weight_cap
+        weight_cap = (lits + (2 * degree + 2 - n)).astype(np.uint16)
         if degree:
             top = rows[:, -1] & (zero - rows[:, -1])
             free = ~np.bitwise_or.reduce(rows, axis=1) & (zero - (top << one))
-            canonical = (pivot & free.take(group)) != 0
-        else:
-            canonical = None  # a degree-1 union has one pair
-        fits = None
-        if check_width:
-            fits = ~gf2mat.columns_reach(factor_rows, factor_width)
-            covers &= fits
-            canonical = fits if canonical is None else canonical & fits
-        chosen = np.arange(stream) if canonical is None else canonical.nonzero()[0]
-        generated = int(chosen.size)
+            # Per item, its group's rows, cap and canonical bits: a row
+            # of pairs shares its left item, so a block repeats these
+            # along its rows instead of gathering them per pair.
+            item_rows = rows.T.take(group_of, axis=1)
+            item_cap = weight_cap.take(group_of)
+            item_free = free.take(group_of)
+        # A width bound above the child's row count cannot be reached.
+        check_width = factor_width is not None and factor_width <= degree + 1
+        # Slot m is the sink for the pairs that cover nothing.
+        covered = np.zeros(m + 1, dtype=bool)
+        row_starts = row_ends - lengths
+        row_used = lengths > 0
+        keys = []
+        generated = inserted = pos = start = 0
+        overflow = False
+        for end in block_ends:
+            left, right = gf2mat.pair_block(lengths, start, end)
+            count = int(left.size)
+            if budget is not None:
+                _tick(budget, count, n)
+            lens = lengths[start:end]
+            # Anchors are zero on the parent pivots, hence so is the
+            # delta: it is already reduced modulo the parent basis.
+            base = anchors[start:end].repeat(lens)
+            delta = base ^ anchors.take(right)
+            pivot = delta & (zero - delta)
+            # The child's rows: each parent row, XORed with the delta
+            # where it holds the pivot bit, then the delta.  Sum their
+            # popcounts, and under a width bound keep each without its
+            # pivot.
+            weight = np.bitwise_count(delta).astype(np.uint16)
+            factor_rows = [delta ^ pivot] if check_width else None
+            canonical = fits = None
+            if degree:
+                for column in item_rows:
+                    r = column[start:end].repeat(lens)
+                    # The delta where r holds the pivot bit (-p covers
+                    # every bit of the delta), else 0.
+                    r ^= delta & (zero - (r & pivot))
+                    weight += np.bitwise_count(r)
+                    if check_width:
+                        factor_rows.append(r & (r - one))
+                cap = item_cap[start:end].repeat(lens)
+                canonical = (pivot & item_free[start:end].repeat(lens)) != 0
+            else:
+                cap = weight_cap[0]  # a degree-1 union has one pair
+            covers = weight <= cap if discard_equal else weight < cap
+            if check_width:
+                fits = ~gf2mat.columns_reach(factor_rows, factor_width)
+                covers &= fits
+                canonical = fits if canonical is None else canonical & fits
+            chosen = None if canonical is None else np.flatnonzero(canonical)
+            made = count if chosen is None else int(chosen.size)
 
-        if budget_left is not None and (
-            stream > comparison_cap or generated > budget_left
-        ):
-            # Overflow.  The scalar loop checks after each row and both
-            # conditions are monotone in the stream position, so the
-            # first row end where one holds is where it broke out; the
-            # last row end always qualifies here.
-            made = np.searchsorted(chosen, row_ends)
-            trigger = (made > budget_left) | (row_ends > comparison_cap)
-            hit = int(trigger.argmax())
-            processed = int(row_ends[hit])
-            if on_limit == "raise":
-                raise GenerationBudgetExceeded(
-                    f"generated more than {max_pseudoproducts} pseudoproducts"
+            if capped and (
+                generated + made > budget_left or pos + count > comparison_cap
+            ):
+                # Overflow: stop at the first row end of this block where
+                # a cap breaks, as the scalar loop does.
+                overflow = True
+                ends = row_ends[start:end]
+                local = ends - pos
+                made_at = generated + (
+                    local if chosen is None else np.searchsorted(chosen, local)
                 )
-            chosen = chosen[: int(made[hit])]
-            generated = int(chosen.size)
-            inserted = processed if fits is None else int(
-                np.count_nonzero(fits[:processed])
+                hit = int(((made_at > budget_left) | (ends > comparison_cap)).argmax())
+                if budget is not None:
+                    _tick(budget, stop - pos - count, n)
+                if on_limit == "raise":
+                    raise GenerationBudgetExceeded(
+                        f"generated more than {max_pseudoproducts} pseudoproducts"
+                    )
+                count = int(local[hit])
+                made = int(made_at[hit]) - generated
+                if chosen is not None:
+                    chosen = chosen[:made]
+                if fits is not None:
+                    fits = fits[:count]
+            inserted += count if fits is None else int(np.count_nonzero(fits))
+            if made:
+                pick = slice(made) if chosen is None else chosen
+                d = delta[pick]
+                b = base[pick]
+                # The anchor: the parent with the pivot bit clear.
+                key = (d.astype(np.uint64) << shift) | (
+                    b ^ (d & (zero - (b & pivot[pick])))
+                )
+                if num_groups > 1:
+                    group = group_of.take(left[pick])
+                    key |= group.astype(np.uint64) << (shift + shift)
+                keys.append(key)
+            generated += made
+            pos += count
+            if overflow:
+                break
+            # Definition 3 retention: an item survives unless some
+            # union covering it had no more literals.  A block's last
+            # row holds pairs, so every row start indexes `covers`; an
+            # empty row's reduction reads its successor's first pair
+            # and is masked off.
+            covered[start:end] |= row_used[start:end] & np.logical_or.reduceat(
+                covers, row_starts[start:end] - (pos - count)
             )
+            covered[right + (m - right) * ~covers] = True
+            start = end
+
+        if overflow:
             # Keep everything seen at this degree and below: sound
             # superset (every discarded pseudoproduct's coverer kept).
-            result.eppps.extend(
-                _materialize_packed(
-                    n, anchors, np.arange(num_groups).repeat(sizes), rows, interner
-                )
-            )
+            retained = _materialize(n, anchors, sizes, rows, budget)
             if generated:
-                next_anchors, next_sizes, next_rows = _next_level(
-                    n, anchors, rows, group, left, delta, pivot, chosen
-                )
-                result.eppps.extend(
-                    _materialize_packed(
-                        n,
-                        next_anchors,
-                        np.arange(next_sizes.size).repeat(next_sizes),
-                        next_rows,
-                        interner,
-                    )
-                )
+                retained += _materialize(n, *_next_level(n, rows, keys), budget)
             result.truncated = True
-            result.steps.append(
-                StepStats(
-                    degree=degree,
-                    pseudoproducts=m,
-                    groups=num_groups,
-                    comparisons=processed,
-                    naive_comparisons=naive,
-                    generated=generated,
-                    duplicates=inserted - generated,
-                    retained=m,
-                    seconds=time.perf_counter() - t0,
-                )
-            )
-            return result
-
-        inserted = stream if fits is None else int(np.count_nonzero(fits))
-        # Definition 3 retention: an item survives unless some union
-        # covering it had no more literals.
-        covered = np.zeros(m, dtype=bool)
-        covered[left[covers]] = True
-        covered[right[covers]] = True
-        keep = (~covered).nonzero()[0]
-        if keep.size:
-            item_group = np.arange(num_groups).repeat(sizes)
-            retained = _materialize_packed(
-                n, anchors[keep], item_group[keep], rows, interner
-            )
         else:
-            retained = []
-
+            keep = np.flatnonzero(~covered[:m])
+            kept = np.bincount(group_of[keep], minlength=num_groups)
+            retained = _materialize(n, anchors[keep], kept, rows, budget)
         result.eppps.extend(retained)
         result.steps.append(
             StepStats(
                 degree=degree,
                 pseudoproducts=m,
                 groups=num_groups,
-                comparisons=stream,
-                naive_comparisons=naive,
+                comparisons=pos,
+                naive_comparisons=m * (m - 1) // 2,
                 generated=generated,
                 duplicates=inserted - generated,
-                retained=len(retained),
+                retained=m if overflow else len(retained),
                 seconds=time.perf_counter() - t0,
             )
         )
-        if not generated:
-            return result  # every union was wider than factor_width
-        anchors, sizes, rows = _next_level(
-            n, anchors, rows, group, left, delta, pivot, chosen
-        )
+        if overflow or not generated:
+            return result  # capped, or every union was wider than factor_width
+        anchors, sizes, rows = _next_level(n, rows, keys)
         lits = gf2mat.basis_literals(rows, n)
         total += generated
-        if budget_left is not None:
-            budget_left = max_pseudoproducts - total
+        budget_left = max_pseudoproducts - total if capped else 0
         degree += 1
 
 
-def _next_level(n, anchors, rows, group, left, delta, pivot, chosen):
-    """The children of the canonical pairs at stream positions
-    ``chosen`` as next-step ``(anchors, sizes, rows)``, sorted by
-    (basis, anchor).
+def _next_level(n, rows, keys):
+    """The children of a step's canonical pairs, from their packed sort
+    keys ``(group, Δ, anchor)``, as next-step ``(anchors, sizes, rows)``
+    sorted by (basis, anchor).
 
-    A child's basis is its parent group's rows followed by its delta and
-    its anchor is the parent with the delta's pivot bit clear.  One sort
-    of the packed keys ``(group, Δ, anchor)`` orders them; each run of
-    equal ``(group, Δ)`` is one bucket.
+    A child's basis is its parent group's rows followed by its delta.
+    One sort of the keys orders the children; each run of equal
+    ``(group, Δ)`` is one bucket.
     """
     np = gf2mat._np
     shift = np.uint64(n)
     low = np.uint64((1 << n) - 1)
-    d = delta[chosen]
-    base = anchors[left[chosen]]
-    key = (d << shift) | np.where((base & pivot[chosen]) != 0, base ^ d, base)
-    if rows.shape[0] > 1:
-        key |= group[chosen].astype(np.uint64) << (shift + shift)
+    key = np.concatenate(keys)
     key.sort()
     head = key >> shift
-    run_idx = np.flatnonzero(np.concatenate(([True], head[1:] != head[:-1])))
-    head = head[run_idx]
-    parents = rows[(head >> shift).astype(np.int64)]
+    # Run starts, then the end of the last run.
+    edges = np.flatnonzero(np.concatenate(([True], head[1:] != head[:-1], [True])))
+    head = head[edges[:-1]]
+    parents = rows[(head >> shift).astype(np.intp)]
     return (
-        key & low,
-        np.diff(run_idx, append=key.size),
-        np.concatenate([parents, (head & low)[:, None]], axis=1),
+        (key & low).astype(np.uint32),
+        edges[1:] - edges[:-1],
+        np.concatenate([parents, (head & low).astype(np.uint32)[:, None]], axis=1),
     )
 
 
-def _materialize_packed(n, anchors, groups, rows, interner):
-    """Pseudocubes for (anchor, group) pairs in array order, unpacking
-    each needed basis row once (interned for downstream identity hits)."""
-    bases: dict[int, tuple[int, ...]] = {}
-    out = []
-    row_list = None
-    intern = interner.intern
-    unsafe = Pseudocube._unsafe
-    for a, g in zip(anchors.tolist(), groups.tolist()):
-        basis = bases.get(g)
-        if basis is None:
-            if row_list is None:
-                row_list = rows.tolist()
-            basis = intern(tuple(row_list[g]))
-            bases[g] = basis
-        out.append(unsafe(n, a, basis))
+# Pseudocubes built between two budget checks in `_materialize`: about
+# 70 ms of object construction, while a truncated level holds millions.
+_MATERIALIZE_CHUNK = 1 << 16
+
+
+def _materialize(n, anchors, sizes, rows, budget=None):
+    """Pseudocubes for ``anchors`` taken group by group, ``sizes[g]`` of
+    them with the basis in row ``g`` of ``rows``.  The items of a group
+    share one basis tuple, and a level's bases are distinct, so no
+    interning is needed for downstream identity hits.  ``budget`` is
+    checked (not ticked) before each chunk of the items."""
+    if not anchors.size:
+        return []
+    np = gf2mat._np
+    used = sizes.nonzero()[0]
+    bases = list(map(tuple, rows[used].tolist()))
+    basis_of = np.arange(used.size).repeat(sizes[used]).tolist()
+    anchor_list = anchors.tolist()
+    out: list[Pseudocube] = []
+    for start in range(0, len(anchor_list), _MATERIALIZE_CHUNK):
+        if budget is not None:
+            budget.check()
+        stop = start + _MATERIALIZE_CHUNK
+        out.extend(
+            map(
+                Pseudocube._unsafe,
+                repeat(n),
+                anchor_list[start:stop],
+                map(bases.__getitem__, basis_of[start:stop]),
+            )
+        )
     return out
 
 

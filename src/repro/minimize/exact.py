@@ -96,7 +96,9 @@ def cover_with(
     t0 = time.perf_counter()
     pruned = False
     if len(candidates) > max_candidates:
-        candidates = _prune_candidates(func, candidates, cost, max_candidates)
+        candidates = _prune_candidates(
+            func, candidates, cost, max_candidates, budget
+        )
         pruned = True
     rows = sorted(func.on_set)
     if budget is not None:
@@ -109,22 +111,36 @@ def cover_with(
     return form, optimal, time.perf_counter() - t0, stats, problem
 
 
+# Candidates rated between two budget checks in `_prune_candidates`.
+_PRUNE_CHUNK = 1 << 16
+
+
 def _prune_candidates(
     func: BoolFunc,
     candidates: list[Pseudocube],
     cost: Callable[[Pseudocube], int],
     limit: int,
+    budget: Budget | None = None,
 ) -> list[Pseudocube]:
     """Keep the ``limit`` most efficient candidates plus one feasibility
-    witness per on-point."""
+    witness per on-point.
 
-    def efficiency(pc: Pseudocube) -> float:
-        return cost(pc) / len(pc)
-
-    ranked = sorted(candidates, key=efficiency)
+    The lists pruned here come from truncated generations, millions of
+    candidates long, so ``budget`` is checked between chunks of the
+    efficiency pass and ticked by the coverage kernel."""
+    efficiency: list[float] = []
+    for start in range(0, len(candidates), _PRUNE_CHUNK):
+        if budget is not None:
+            budget.check()
+        efficiency.extend(
+            cost(pc) / len(pc) for pc in candidates[start : start + _PRUNE_CHUNK]
+        )
+    # A stable sort of the indices: ties keep their candidate order.
+    order = sorted(range(len(candidates)), key=efficiency.__getitem__)
+    ranked = [candidates[i] for i in order]
     keep = ranked[:limit]
     rows = sorted(func.on_set)
-    masks = coverage_masks(rows, ranked)
+    masks = coverage_masks(rows, ranked, budget=budget)
     covered = 0
     for mask in masks[:limit]:
         covered |= mask

@@ -107,6 +107,12 @@ class TestSuite:
         assert entries[0].best > 0
         assert entries[0].mean >= entries[0].best
 
+    def test_gen_entries_record_the_traced_peak(self):
+        (e,) = run_perf_suite(repeats=1, only="gen/adr3")
+        assert 0 < e.meta["peak_mib"] < 64
+        degrees = [step["degree"] for step in e.meta["steps"]]
+        assert degrees == list(range(len(degrees)))
+
     def test_covering_entries_record_sizes(self):
         entries = run_perf_suite(repeats=1, only="covering_build/adr4[3]")
         (e,) = entries

@@ -63,6 +63,22 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             pc.anchor = 0
 
+    @given(pseudocubes(max_n=6))
+    def test_unsafe_matches_validating_constructor(self, pc):
+        """`_unsafe` fills the slots without the checks: the result
+        equals and hashes like the validated pseudocube and still
+        refuses attribute assignment."""
+        fast = Pseudocube._unsafe(pc.n, pc.anchor, pc.basis)
+        slow = Pseudocube(pc.n, pc.anchor, pc.basis)
+        assert type(fast) is Pseudocube
+        assert (fast.n, fast.anchor, fast.basis) == (slow.n, slow.anchor, slow.basis)
+        assert fast == slow and hash(fast) == hash(slow)
+        assert fast.canonical_mask == slow.canonical_mask
+        for name in ("n", "anchor", "basis", "_hash"):
+            with pytest.raises(AttributeError):
+                setattr(fast, name, 0)
+        assert fast.anchor == pc.anchor
+
 
 class TestQueries:
     def test_membership(self):

@@ -156,11 +156,14 @@ class TestCacheIntegration:
 # interval, so the stray report is expected noise here.
 @pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 class TestDegradation:
+    # A random 9-input ROM output: its exact rung takes ~1 s, some fifty
+    # times the 20 ms deadline (life[0]'s can finish inside it).
+    @staticmethod
+    def _slow_job() -> Job:
+        return Job(get_benchmark("max512")[0], method="exact", label="max512[0]")
+
     def test_tiny_deadline_walks_the_ladder(self):
-        life = get_benchmark("life")[0]
-        result = run_batch(
-            [Job(life, method="exact", label="life[0]")], workers=0, timeout=0.02
-        )
+        result = run_batch([self._slow_job()], workers=0, timeout=0.02)
         outcome = result.outcomes[0]
         assert outcome.ok
         assert outcome.degraded
@@ -171,13 +174,9 @@ class TestDegradation:
         assert all(a["status"] == "timeout" for a in outcome.attempts)
 
     def test_degraded_record_lands_in_manifest(self, tmp_path):
-        life = get_benchmark("life")[0]
         manifest = Manifest(tmp_path)
         result = run_batch(
-            [Job(life, method="exact", label="life[0]")],
-            workers=0,
-            timeout=0.02,
-            manifest=manifest,
+            [self._slow_job()], workers=0, timeout=0.02, manifest=manifest
         )
         stored = manifest.load(result.outcomes[0].job.content_hash)
         assert stored is not None
@@ -233,7 +232,10 @@ class TestBudgetIntegration:
         from repro.boolfunc.function import BoolFunc
         from repro.budget import Budget
 
-        hard = BoolFunc.from_lambda(8, lambda p: bin(p).count("1") % 3 != 0)
+        # On 9 inputs the exact rung runs for seconds: its generation
+        # hits the rung's cap, then millions of candidates are built and
+        # pruned, and each of those phases must heed the budget too.
+        hard = BoolFunc.from_lambda(9, lambda p: bin(p).count("1") % 3 != 0)
         job = Job(hard, method="exact", label="hard")
         results = []
 

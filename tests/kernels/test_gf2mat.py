@@ -52,41 +52,30 @@ class TestSingleBasisParity:
 
 
 class TestBatchKernels:
-    @given(
-        st.lists(st.integers(0, 8), max_size=6),
-        st.one_of(st.none(), st.integers(1, 40)),
-    )
-    def test_pair_rows_matches_nested_loops(self, sizes, limit):
-        """Pairs in nested-loop order as item indices; ``limit`` keeps
-        the shortest prefix of whole rows holding ``limit`` pairs."""
+    @given(st.lists(st.integers(0, 8), max_size=6), st.data())
+    def test_pair_block_matches_nested_loops(self, sizes, data):
+        """Item ``i`` of a group owns the row of pairs ``(i, j)`` for
+        every later ``j`` of its group; a block of rows ``start..stop-1``
+        decodes to exactly those rows' pairs in nested-loop order, and
+        consecutive blocks concatenate to the whole stream."""
         rows = []
         start = 0
-        for g, size in enumerate(sizes):
-            for i in range(size - 1):
-                rows.append(
-                    [(g, start + i, start + j) for j in range(i + 1, size)]
-                )
+        for size in sizes:
+            for i in range(size):
+                rows.append([(start + i, start + j) for j in range(i + 1, size)])
             start += size
-        expected, ends = [], []
-        for row in rows:
-            if limit is not None and len(expected) >= limit:
-                break
-            expected.extend(row)
-            ends.append(len(expected))
-        group, left, right, row_ends = gf2mat.pair_rows(
-            np.array(sizes, dtype=np.int64), limit
-        )
-        assert list(zip(group.tolist(), left.tolist(), right.tolist())) == expected
-        assert row_ends.tolist() == ends
-
-    def test_pair_rows_limit_ends_on_a_row_end(self):
-        """Sizes [3, 4]: rows of 2, 1, 3, 2, 1 pairs.  A limit inside a
-        row keeps that whole row; one past the stream keeps it all."""
-        sizes = np.array([3, 4], dtype=np.int64)
-        assert gf2mat.pair_rows(sizes, 4)[3].tolist() == [2, 3, 6]
-        assert gf2mat.pair_rows(sizes, 3)[3].tolist() == [2, 3]
-        assert gf2mat.pair_rows(sizes, 99)[3].tolist() == [2, 3, 6, 8, 9]
-        assert gf2mat.pair_rows(sizes, 1)[1].tolist() == [0, 0]
+        lengths = gf2mat.row_lengths(np.array(sizes, dtype=np.int64))
+        assert lengths.tolist() == [len(row) for row in rows]
+        m = len(rows)
+        cuts = sorted(data.draw(st.lists(st.integers(0, m), max_size=4)))
+        stream = []
+        for lo, hi in zip([0, *cuts], [*cuts, m]):
+            left, right = gf2mat.pair_block(lengths, lo, hi)
+            assert left.dtype == right.dtype == np.int32
+            pairs = list(zip(left.tolist(), right.tolist()))
+            assert pairs == [pair for row in rows[lo:hi] for pair in row]
+            stream += pairs
+        assert stream == [pair for row in rows for pair in row]
 
     @given(
         st.integers(1, 12).flatmap(

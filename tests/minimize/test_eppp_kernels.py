@@ -10,6 +10,7 @@ dc-heavy), the same distributions the differential fuzz harness uses.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,7 +19,9 @@ np = pytest.importorskip("numpy")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.suite import get_benchmark
 from repro.boolfunc.function import BoolFunc
+from repro.budget import Budget
 from repro.fuzz.generators import FAMILIES
 from repro.kernels import gf2mat
 from repro.minimize import eppp as eppp_mod
@@ -142,3 +145,91 @@ class TestMinimizerParity:
         assert on.form.num_literals == off.form.num_literals
         assert on.num_candidates == off.num_candidates
         assert on.covering_optimal == off.covering_optimal
+
+
+class TestBlockedSteps:
+    """A packed step walks its pair stream in blocks of whole rows; the
+    block size changes no candidate, counter or tick total."""
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        family_funcs,
+        st.sampled_from([None, 3, 20, 100]),
+        st.sampled_from(["stop", "raise"]),
+        widths,
+    )
+    def test_any_block_size_matches_scalar(self, block, func, cap, on_limit, width):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eppp_mod, "_BLOCK_PAIRS", block)
+            packed, scalar = _run_both(
+                func, max_pseudoproducts=cap, on_limit=on_limit, factor_width=width
+            )
+        assert packed == scalar
+
+    def test_overflow_stops_anywhere_in_a_block(self):
+        """One function per family, caps 3/20/100, blocks of 1, 5, 64
+        and the default pairs: every block holds pairs, the overflowing
+        step stops in its first block, inside a block and on a block's
+        last row, each time where the scalar lane stops, and the tick
+        total is the same for every block size."""
+        decode = gf2mat.pair_block
+        seen = set()
+        for seed, name in enumerate(sorted(FAMILIES)):
+            func = FAMILIES[name](random.Random(seed), 5)
+            for cap in (3, 20, 100):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(gf2mat, "AVAILABLE", False)
+                    budget = Budget()
+                    want = _snapshot(
+                        generate_eppp(
+                            func, max_pseudoproducts=cap, on_limit="stop", budget=budget
+                        )
+                    )
+                ticks = set()
+                for block in (1, 5, 64, eppp_mod._BLOCK_PAIRS):
+                    blocks: list[int] = []
+
+                    def spy(lengths, start, stop, blocks=blocks):
+                        left, right = decode(lengths, start, stop)
+                        assert left.size, "a block without pairs"
+                        if start == 0:  # a new step
+                            blocks.clear()
+                        blocks.append(int(left.size))
+                        return left, right
+
+                    budget = Budget()
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(eppp_mod, "_BLOCK_PAIRS", block)
+                        mp.setattr(eppp_mod, "_MIN_PACKED_PAIRS", 0)
+                        mp.setattr(gf2mat, "pair_block", spy)
+                        result = generate_eppp(
+                            func, max_pseudoproducts=cap, on_limit="stop", budget=budget
+                        )
+                    assert _snapshot(result) == want
+                    ticks.add(budget.ticks)
+                    if not result.truncated:
+                        continue
+                    processed = result.steps[-1].comparisons
+                    if len(blocks) == 1:
+                        seen.add("first block")
+                    seen.add("last row" if processed == sum(blocks) else "mid-block")
+                assert len(ticks) == 1
+        assert seen == {"first block", "mid-block", "last row"}
+
+
+class TestStepMemory:
+    def test_generation_peak_follows_the_block_not_the_stream(self):
+        """radd[1]'s degree-2 step pairs 434,000 items.  A step holds
+        one block of pairs at a time, so a generation capped far above
+        its size peaks under 8 MiB of traced allocations; holding each
+        step's whole stream peaks near 37 MiB here."""
+        func = get_benchmark("radd")[1]
+        generate_eppp(func, max_pseudoproducts=2_000_000)  # warm caches
+        tracemalloc.start()
+        try:
+            generate_eppp(func, max_pseudoproducts=2_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -2,6 +2,7 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -176,6 +177,21 @@ class TestCandidatePruning:
         singles = [Pseudocube.from_points(4, (p,)) for p in (0, 1)]
         kept = _prune_candidates(func, [pair, *singles], literal_cost, 1)
         assert kept == [pair]
+
+    def test_pruning_heeds_the_budget(self):
+        """Pruned lists come from truncated generations, millions of
+        candidates long, so pruning checks the budget as it goes."""
+        from repro.budget import Budget
+        from repro.errors import Cancelled
+        from repro.minimize.exact import _prune_candidates
+
+        func = BoolFunc(4, frozenset({0, 1}))
+        pair = Pseudocube.from_points(4, (0, 1))
+        singles = [Pseudocube.from_points(4, (p,)) for p in (0, 1)]
+        budget = Budget()
+        budget.cancel("test")
+        with pytest.raises(Cancelled):
+            _prune_candidates(func, [pair, *singles], literal_cost, 1, budget)
 
     def test_repair_stops_once_all_points_are_witnessed(self):
         """Only as many tail candidates are pulled in as the uncovered

@@ -18,15 +18,19 @@ within a wall-clock bound far below the job's natural runtime.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 
 import pytest
 
+from repro.bench.suite import get_benchmark
 from repro.boolfunc.function import BoolFunc
 from repro.budget import Budget
 from repro.errors import BudgetExceeded, Cancelled
+from repro.kernels import gf2mat
 from repro.minimize import covering as cov
+from repro.minimize import eppp as eppp_mod
 from repro.minimize.bounded import minimize_spp_bounded
 from repro.minimize.eppp import generate_eppp
 from repro.minimize.exact import minimize_spp
@@ -139,3 +143,64 @@ class TestLiveCancellation:
         assert not thread.is_alive()
         assert outcome == ["cancelled"]
         assert elapsed < 5.0
+
+    @pytest.mark.skipif(
+        not gf2mat.AVAILABLE,
+        reason="numpy GF(2) kernels disabled (REPRO_NO_NUMPY or no bitwise_count)",
+    )
+    def test_cancel_lands_inside_a_packed_step(self):
+        """A packed step ticks once per block of its pair stream, so a
+        cancel that arrives while a step runs stops it at the next
+        block.  With blocks of 2^15 pairs, life[0]'s degree-0 step
+        (9,730 pairs) is one block and its degree-1 step (106,050 pairs)
+        four; cancelling from inside the block decoder on its second
+        call (the degree-1 step's first block) must raise before that
+        step decodes another block."""
+        func = get_benchmark("life")[0]
+        budget = Budget()
+        decode = gf2mat.pair_block
+        calls = []
+
+        def cancelling_decode(lengths, start, stop):
+            calls.append(start)
+            if len(calls) == 2:
+                budget.cancel("mid-step")
+            return decode(lengths, start, stop)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eppp_mod, "_BLOCK_PAIRS", 1 << 15)
+            mp.setattr(gf2mat, "pair_block", cancelling_decode)
+            with pytest.raises(Cancelled):
+                generate_eppp(func, budget=budget)
+        assert calls == [0, 0]
+
+    @pytest.mark.skipif(
+        not gf2mat.AVAILABLE,
+        reason="numpy GF(2) kernels disabled (REPRO_NO_NUMPY or no bitwise_count)",
+    )
+    def test_cancel_lands_inside_a_truncated_level(self):
+        """Past its cap a generation keeps its whole level — over a
+        million pseudocubes for a dense 9-input function, seconds of
+        object construction after the last block ticked — so a level's
+        pseudocubes are built in chunks with a budget check before
+        each.  life[0] capped at 1000 overflows in its degree-0 step and
+        first builds that level's 140 points: with one-item chunks, a
+        cancel while the first chunk is built must raise before the
+        second."""
+        func = get_benchmark("life")[0]
+        budget = Budget()
+        chunks = []
+
+        def cancelling_repeat(n):
+            chunks.append(n)
+            budget.cancel("mid-level")
+            return itertools.repeat(n)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eppp_mod, "_MATERIALIZE_CHUNK", 1)
+            mp.setattr(eppp_mod, "repeat", cancelling_repeat)
+            with pytest.raises(Cancelled):
+                generate_eppp(
+                    func, max_pseudoproducts=1000, on_limit="stop", budget=budget
+                )
+        assert len(chunks) == 1

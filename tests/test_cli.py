@@ -162,7 +162,8 @@ class TestBatch:
         assert "3 hits" in out
 
     def test_timeout_degrades_and_manifest_records_rung(self, tmp_path, capsys):
-        assert main(["batch", "life", "--jobs", "0", "--timeout", "0.02",
+        # max512's outputs need ~1 s on the exact rung, far past 20 ms.
+        assert main(["batch", "max512", "--jobs", "0", "--timeout", "0.02",
                      "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "degraded" in out
