@@ -448,12 +448,22 @@ def run_perf_suite(
             )
             best, mean = _time_best(build_case, repeats)
             profile(label, build_case)
-            emit(
-                BenchEntry(
-                    label, "covering_build", best, mean, repeats,
-                    {"rows": len(rows), "candidates": len(candidates)},
-                )
-            )
+            meta = {"rows": len(rows), "candidates": len(candidates)}
+            if bitmat.HAVE_NUMPY:
+                # Paired control, as for gen/*: the same packed problem
+                # reached the scalar way, timed in the same process —
+                # the grouped Python-int pass over the candidates as a
+                # list (built once, untimed), then the masks packed.
+                listed = list(candidates)
+
+                def scalar_case(listed=listed):
+                    build_problem(rows, listed, cost_of=literal_cost).packed()
+
+                fb_best, fb_mean = _time_best(scalar_case, repeats)
+                meta["fallback_best"] = fb_best
+                meta["fallback_mean"] = fb_mean
+                meta["speedup"] = round(fb_best / best, 2) if best > 0 else 0.0
+            emit(BenchEntry(label, "covering_build", best, mean, repeats, meta))
         cover_problems[solve_label] = build_problem(
             rows, candidates, cost_of=literal_cost
         )

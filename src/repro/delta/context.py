@@ -3,13 +3,16 @@
 A :class:`MinimizationContext` references what a completed exact
 minimization already built, for reuse on a near-duplicate function:
 
-* the EPPP candidate list **in generation order** (order matters —
+* the EPPP candidates **in generation order** (order matters —
   greedy covering is order-sensitive, and bit-identical warm results
-  depend on replaying the exact same column stream);
+  depend on replaying the exact same column stream): the generator's
+  columns when it ran packed, so an edit that appends rows rebuilds its
+  problem from them with the columnar kernel;
 * the covering problem the cold solve selected its cover from, with
-  the packed matrix the cold greedy solve built for it, so an edit that
-  only retires rows can patch that matrix (or, on the scalar path, its
-  masks) instead of rebuilding the problem;
+  its packed matrix (built by the columnar kernel, or packed by the
+  cold greedy solve), so an edit that only retires rows can patch that
+  matrix (or, on the scalar path, its masks) instead of rebuilding the
+  problem;
 * the base cover and the covering mode that produced it.
 
 Capture copies and computes nothing: it runs no kernel and builds no
@@ -25,8 +28,8 @@ not of the function, so nothing about it transfers to an edit.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.boolfunc.function import BoolFunc
 from repro.core.pseudocube import Pseudocube
@@ -46,7 +49,7 @@ class MinimizationContext:
     """Reusable state of one completed exact SPP minimization."""
 
     func: BoolFunc
-    candidates: list[Pseudocube]
+    candidates: Sequence[Pseudocube]
     problem: CoveringProblem[Pseudocube]
     form: SppForm
     covering: str

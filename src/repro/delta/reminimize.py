@@ -117,11 +117,11 @@ def _patched_problem(
     if bm is not None:
         matrix, kept = bm.delete_rows(rem_pos)
         if kept is None:
-            costs, payloads = list(problem.costs), list(problem.payloads)
+            costs, payloads = list(problem.costs), problem.payloads
         else:
             costs = [problem.costs[i] for i in kept]
-            payloads = [problem.payloads[i] for i in kept]
-        return cov.CoveringProblem(len(on2), matrix.masks(), costs, payloads, matrix=matrix)
+            payloads = cov.take_payloads(problem.payloads, kept)
+        return cov.CoveringProblem(len(on2), None, costs, payloads, matrix=matrix)
     # Delete highest positions first so lower ones stay valid.
     rem_pos.sort(reverse=True)
     out = []

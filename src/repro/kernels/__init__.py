@@ -4,9 +4,10 @@ The minimization inner loops all reduce to one question — *which of
 these rows does this candidate cover?* — asked thousands of times per
 covering problem.  This package answers it with int bit-masks built in
 structure-grouped passes (:mod:`repro.kernels.coverage`) instead of
-per-point generator enumeration, and provides the interned-basis table
-(:mod:`repro.kernels.intern`) the grouping dictionaries share keys
-through.
+per-point generator enumeration — or, for the packed generator's EPPP
+columns, with a packed matrix built straight from the columns — and
+provides the interned-basis table (:mod:`repro.kernels.intern`) the
+grouping dictionaries share keys through.
 
 :mod:`repro.kernels.bitmat` packs the resulting column masks word-major
 into uint64 matrices, on which the covering greedy proves its light

@@ -94,13 +94,26 @@ class BitMatrix:
             mask.to_bytes(self.words * 8, "little"), dtype="<u8"
         ).astype(_np.uint64)
 
-    def masks(self) -> list[int]:
-        """Every column as a Python int mask — the inverse of
-        :meth:`from_masks`, unpacked from one column-major buffer."""
-        by_column = _np.ascontiguousarray(self.matrix.T, dtype="<u8")
+    def masks(self, columns: Sequence[int] | None = None) -> list[int]:
+        """Columns as Python int masks — every column by default (the
+        inverse of :meth:`from_masks`), else those listed in
+        ``columns`` — unpacked from one column-major buffer."""
+        matrix = self.matrix if columns is None else self.matrix.take(columns, axis=1)
+        by_column = _np.ascontiguousarray(matrix.T, dtype="<u8")
         cells = by_column.view(_np.dtype((_np.void, self.words * 8))).ravel()
         from_bytes = int.from_bytes
         return [from_bytes(cell, "little") for cell in cells.tolist()]
+
+    def union(self, columns: Sequence[int]):
+        """The rows covered by ``columns``, as a writable ``(words,)``
+        vector."""
+        if not columns:
+            return _np.zeros(self.words, dtype=_np.uint64)
+        return _np.bitwise_or.reduce(self.matrix.take(columns, axis=1), axis=1)
+
+    def covers(self, covered) -> bool:
+        """Whether the ``(words,)`` vector ``covered`` holds every row."""
+        return bool((covered == self.universe).all())
 
     def gains(self, covered):
         """Per-column count of rows outside ``covered`` (a ``(words,)``
@@ -192,29 +205,29 @@ def select_greedy(
     bm: BitMatrix,
     strategy: str,
     forbidden: int,
-    covered_mask: int,
+    covered,
     budget=None,
 ) -> list[int]:
     """Eager greedy selection rounds on the packed matrix.
 
-    Selects columns until the cover is complete and returns their
-    indices in selection order.  Bit-for-bit equivalent to the CELF
-    heap in :func:`repro.minimize.covering._heap_select`: the ``ratio``
-    strategy maximises ``(gain / cost, gain, -index)`` and the ``gain``
-    strategy ``(gain, -cost, -index)``, with the division done in the
-    same IEEE-754 double arithmetic as the Python path.
+    Starting from the rows in ``covered`` (a ``(words,)`` vector, left
+    unmodified), selects columns until the cover is complete and
+    returns their indices in selection order.  Bit-for-bit equivalent
+    to the CELF heap in :func:`repro.minimize.covering._heap_select`:
+    the ``ratio`` strategy maximises ``(gain / cost, gain, -index)`` and
+    the ``gain`` strategy ``(gain, -cost, -index)``, with the division
+    done in the same IEEE-754 double arithmetic as the Python path.
 
     ``budget`` is ticked once per selection round; raises ``ValueError``
     when no usable column covers a remaining row (infeasible, matching
     the heap path).
     """
-    covered = bm.pack(covered_mask)
-    universe = bm.universe
+    covered = covered.copy()
     matrix = bm.matrix
     costs = bm.costs
     ratio = strategy == "ratio"
     picked: list[int] = []
-    while not bool((covered == universe).all()):
+    while not bm.covers(covered):
         if budget is not None:
             budget.tick()
         gains = bm.gains(covered)

@@ -23,6 +23,13 @@ Degree-0 groups collapse to one dict probe per candidate.  Points
 outside the row set (don't-cares) simply miss the dict and contribute
 nothing, matching the legacy semantics.
 
+The packed generator's EPPP set arrives as columns
+(:class:`~repro.minimize.eppp.EpppColumns`), and :func:`build_problem`
+builds its problem's packed matrix straight from them
+(:func:`_columnar_problem`): the same span geometry as arrays, no
+``Pseudocube`` and no Python-int mask.  The grouped pass stays the
+reference it is pinned to, and serves every other caller.
+
 Cubes (the SP side) get a genuinely bit-parallel path: the row list is
 transposed once into per-variable bitboards and each cube's mask is an
 AND-chain of literal boards — ``O(fixed literals)`` big-int operations
@@ -39,7 +46,8 @@ from collections.abc import Sequence
 
 from repro.budget import Budget
 from repro.core.pseudocube import Pseudocube
-from repro.minimize.covering import CoveringProblem, problem_from_masks
+from repro.kernels import bitmat
+from repro.minimize.covering import CoveringProblem, problem_from_masks, take_payloads
 from repro.minimize.cost import literal_cost
 from repro.minimize.qm import Cube
 
@@ -194,11 +202,109 @@ def build_problem(
 
     Produces exactly what ``build_covering(rows, candidates,
     covered_rows_of=points, cost_of=cost_of)`` produced — same column
-    order, same dropped zero-coverage candidates — via the grouped
-    kernel instead of per-point enumeration.
+    order, same dropped zero-coverage candidates.
+
+    Candidates held as columns (a packed generation's
+    :class:`~repro.minimize.eppp.EpppColumns`) with literal costs take
+    the columnar kernel, :func:`_columnar_problem`, when numpy is
+    available and its row tables fit ``_DENSE_TABLE_WORDS``: the
+    problem gets its packed matrix straight from the columns, no
+    Python-int masks, and its payloads stay lazy, so the solve builds
+    pseudocubes for its selected columns only.  Any other candidates,
+    or ``REPRO_NO_NUMPY=1``, take the grouped Python-int pass, the
+    pinned reference.
     """
+    from repro.minimize.eppp import EpppColumns  # eppp imports this package
+
+    if (
+        isinstance(candidates, EpppColumns)
+        and bitmat.HAVE_NUMPY
+        and cost_of in (None, literal_cost)
+        and max((len(rows) + 63) // 64, 1) << candidates.n <= _DENSE_TABLE_WORDS
+    ):
+        return _columnar_problem(rows, candidates, budget)
+    if not isinstance(candidates, (list, tuple)):
+        candidates = list(candidates)  # one pass over a lazy sequence
     masks, costs = _masks_and_costs(rows, candidates, cost_of, budget)
     return problem_from_masks(len(rows), masks, costs, candidates)
+
+
+# Candidate points one chunk of the columnar build spans (about 2^16
+# uint32 points), however large a level is.
+_BUILD_CHUNK_POINTS = 1 << 16
+
+# Widest row lookup table the columnar build allocates, in uint64
+# words: one table of ``2^n`` entries per 64-row word.  Every function
+# the package ships stays far below it (n <= 9: at most 4,096 words);
+# wider inputs take the grouped Python-int pass.
+_DENSE_TABLE_WORDS = 1 << 18
+
+
+def _columnar_problem(rows, columns, budget):
+    """:func:`build_problem` on columns, word-major from the start.
+
+    A pseudocube's points are its anchor XOR the span of its basis
+    (DESIGN.md §1), so a chunk of items (grouped by basis) doubles its
+    groups' rows into their span offsets once and gives its points as
+    one ``anchors[:, None] ^ offsets`` array; a chunk holds at most
+    ``_BUILD_CHUNK_POINTS`` points, or one item's, however large the
+    level.  Each 64-row word then looks the points up in its dense
+    ``2^n`` table of row bits and OR-reduces them into the columns'
+    word, one word at a time: a chunk costs one pass over its points
+    per word and holds one word's lookups.
+    Costs are the groups' literal counts (at least 1, as
+    :func:`~repro.minimize.cost.literal_cost`), and the zero-coverage
+    drop is one column mask.  The budget is ticked once per candidate,
+    one chunk at a time, as the scalar pass ticks once per candidate.
+    """
+    np = bitmat._np
+    num_rows = len(rows)
+    total = len(columns)
+    if not num_rows or not total:
+        return CoveringProblem(num_rows, [], [], [])
+    words = (num_rows + 63) // 64
+    positions = np.arange(num_rows, dtype=np.int64)
+    tables = np.zeros((words, 1 << columns.n), dtype=np.uint64)
+    tables[positions >> 6, np.asarray(rows, dtype=np.int64)] = np.left_shift(
+        np.uint64(1), (positions & 63).astype(np.uint64)
+    )
+    matrix = np.empty((words, total), dtype=np.uint64)
+    costs = np.empty(total, dtype=np.int64)
+    base = 0
+    for anchors, sizes, basis_rows, lits in columns.levels:
+        count = int(anchors.size)
+        degree = basis_rows.shape[1]
+        group_of = np.arange(sizes.size).repeat(sizes)
+        costs[base : base + count] = np.maximum(lits, 1).repeat(sizes)
+        step = max(_BUILD_CHUNK_POINTS >> degree, 1)
+        for start in range(0, count, step):
+            stop = min(start + step, count)
+            if budget is not None:
+                budget.tick(stop - start)
+            # The span offsets of the chunk's groups (a run of at most
+            # `step` groups), by doubling: offsets ^ row, per row.
+            first = int(group_of[start])
+            group_rows = basis_rows[first : int(group_of[stop - 1]) + 1]
+            offsets = np.zeros((group_rows.shape[0], 1), dtype=np.uint32)
+            for c in range(degree):
+                offsets = np.concatenate(
+                    [offsets, offsets ^ group_rows[:, c : c + 1]], axis=1
+                )
+            points = anchors[start:stop, None] ^ offsets[group_of[start:stop] - first]
+            for w, table in enumerate(tables):
+                matrix[w, base + start : base + stop] = np.bitwise_or.reduce(
+                    table.take(points), axis=1
+                )
+        base += count
+    payloads = columns
+    nonzero = matrix.any(axis=0)
+    if not nonzero.all():
+        kept = np.flatnonzero(nonzero)
+        matrix = np.ascontiguousarray(matrix[:, kept])
+        costs = costs[kept]
+        payloads = take_payloads(columns, kept.tolist())
+    packed = bitmat.BitMatrix(matrix, costs, num_rows)
+    return CoveringProblem(num_rows, None, costs.tolist(), payloads, matrix=packed)
 
 
 def _row_boards(rows: Sequence[int], n: int) -> list[int]:

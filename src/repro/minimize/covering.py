@@ -55,8 +55,10 @@ and dominance passes on both.
 When NumPy is available and a problem has at least
 ``MIN_COLUMNS_FOR_VECTOR`` columns, the greedy path works on the
 problem's packed :class:`repro.kernels.bitmat.BitMatrix`
-(:meth:`CoveringProblem.packed`, built once per problem, or derived
-from the base problem's by the delta warm patch).  On it
+(:meth:`CoveringProblem.packed`, packed once from the masks, or handed
+over by the columnar coverage kernel, or derived from the base
+problem's by the delta warm patch — those two give no masks at all,
+and the greedy path unpacks only the ones it selects).  On it
 :func:`solve_greedy` checks feasibility, proves the light reduction a
 no-op (every column non-empty, and the same accumulator, with
 ``twice`` read off a prefix-OR accumulate along the columns, finds no
@@ -73,7 +75,7 @@ the budget the ticks of the reduction pass they skip.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any, Generic, TypeVar
 
@@ -87,6 +89,8 @@ __all__ = [
     "build_covering",
     "problem_from_masks",
     "reduce_problem",
+    "take_payloads",
+    "LazySequence",
     "split_components",
     "solve_greedy",
     "solve_exact",
@@ -108,28 +112,58 @@ AUTO_NODE_LIMIT = 20_000
 NODE_DOMINANCE_MAX_COLUMNS = 768
 
 
-@dataclass
 class CoveringProblem(Generic[T]):
     """Rows 0..num_rows-1; column ``i`` covers ``column_masks[i]``.
 
     ``matrix`` is the problem's packed
     :class:`~repro.kernels.bitmat.BitMatrix` — the greedy path's working
-    form, built once by :meth:`packed` (or handed over by a caller that
-    derived it, like the delta warm patch) and never modified.  It is a
-    cache of ``column_masks``/``costs``, so equality ignores it.
+    form, built once by :meth:`packed` (or handed over by its builder:
+    the columnar coverage kernel and the delta warm patch) and never
+    modified.  A problem handed a matrix may be given no masks
+    (``column_masks=None``): they are then unpacked from the matrix on
+    first use, by the consumers that work on Python ints — the
+    reduction when a packed proof fails, the heap path, the
+    branch-and-bound and the exact seed check.  The greedy fast path
+    reads only the masks of the columns it selects.
+
+    ``payloads`` may be any sequence; a :class:`LazySequence` (an
+    :class:`~repro.minimize.eppp.EpppColumns`, or a
+    :func:`take_payloads` view of one) builds an item only when a
+    solution reads it, so a solve builds payloads for its selected
+    columns alone, and compares with a list, or another lazy sequence,
+    by value.  Equality compares rows, masks, costs and payloads, never
+    the matrix (a cache of the masks).
     """
 
-    num_rows: int
-    column_masks: list[int]
-    costs: list[int]
-    payloads: list[T]
-    matrix: Any = field(default=None, compare=False, repr=False)
+    __slots__ = ("num_rows", "_masks", "costs", "payloads", "matrix")
 
-    def __post_init__(self) -> None:
-        if not (len(self.column_masks) == len(self.costs) == len(self.payloads)):
+    def __init__(
+        self,
+        num_rows: int,
+        column_masks: list[int] | None,
+        costs: list[int],
+        payloads: Sequence[T],
+        matrix: Any = None,
+    ) -> None:
+        if column_masks is None and matrix is None:
+            raise ValueError("a problem needs column masks or a packed matrix")
+        count = len(column_masks) if column_masks is not None else matrix.num_columns
+        if not (count == len(costs) == len(payloads)):
             raise ValueError("column arrays must have equal length")
-        if any(c <= 0 for c in self.costs):
+        if costs and min(costs) <= 0:
             raise ValueError("costs must be positive")
+        self.num_rows = num_rows
+        self._masks = column_masks
+        self.costs = costs
+        self.payloads = payloads
+        self.matrix = matrix
+
+    @property
+    def column_masks(self) -> list[int]:
+        if self._masks is None:
+            # Racing threads unpack equal lists; either store wins.
+            self._masks = self.matrix.masks()
+        return self._masks
 
     def packed(self):
         """The packed matrix, or None where the vector path does not
@@ -151,13 +185,79 @@ class CoveringProblem(Generic[T]):
 
     @property
     def num_columns(self) -> int:
-        return len(self.column_masks)
+        return len(self.costs)
 
     def is_feasible(self) -> bool:
         mask = 0
         for m in self.column_masks:
             mask |= m
         return mask == self.universe
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CoveringProblem):
+            return NotImplemented
+        return (
+            self.num_rows == other.num_rows
+            and self.costs == other.costs
+            and self.column_masks == other.column_masks
+            and list(self.payloads) == list(other.payloads)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"CoveringProblem(rows={self.num_rows}, columns={self.num_columns})"
+
+
+class LazySequence(Sequence):
+    """A read-only sequence standing in for a list of payloads: equal,
+    by value, to a list or another lazy sequence with the same items."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, LazySequence)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class _Taken(LazySequence):
+    """``[base[i] for i in index]``, reading ``base`` only when an item
+    is read."""
+
+    __slots__ = ("base", "index")
+
+    def __init__(self, base: Sequence, index: list[int]) -> None:
+        self.base = base
+        self.index = index
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self.base[j] for j in self.index[i]]
+        return self.base[self.index[i]]
+
+    def __iter__(self):
+        base = self.base
+        if isinstance(base, list):
+            return map(base.__getitem__, self.index)
+        items = list(base)  # one pass over a lazy base, not one read per item
+        return map(items.__getitem__, self.index)
+
+
+def take_payloads(payloads: Sequence[T], index: Sequence[int]) -> Sequence[T]:
+    """``[payloads[i] for i in index]``: a list for a list, else a lazy
+    view that reads ``payloads`` only for the items a solution reads."""
+    index = list(index)
+    if isinstance(payloads, list):
+        return [payloads[i] for i in index]
+    if isinstance(payloads, _Taken):
+        return _Taken(payloads.base, [payloads.index[i] for i in index])
+    return _Taken(payloads, index)
 
 
 @dataclass
@@ -271,7 +371,7 @@ def problem_from_masks(
         num_rows,
         [masks[i] for i in keep],
         [costs[i] for i in keep],
-        [payloads[i] for i in keep],
+        take_payloads(payloads, keep),
     )
 
 
@@ -972,7 +1072,8 @@ def _greedy_pass(
 
     * vectorized — gains for *all* columns in one packed-uint64
       ``bitwise_count`` per selection round (numpy, large column
-      counts);
+      counts); only the selected columns' masks are unpacked, for the
+      reverse-delete;
     * lazy (CELF-style) heap — columns live in a max-heap keyed by
       their last-computed selection key.  Because gains only shrink as
       the cover grows (submodularity), a stale key is an upper bound —
@@ -983,25 +1084,28 @@ def _greedy_pass(
       strictly-greater comparison that kept the lowest index among key
       ties.
     """
-    masks = problem.column_masks
     costs = problem.costs
     universe = problem.universe
     selected = list(seed) if seed else []
+    bm = problem.packed()
+    if bm is not None:
+        from repro.kernels.bitmat import select_greedy
+
+        covered = bm.union(selected)
+        if not bm.covers(covered):
+            if budget is not None:
+                budget.tick(problem.num_columns)
+            selected.extend(select_greedy(bm, strategy, forbidden, covered, budget=budget))
+        _drop_redundant(selected, dict(zip(selected, bm.masks(selected))), costs, universe)
+        return selected
+    masks = problem.column_masks
     covered = 0
     for i in selected:
         covered |= masks[i]
     if covered != universe:
         if budget is not None:
             budget.tick(max(problem.num_columns, 1))
-        bm = problem.packed()
-        if bm is not None:
-            from repro.kernels.bitmat import select_greedy
-
-            selected.extend(
-                select_greedy(bm, strategy, forbidden, covered, budget=budget)
-            )
-        else:
-            _heap_select(problem, strategy, forbidden, covered, selected, budget)
+        _heap_select(problem, strategy, forbidden, covered, selected, budget)
     _drop_redundant(selected, masks, costs, universe)
     return selected
 
@@ -1085,10 +1189,14 @@ def _improve(
 
 
 def _drop_redundant(
-    selected: list[int], masks: Sequence[int], costs: Sequence[int], universe: int
+    selected: list[int],
+    masks: Sequence[int] | Mapping[int, int],
+    costs: Sequence[int],
+    universe: int,
 ) -> None:
     """Reverse-delete: drop columns whose rows are covered by the rest,
-    trying the most expensive first.
+    trying the most expensive first.  ``masks`` maps at least the
+    selected column indices to their masks.
 
     One pass with prefix/suffix OR accumulators: when victim ``i`` (in
     most-expensive-first order) is considered, the rest of the current

@@ -55,7 +55,10 @@ quantities discussed in Section 3.3 of the paper.
 
 from __future__ import annotations
 
+import operator
 import time
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -65,11 +68,13 @@ from repro.core import gf2
 from repro.core.pseudocube import Pseudocube
 from repro.kernels import gf2mat
 from repro.kernels.intern import BasisInterner
+from repro.minimize.covering import LazySequence
 from repro.trie.index import StructureIndex
 from repro.trie.partition_trie import PartitionTrie
 
 __all__ = [
     "StepStats",
+    "EpppColumns",
     "EpppResult",
     "GenerationBudgetExceeded",
     "generate_eppp",
@@ -105,12 +110,126 @@ class StepStats:
     seconds: float
 
 
+class EpppColumns(LazySequence):
+    """The packed lane's EPPP set, held as columns and read as a
+    sequence of :class:`Pseudocube`.
+
+    Each entry of ``levels`` is one degree's retained items as
+    ``(anchors, sizes, rows, lits)``: the uint32 anchors grouped by
+    basis, each group's size (int64, none zero), its RREF basis as one
+    row of the ``(groups, degree)`` uint32 matrix ``rows``, and its
+    literal count (int64).  Levels ascend in degree, groups in basis
+    order and anchors within a group, so the sequence is the scalar
+    lane's list in its (degree, basis, anchor) order.
+
+    The covering kernel (:func:`repro.kernels.coverage.build_problem`)
+    reads the columns directly.  A ``Pseudocube`` is built only when
+    its item is first indexed or iterated, and kept, so every read of
+    an item returns the same object: a cover of a few columns builds a
+    few objects.  ``len``, indexing, slicing (a list), iteration and
+    ``==`` with a list behave as on the list.
+    """
+
+    __slots__ = ("n", "levels", "_starts", "_group_ends", "_items", "_complete")
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.levels: list[tuple] = []
+        self._starts = [0]  # first item of each level, then the length
+        self._group_ends: list = []  # per level, cumulative group sizes
+        self._items: list[Pseudocube | None] | None = None  # built so far
+        self._complete = False
+
+    def append_level(self, anchors, sizes, rows, lits) -> None:
+        """Append one degree's items; empty groups are dropped."""
+        count = int(anchors.size)
+        if not count:
+            return
+        used = sizes.nonzero()[0]
+        if used.size < sizes.size:
+            sizes, rows, lits = sizes[used], rows[used], lits[used]
+        self.levels.append((anchors, sizes, rows, lits))
+        self._group_ends.append(sizes.cumsum())
+        self._starts.append(self._starts[-1] + count)
+        if self._items is not None:
+            self._items += [None] * count
+        self._complete = False
+
+    def append_groups(self, groups: list[tuple[tuple[int, ...], list[int]]]) -> None:
+        """Append one degree's ``(basis, anchors)`` groups, as the
+        scalar loop retains them."""
+        if not groups:
+            return
+        np = gf2mat._np
+        rows = np.array([basis for basis, _ in groups], dtype=np.uint32)
+        rows = rows.reshape(len(groups), len(groups[0][0]))
+        self.append_level(
+            np.array([a for _, anchors in groups for a in anchors], dtype=np.uint32),
+            np.array([len(anchors) for _, anchors in groups], dtype=np.int64),
+            rows,
+            gf2mat.basis_literals(rows, self.n),
+        )
+
+    def materialize(self, budget: Budget | None = None) -> list[Pseudocube]:
+        """Every item as a ``Pseudocube`` (a new list), the ones not
+        read yet built in chunks with a ``budget`` check before each."""
+        if not self._complete:
+            built: list[Pseudocube] = []
+            for anchors, sizes, rows, _ in self.levels:
+                built += _materialize(self.n, anchors, sizes, rows, budget)
+            if self._items is not None:
+                built = [new if old is None else old for old, new in zip(self._items, built)]
+            self._items = built
+            self._complete = True
+        return list(self._items)
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def _item(self, i: int) -> Pseudocube:
+        items = self._items
+        if items is None:
+            items = self._items = [None] * len(self)
+        pc = items[i]
+        if pc is None:
+            level = bisect_right(self._starts, i) - 1
+            anchors, _, rows, _ = self.levels[level]
+            j = i - self._starts[level]
+            group = int(self._group_ends[level].searchsorted(j, side="right"))
+            pc = Pseudocube._unsafe(self.n, int(anchors[j]), tuple(rows[group].tolist()))
+            items[i] = pc
+        return pc
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._item(i) for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("EPPP index out of range")
+        return self._item(i)
+
+    def __iter__(self):
+        return iter(self.materialize())
+
+    def __repr__(self) -> str:
+        return f"EpppColumns(n={self.n}, items={len(self)}, levels={len(self.levels)})"
+
+
 @dataclass
 class EpppResult:
-    """The EPPP candidate set plus per-step instrumentation."""
+    """The EPPP candidate set plus per-step instrumentation.
+
+    ``eppps`` is a list of pseudocubes, except for an untruncated
+    packed generation, which holds them as :class:`EpppColumns` (a
+    sequence that builds each pseudocube only when it is read).  A
+    truncated generation keeps every level seen as a list, built in
+    chunks with a budget check before each.
+    """
 
     n: int
-    eppps: list[Pseudocube]
+    eppps: Sequence[Pseudocube]
     steps: list[StepStats] = field(default_factory=list)
     truncated: bool = False
 
@@ -280,13 +399,14 @@ def _union_step(
     complete: bool,
     max_generated: int | None = None,
     max_comparisons: int | None = None,
-) -> tuple[list[Pseudocube], int, int, int, bool]:
+) -> tuple[list[tuple[tuple[int, ...], list[int]]], int, int, int, bool]:
     """One union step: unify every same-structure pair of ``buckets``
     into ``target``, merging with whatever ``target`` already holds.
 
     Returns ``(retained, comparisons, generated, duplicates, overflow)``:
     the pseudoproducts of ``buckets`` that no union with at most their
-    literal count covers (Definition 3), the pairs unified, the unions
+    literal count covers (Definition 3), as ``(basis, anchors)`` groups
+    in bucket order with no group empty, the pairs unified, the unions
     new to ``target``, the ones it already held, and whether a cap
     tripped.  Caps are checked after each row — the granularity of the
     budget ticks — and an overflowing step stops there, leaving
@@ -305,12 +425,13 @@ def _union_step(
     every pair and deduplicates by dict.
     """
     comparisons = generated = duplicates = 0
-    retained: list[Pseudocube] = []
+    retained: list[tuple[tuple[int, ...], list[int]]] = []
     for basis, anchors in buckets.items():
         anchor_list = list(anchors)
         g = len(anchor_list)
         if g < 2:
-            retained.extend(Pseudocube._unsafe(n, a, basis) for a in anchor_list)
+            if g:
+                retained.append((basis, anchor_list))
             continue
         parent_literals = _basis_literals(n, basis)
         canonical_bits = _canonical_bits(basis)
@@ -373,10 +494,39 @@ def _union_step(
                 max_comparisons is not None and comparisons > max_comparisons
             ):
                 return retained, comparisons, generated, duplicates, True
-        retained.extend(
-            Pseudocube._unsafe(n, a, basis) for a in anchor_list if a not in covered
-        )
+        kept = [a for a in anchor_list if a not in covered]
+        if kept:
+            retained.append((basis, kept))
     return retained, comparisons, generated, duplicates, False
+
+
+def _keep_groups(result: EpppResult, groups) -> None:
+    """Append one step's retained ``(basis, anchors)`` groups to
+    ``result``: as columns when it holds columns (a packed generation's
+    scalar tail), else as pseudocubes."""
+    if isinstance(result.eppps, EpppColumns):
+        result.eppps.append_groups(groups)
+    else:
+        n = result.n
+        result.eppps.extend(
+            Pseudocube._unsafe(n, a, basis) for basis, anchors in groups for a in anchors
+        )
+
+
+def _keep_truncated(result: EpppResult, levels, budget: Budget | None) -> None:
+    """Mark ``result`` truncated and append every item of ``levels``
+    (bucket dicts), keeping the whole result as a list.  The items are
+    built in chunks with a ``budget`` check before each: a truncated
+    level can hold millions."""
+    eppps = result.eppps
+    if isinstance(eppps, EpppColumns):
+        eppps = eppps.materialize(budget)
+    for level in levels:
+        anchors = [a for group in level.values() for a in group]
+        bases = [basis for basis, group in level.items() for _ in group]
+        eppps += _build_chunked(result.n, anchors, bases, budget)
+    result.eppps = eppps
+    result.truncated = True
 
 
 def _fast_steps(
@@ -426,14 +576,9 @@ def _fast_steps(
                 )
             # Keep everything seen at this degree and below: sound
             # superset (every discarded pseudoproduct's coverer kept).
-            retained = [
-                Pseudocube._unsafe(n, a, basis)
-                for level in (buckets, next_buckets)
-                for basis, anchors in level.items()
-                for a in anchors
-            ]
-            result.truncated = True
-        result.eppps.extend(retained)
+            _keep_truncated(result, (buckets, next_buckets), budget)
+        else:
+            _keep_groups(result, retained)
         result.steps.append(
             StepStats(
                 degree=degree,
@@ -443,7 +588,7 @@ def _fast_steps(
                 naive_comparisons=size * (size - 1) // 2,
                 generated=generated,
                 duplicates=duplicates,
-                retained=size if overflow else len(retained),
+                retained=size if overflow else sum(len(a) for _, a in retained),
                 seconds=time.perf_counter() - t0,
             )
         )
@@ -572,7 +717,7 @@ def _generate_packed(
     np = gf2mat._np
     n = func.n
     points = sorted(func.care_set)
-    result = EpppResult(n, [])
+    result = EpppResult(n, EpppColumns(n))
     degree = 0
     total = len(points)
     capped = max_pseudoproducts is not None
@@ -752,15 +897,18 @@ def _generate_packed(
         if overflow:
             # Keep everything seen at this degree and below: sound
             # superset (every discarded pseudoproduct's coverer kept).
-            retained = _materialize(n, anchors, sizes, rows, budget)
+            eppps = result.eppps.materialize(budget)
+            eppps += _materialize(n, anchors, sizes, rows, budget)
             if generated:
-                retained += _materialize(n, *_next_level(n, rows, keys), budget)
+                eppps += _materialize(n, *_next_level(n, rows, keys), budget)
+            result.eppps = eppps
             result.truncated = True
+            retained = m
         else:
             keep = np.flatnonzero(~covered[:m])
             kept = np.bincount(group_of[keep], minlength=num_groups)
-            retained = _materialize(n, anchors[keep], kept, rows, budget)
-        result.eppps.extend(retained)
+            result.eppps.append_level(anchors[keep], kept, rows, lits)
+            retained = int(keep.size)
         result.steps.append(
             StepStats(
                 degree=degree,
@@ -770,7 +918,7 @@ def _generate_packed(
                 naive_comparisons=m * (m - 1) // 2,
                 generated=generated,
                 duplicates=inserted - generated,
-                retained=m if overflow else len(retained),
+                retained=retained,
                 seconds=time.perf_counter() - t0,
             )
         )
@@ -826,20 +974,21 @@ def _materialize(n, anchors, sizes, rows, budget=None):
     used = sizes.nonzero()[0]
     bases = list(map(tuple, rows[used].tolist()))
     basis_of = np.arange(used.size).repeat(sizes[used]).tolist()
-    anchor_list = anchors.tolist()
+    return _build_chunked(
+        n, anchors.tolist(), list(map(bases.__getitem__, basis_of)), budget
+    )
+
+
+def _build_chunked(n, anchors, bases, budget):
+    """``Pseudocube._unsafe(n, anchors[i], bases[i])`` for every ``i``,
+    in chunks of ``_MATERIALIZE_CHUNK`` with a ``budget`` check before
+    each."""
     out: list[Pseudocube] = []
-    for start in range(0, len(anchor_list), _MATERIALIZE_CHUNK):
+    for start in range(0, len(anchors), _MATERIALIZE_CHUNK):
         if budget is not None:
             budget.check()
         stop = start + _MATERIALIZE_CHUNK
-        out.extend(
-            map(
-                Pseudocube._unsafe,
-                repeat(n),
-                anchor_list[start:stop],
-                map(bases.__getitem__, basis_of[start:stop]),
-            )
-        )
+        out.extend(map(Pseudocube._unsafe, repeat(n), anchors[start:stop], bases[start:stop]))
     return out
 
 

@@ -17,7 +17,7 @@ selection on instances small enough for branch-and-bound.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 from repro.boolfunc.function import BoolFunc
@@ -28,6 +28,7 @@ from repro.kernels import build_problem, coverage_masks
 from repro.minimize import covering as cov
 from repro.minimize.cost import literal_cost
 from repro.minimize.eppp import (
+    EpppColumns,
     EpppResult,
     GenerationBudgetExceeded,
     _basis_factor_width,
@@ -72,7 +73,7 @@ class SppResult:
 
 def cover_with(
     func: BoolFunc,
-    candidates: list[Pseudocube],
+    candidates: Sequence[Pseudocube],
     *,
     covering: str = "greedy",
     cost: Callable[[Pseudocube], int] = literal_cost,
@@ -117,7 +118,7 @@ _PRUNE_CHUNK = 1 << 16
 
 def _prune_candidates(
     func: BoolFunc,
-    candidates: list[Pseudocube],
+    candidates: Sequence[Pseudocube],
     cost: Callable[[Pseudocube], int],
     limit: int,
     budget: Budget | None = None,
@@ -128,6 +129,8 @@ def _prune_candidates(
     The lists pruned here come from truncated generations, millions of
     candidates long, so ``budget`` is checked between chunks of the
     efficiency pass and ticked by the coverage kernel."""
+    if isinstance(candidates, EpppColumns):
+        candidates = candidates.materialize(budget)
     efficiency: list[float] = []
     for start in range(0, len(candidates), _PRUNE_CHUNK):
         if budget is not None:

@@ -175,13 +175,12 @@ def minimize_spp_k(
             complete=False, max_comparisons=max_comparisons,
         )
         comparisons += step_comparisons
-        if overflow:
-            retained = [
-                Pseudocube._unsafe(n, a, basis)
-                for basis, anchors in source.items()
-                for a in anchors
-            ]
-        candidates.extend(retained)
+        # The step's retained (basis, anchors) groups, or on overflow
+        # its whole source.
+        groups = source.items() if overflow else retained
+        candidates.extend(
+            Pseudocube._unsafe(n, a, basis) for basis, anchors in groups for a in anchors
+        )
     candidates.extend(
         Pseudocube._unsafe(n, a, basis)
         for basis, anchors in stores[n].items()

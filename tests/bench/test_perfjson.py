@@ -234,6 +234,30 @@ class TestCli:
         for row in e2e:
             assert row["ratio"] <= 1.0, row
 
+    def test_committed_columnar_artifacts_show_build_speedup(self):
+        # The columnar-candidates record: BENCH_precolumnar.json (the
+        # parent tree with this bench harness) -> BENCH_columnar.json,
+        # each `bench --only gen/` plus `--only covering_`.  Every
+        # covering_build entry builds from columns at least 3x faster
+        # than its same-process scalar control (the CI floor) and at
+        # most half as long as before; the gen and covering_solve
+        # entries are all there.
+        from pathlib import Path
+
+        bench_dir = Path(__file__).resolve().parents[2] / "benchmarks"
+        before = load_report(str(bench_dir / "BENCH_precolumnar.json"))
+        after = load_report(str(bench_dir / "BENCH_columnar.json"))
+        rows = compare_reports(after, before, max_regression=1.0)
+        groups = [r["name"].split("/")[0] for r in rows]
+        assert groups.count("gen") == 6
+        assert groups.count("covering_solve") == 3
+        builds = [r for r in rows if r["name"].startswith("covering_build/")]
+        assert len(builds) == 3
+        amap = {e["name"]: e for e in after["entries"]}
+        for row in builds:
+            assert row["ratio"] <= 0.5, row
+            assert amap[row["name"]]["meta"]["speedup"] >= 3.0, row["name"]
+
     def test_committed_delta_artifacts_show_warm_speedup(self):
         # The incremental re-minimization record: every delta entry
         # carries a same-process paired cold-solve speedup >= 5x with

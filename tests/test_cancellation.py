@@ -204,3 +204,28 @@ class TestLiveCancellation:
                     func, max_pseudoproducts=1000, on_limit="stop", budget=budget
                 )
         assert len(chunks) == 1
+
+    def test_cancel_lands_inside_a_truncated_scalar_level(self):
+        """The scalar lane keeps a truncated step's levels the same way:
+        built in chunks with a budget check before each.  life[0]
+        capped at 1000 overflows in its degree-0 step; with one-item
+        chunks, a cancel while the first chunk is built must raise
+        before the second."""
+        func = get_benchmark("life")[0]
+        budget = Budget()
+        chunks = []
+
+        def cancelling_repeat(n):
+            chunks.append(n)
+            budget.cancel("mid-level")
+            return itertools.repeat(n)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf2mat, "AVAILABLE", False)
+            mp.setattr(eppp_mod, "_MATERIALIZE_CHUNK", 1)
+            mp.setattr(eppp_mod, "repeat", cancelling_repeat)
+            with pytest.raises(Cancelled):
+                generate_eppp(
+                    func, max_pseudoproducts=1000, on_limit="stop", budget=budget
+                )
+        assert len(chunks) == 1
