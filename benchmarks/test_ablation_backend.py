@@ -1,11 +1,15 @@
 """Ablation A — grouping backend: partition trie vs hash index.
 
-Both backends realize the same same-structure partition (Theorem 1), so
-Algorithm 2 produces identical EPPP sets; this ablation measures the
-constant-factor cost of the pointer-based trie against the flat hash
-map in Python.  (In the paper's C setting the trie also buys prefix
-compression; in Python the hash map dominates, which is why it is the
-default backend — see DESIGN.md §6.)
+Both backends realize the same same-structure partition (Theorem 1) and
+run the same union step, so Algorithm 2 produces identical EPPP sets;
+the lanes differ only in grouping.  The index lane sorts each level by
+basis, the trie lane regroups each level through a ``PartitionTrie``
+(and inserts every union, as the paper does), so this ablation times
+the trie's regrouping against the hash map in Python; with numpy the
+index lane runs its steps packed, and ``REPRO_NO_NUMPY=1`` leaves the
+regrouping as the only difference.  (In the paper's
+C setting the trie also buys prefix compression; in Python the hash map
+dominates, which is why it is the default backend — see DESIGN.md §6.)
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ from repro.minimize import (
 from repro.minimize.multi import minimize_spp_multi
 from repro.serialize import dumps as dump_json
 from repro.serialize import loads as load_json
-from repro.trie import PartitionTrie, StructureIndex
+from repro.trie import PartitionTrie
 from repro.verify import assert_equivalent, verify_form
 
 __version__ = "1.0.0"
@@ -61,7 +61,6 @@ __all__ = [
     "PartitionTrie",
     "Pseudocube",
     "SppForm",
-    "StructureIndex",
     "assert_equivalent",
     "cex_of",
     "cex_union",

@@ -471,11 +471,18 @@ def run_perf_suite(
     for solve_label, problem in cover_problems.items():
         if not wanted(solve_label):
             continue
-        # Every timed solve gets a fresh problem over the same lists, so
-        # the packing each cold or warm solve pays stays in the timing.
-        fresh = lambda problem=problem: cov.CoveringProblem(  # noqa: E731
+        # Every timed solve gets a fresh problem, as a cold exact solve
+        # hands `solve_greedy` one: the columnar build's packed matrix
+        # and no masks, so the masks each solve unpacks stay in the
+        # timing.  A build that made no matrix gives its masks.
+        masked = lambda problem=problem: cov.CoveringProblem(  # noqa: E731
             problem.num_rows, problem.column_masks, problem.costs, problem.payloads
         )
+        fresh = masked
+        if problem.matrix is not None:
+            fresh = lambda problem=problem: cov.CoveringProblem(  # noqa: E731
+                problem.num_rows, None, problem.costs, problem.payloads, problem.matrix
+            )
         best, mean = _time_best(cov.solve_greedy, repeats, setup=fresh)
         profile(solve_label, lambda fresh=fresh: cov.solve_greedy(fresh()))
         # One extra solve outside the timed loop records the cover cost
@@ -491,10 +498,11 @@ def run_perf_suite(
             meta["reduction"] = solution.stats.as_dict()
         if bitmat.HAVE_NUMPY:
             # Paired control, as for gen/*: the scalar path (Python-int
-            # reduction and CELF heap) timed in the same process.
+            # reduction and CELF heap) timed in the same process, on
+            # fresh mask-built problems.
             bitmat.HAVE_NUMPY = False
             try:
-                fb_best, fb_mean = _time_best(cov.solve_greedy, repeats, setup=fresh)
+                fb_best, fb_mean = _time_best(cov.solve_greedy, repeats, setup=masked)
             finally:
                 bitmat.HAVE_NUMPY = True
             meta["fallback_best"] = fb_best

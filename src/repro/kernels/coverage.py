@@ -234,9 +234,10 @@ def build_problem(
 _BUILD_CHUNK_POINTS = 1 << 16
 
 # Widest row lookup table the columnar build allocates, in uint64
-# words: one table of ``2^n`` entries per 64-row word.  Every function
-# the package ships stays far below it (n <= 9: at most 4,096 words);
-# wider inputs take the grouped Python-int pass.
+# words: one table of ``2^n`` entries per 64-row word.  The served pool
+# (n <= 9) needs at most 4,096 words and the 11- and 12-input suite
+# functions (newcond, add6, alu) at most 2^17; every output of the
+# 14-input amd needs more, and takes the grouped Python-int pass.
 _DENSE_TABLE_WORDS = 1 << 18
 
 

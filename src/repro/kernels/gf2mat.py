@@ -2,7 +2,7 @@
 :mod:`repro.core.gf2`.
 
 The packed generation front-end takes functions of ``n <=
-MAX_PACKED_N = 32`` variables, so every GF(2) vector over ``B^n`` fits
+MAX_PACKED_N = 16`` variables, so every GF(2) vector over ``B^n`` fits
 one ``uint32``: a *batch* of vectors is a 1-D uint32 array and a *batch
 of bases* is a 2-D ``(batch, rank)`` uint32 matrix — row ``r`` of basis
 ``b`` lives in ``mat[b, r]``.  The generation front-end only ever holds
@@ -10,7 +10,7 @@ bases of one uniform rank per step (every degree-``k`` pseudocube has a
 rank-``k`` direction space), which is what makes whole-step batching
 practical: one ``(groups, degree)`` matrix per step, no padding, no
 ragged rows.  Only its sort key, ``(group, Δ, anchor)``, needs a
-``uint64``.
+``uint64``, and fits one for every level of int32-indexed items.
 
 The generation step uses four kernels, pinned against the scalar
 loops they replace by ``tests/kernels/test_gf2mat.py``:
@@ -43,10 +43,11 @@ except ImportError:  # pragma: no cover — exercised via the fallback path
 #: ``REPRO_NO_NUMPY=1`` pins the pure-Python ``core.gf2`` path fleet-wide.
 AVAILABLE = _HAVE and not os.environ.get("REPRO_NO_NUMPY")
 
-#: Widest function the packed generation front-end takes: its vectors
-#: fit one uint32, and its sort key packs a delta and an anchor into one
-#: uint64.
-MAX_PACKED_N = 32
+#: Widest function the packed generation front-end takes: its sort key
+#: packs a group index (under 2^31: items are int32-indexed), a delta
+#: and an anchor into one uint64.  The widest registered function, amd,
+#: has 14 inputs; wider ones run the scalar loop.
+MAX_PACKED_N = 16
 
 __all__ = [
     "AVAILABLE",

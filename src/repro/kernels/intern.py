@@ -1,21 +1,18 @@
-"""Interned direction-basis table with stable ids and cached pivots.
+"""Interned direction-basis table with cached pivots.
 
-EPPP generation, the structure trie, and the coverage kernels all key
-dictionaries by the RREF direction basis — a tuple of ints.  Many
-pseudocubes share the same basis (that sharing *is* Theorem 1), but the
-tuples arrive from independent ``insert_vector`` calls, so equal bases
-are usually distinct objects and every dict probe pays a full tuple
-compare after the hash.  Interning collapses equal bases to one
-canonical tuple, making the identity fast-path inside ``dict`` lookups
-hit and keeping one copy of each basis alive instead of thousands.
+EPPP generation and the partition trie key dictionaries by the RREF
+direction basis — a tuple of ints.  Many pseudocubes share the same
+basis (that sharing *is* Theorem 1), but the tuples arrive from
+independent ``insert_vector`` calls, so equal bases are usually
+distinct objects and every dict probe pays a full tuple compare after
+the hash.  Interning collapses equal bases to one canonical tuple,
+making the identity fast-path inside ``dict`` lookups hit and keeping
+one copy of each basis alive instead of thousands.
 
-Beyond canonicalisation the table hands out *stable integer ids*
-(assigned densely in first-intern order) so columnar stores can key
-buckets and arrays by a small int instead of a tuple, and caches the
-pivot tuple of each distinct basis — the per-insert
-``[gf2.pivot_of(b) for b in basis]`` recomputation in the partition
-trie was pure waste, since pivots are a function of the basis alone
-(the same observation behind the cached ``pivot_mask`` slot on
+The table also caches the pivot tuple of each distinct basis — the
+per-insert ``[gf2.pivot_of(b) for b in basis]`` recomputation in the
+partition trie was pure waste, since pivots are a function of the basis
+alone (the same observation behind the cached ``pivot_mask`` slot on
 :class:`~repro.core.pseudocube.Pseudocube`).
 """
 
@@ -29,72 +26,24 @@ __all__ = ["BasisInterner"]
 class BasisInterner:
     """Canonicalise basis tuples: equal tuples in, one shared object out.
 
-    A dict-backed intern table mapping each distinct basis to a dense
-    integer id.  ``intern`` returns the first tuple seen for each
-    distinct value, so callers that key dicts by the result get
-    identity-equal keys for structurally equal bases; ``intern_id``
-    returns the id itself for columnar stores.  Per-basis derived data
-    (the pivot tuple) is cached by id and computed at most once.
+    ``intern`` returns the first tuple seen for each distinct value, so
+    callers that key dicts by the result get identity-equal keys for
+    structurally equal bases.  The pivot tuple of a basis is computed at
+    most once.
     """
 
-    __slots__ = ("_ids", "_bases", "_pivots")
+    __slots__ = ("_bases", "_pivots")
 
     def __init__(self) -> None:
-        self._ids: dict[tuple[int, ...], int] = {}
-        self._bases: list[tuple[int, ...]] = []
-        self._pivots: list[tuple[int, ...] | None] = []
+        self._bases: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._pivots: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def intern(self, basis: tuple[int, ...]) -> tuple[int, ...]:
-        ident = self._ids.get(basis)
-        if ident is None:
-            self._ids[basis] = len(self._bases)
-            self._bases.append(basis)
-            self._pivots.append(None)
-            return basis
-        return self._bases[ident]
-
-    def intern_id(self, basis: tuple[int, ...]) -> int:
-        """The stable dense id of ``basis``, assigning one if new.
-
-        Ids are allocated in first-intern order, so iteration orders
-        keyed by id match orders keyed by the interned tuple exactly.
-        """
-        ident = self._ids.get(basis)
-        if ident is None:
-            ident = len(self._bases)
-            self._ids[basis] = ident
-            self._bases.append(basis)
-            self._pivots.append(None)
-        return ident
-
-    def lookup_id(self, basis: tuple[int, ...]) -> int | None:
-        """The id of ``basis`` if already interned, else None (no insert)."""
-        return self._ids.get(basis)
-
-    def basis_of(self, ident: int) -> tuple[int, ...]:
-        """The canonical basis tuple for a stable id."""
-        return self._bases[ident]
+        return self._bases.setdefault(basis, basis)
 
     def pivots(self, basis: tuple[int, ...]) -> tuple[int, ...]:
-        """Cached pivot positions of ``basis`` (interning it if new)."""
-        return self.pivots_of(self.intern_id(basis))
-
-    def pivots_of(self, ident: int) -> tuple[int, ...]:
-        """Cached pivot positions for an interned basis id."""
-        cached = self._pivots[ident]
+        """Cached pivot positions of ``basis``."""
+        cached = self._pivots.get(basis)
         if cached is None:
-            cached = tuple(gf2.pivot_of(b) for b in self._bases[ident])
-            self._pivots[ident] = cached
+            cached = self._pivots[basis] = tuple(gf2.pivot_of(b) for b in basis)
         return cached
-
-    def bases(self) -> list[tuple[int, ...]]:
-        """All distinct bases in id order (index ``i`` has id ``i``)."""
-        return list(self._bases)
-
-    def __len__(self) -> int:
-        return len(self._bases)
-
-    def clear(self) -> None:
-        self._ids.clear()
-        self._bases.clear()
-        self._pivots.clear()

@@ -7,26 +7,32 @@ guarantees every such pair unifies, so no comparison is wasted), and
 retains a degree-``k`` pseudoproduct unless some union covering it has
 no more literals (Definition 3's *extended prime pseudoproducts*).
 
-The same-structure grouping is delegated to a pluggable *store*:
+One union step (``_union_step``) serves every scalar generation; the
+backends differ only in how each level is grouped into structures:
 
-* ``"index"`` — hash map keyed by the direction basis (the fast
-  default).  Within a group all pairs with the same anchor difference
-  ``delta`` produce unions with the same direction space, so basis
-  insertion and literal counting are cached per ``delta``, and the new
-  anchor is a single conditional XOR.  When :mod:`repro.kernels.gf2mat`
-  is available each step runs as packed array ops over blocks of its
-  pair stream (see ``_generate_packed``), so its memory follows the
-  block and level sizes, not the pair count; the scalar loop is the
-  pinned reference (``REPRO_NO_NUMPY=1`` forces it).
-* ``"trie"`` — :class:`repro.trie.PartitionTrie`, the paper's data
-  structure node for node.
+* ``"index"`` — each level is a dict keyed by the direction basis,
+  sorted by (basis, anchor) (the fast default).  Within a group all
+  pairs with the same anchor difference ``delta`` produce unions with
+  the same direction space, so basis insertion and literal counting
+  are cached per ``delta``, and the new anchor is a single conditional
+  XOR.  When :mod:`repro.kernels.gf2mat` is available and ``n <=
+  MAX_PACKED_N``, every step of the generation instead runs as packed
+  array ops over blocks of its pair stream (see ``_generate_packed``),
+  so its memory follows the block and level sizes, not the pair count;
+  the scalar loop is the pinned reference (``REPRO_NO_NUMPY=1`` forces
+  it) and serves wider functions.
+* ``"trie"`` — each level is regrouped through a
+  :class:`repro.trie.PartitionTrie`, the paper's data structure node
+  for node, and read back in trie order.  As in the paper every union
+  is inserted, not only the canonical one below.
 
-Both produce identical groups, hence identical EPPP sets; the ablation
-benchmark measures their constant factors.
+The structure classes of the trie are exactly the basis groups, so both
+produce the same EPPP set and the same step counters; the ablation
+benchmark measures what the trie's regrouping costs.
 
 A degree-``k+1`` union arises from ``2^(k+1) - 1`` pairs, one per
-hyperplane of its direction space.  The index store builds it from one
-of them only, its *canonical* pair: the pair whose parents span the
+hyperplane of its direction space.  The index backend builds it from
+one of them only, its *canonical* pair: the pair whose parents span the
 union's RREF rows minus the highest-pivot row.  In the parent group's
 terms the delta's lowest set bit lies above the top pivot and in no
 basis row, so the child basis is the parent basis with the delta
@@ -69,7 +75,6 @@ from repro.core.pseudocube import Pseudocube
 from repro.kernels import gf2mat
 from repro.kernels.intern import BasisInterner
 from repro.minimize.covering import LazySequence
-from repro.trie.index import StructureIndex
 from repro.trie.partition_trie import PartitionTrie
 
 __all__ = [
@@ -78,21 +83,11 @@ __all__ = [
     "EpppResult",
     "GenerationBudgetExceeded",
     "generate_eppp",
-    "make_store",
 ]
 
 
 class GenerationBudgetExceeded(RuntimeError):
     """The pseudoproduct budget was exhausted (``on_limit="raise"``)."""
-
-
-def make_store(backend: str):
-    """Instantiate a grouping store: ``"index"`` or ``"trie"``."""
-    if backend == "index":
-        return StructureIndex()
-    if backend == "trie":
-        return PartitionTrie()
-    raise ValueError(f"unknown store backend {backend!r}")
 
 
 @dataclass
@@ -154,21 +149,6 @@ class EpppColumns(LazySequence):
         if self._items is not None:
             self._items += [None] * count
         self._complete = False
-
-    def append_groups(self, groups: list[tuple[tuple[int, ...], list[int]]]) -> None:
-        """Append one degree's ``(basis, anchors)`` groups, as the
-        scalar loop retains them."""
-        if not groups:
-            return
-        np = gf2mat._np
-        rows = np.array([basis for basis, _ in groups], dtype=np.uint32)
-        rows = rows.reshape(len(groups), len(groups[0][0]))
-        self.append_level(
-            np.array([a for _, anchors in groups for a in anchors], dtype=np.uint32),
-            np.array([len(anchors) for _, anchors in groups], dtype=np.int64),
-            rows,
-            gf2mat.basis_literals(rows, self.n),
-        )
 
     def materialize(self, budget: Budget | None = None) -> list[Pseudocube]:
         """Every item as a ``Pseudocube`` (a new list), the ones not
@@ -301,19 +281,19 @@ def generate_eppp(
         # monkeypatched AVAILABLE select the pinned scalar fallback.
         if gf2mat.AVAILABLE and func.n <= gf2mat.MAX_PACKED_N:
             return _generate_packed(*args)
-        return _generate_fast(*args)
+        return _fast_steps(*args)
     if backend == "trie":
-        return _generate_generic(*args)
+        return _fast_steps(*args, trie=True)
     raise ValueError(f"unknown store backend {backend!r}")
 
 
 # ----------------------------------------------------------------------
-# Fast path: dict-of-dicts buckets, per-delta caching (index backend)
+# Scalar path: dict-of-dicts buckets, per-delta caching
 # ----------------------------------------------------------------------
 
-#: One degree level: basis -> {anchor: None}.  Levels built by
-#: `_fast_steps` are sorted by (basis, anchor); the heuristic's stores
-#: keep insertion order.
+#: One degree level: basis -> {anchor: None}.  The index lane's levels
+#: are sorted by (basis, anchor), the trie lane's in trie order; the
+#: heuristic's stores keep insertion order.
 Buckets = dict[tuple[int, ...], dict[int, None]]
 
 
@@ -362,30 +342,34 @@ def _sorted_level(level: Buckets) -> Buckets:
     return {basis: dict.fromkeys(sorted(level[basis])) for basis in sorted(level)}
 
 
-def _generate_fast(
-    func: BoolFunc,
-    discard_equal: bool,
-    factor_width: int | None,
-    max_pseudoproducts: int | None,
-    on_limit: str,
-    budget: Budget | None = None,
-) -> EpppResult:
-    # The degree-0 basis is (); interning makes the bucket probes
-    # identity-hits with one tuple per distinct basis.
-    buckets: Buckets = {(): {p: None for p in sorted(func.care_set)}}
-    return _fast_steps(
-        func.n,
-        buckets,
-        EpppResult(func.n, []),
-        0,
-        len(buckets[()]),
-        BasisInterner(),
-        discard_equal,
-        factor_width,
-        max_pseudoproducts,
-        on_limit,
-        budget,
-    )
+# Items inserted into a regroup trie between two budget checks in
+# `_trie_level`.  An insert costs 15-28 us on a 2-core x86 host (the
+# EPPP sets of dist[1], life[0] and adr4[3], best of 5), so a chunk
+# takes 60-115 ms, near a `_MATERIALIZE_CHUNK` build's 70 ms.
+_REGROUP_CHUNK = 1 << 12
+
+
+def _trie_level(n: int, level: Buckets, budget: Budget | None) -> Buckets:
+    """``level`` regrouped through a :class:`PartitionTrie` (Section
+    3.2) and read back in the trie's group order, each group's anchors
+    in insertion order.  Its structure classes are exactly the basis
+    buckets.  The items are inserted in chunks of ``_REGROUP_CHUNK``
+    with a ``budget`` check (not a tick) before each, as a truncated
+    level can hold millions, and the walk ticks ``budget`` once per trie
+    node; an empty level builds no trie."""
+    trie = PartitionTrie()
+    items = [(anchor, basis) for basis, anchors in level.items() for anchor in anchors]
+    for start in range(0, len(items), _REGROUP_CHUNK):
+        if budget is not None:
+            budget.check()
+        for anchor, basis in items[start : start + _REGROUP_CHUNK]:
+            trie.insert(Pseudocube._unsafe(n, anchor, basis))
+    if not trie:
+        return {}
+    return {
+        group[0].basis: dict.fromkeys(pc.anchor for pc in group)
+        for group in trie.groups(budget=budget)
+    }
 
 
 def _union_step(
@@ -502,55 +486,59 @@ def _union_step(
 
 def _keep_groups(result: EpppResult, groups) -> None:
     """Append one step's retained ``(basis, anchors)`` groups to
-    ``result``: as columns when it holds columns (a packed generation's
-    scalar tail), else as pseudocubes."""
-    if isinstance(result.eppps, EpppColumns):
-        result.eppps.append_groups(groups)
-    else:
-        n = result.n
-        result.eppps.extend(
-            Pseudocube._unsafe(n, a, basis) for basis, anchors in groups for a in anchors
-        )
+    ``result`` as pseudocubes."""
+    n = result.n
+    result.eppps.extend(
+        Pseudocube._unsafe(n, a, basis) for basis, anchors in groups for a in anchors
+    )
 
 
 def _keep_truncated(result: EpppResult, levels, budget: Budget | None) -> None:
     """Mark ``result`` truncated and append every item of ``levels``
-    (bucket dicts), keeping the whole result as a list.  The items are
-    built in chunks with a ``budget`` check before each: a truncated
-    level can hold millions."""
-    eppps = result.eppps
-    if isinstance(eppps, EpppColumns):
-        eppps = eppps.materialize(budget)
+    (bucket dicts).  The items are built in chunks with a ``budget``
+    check before each: a truncated level can hold millions."""
     for level in levels:
         anchors = [a for group in level.values() for a in group]
         bases = [basis for basis, group in level.items() for _ in group]
-        eppps += _build_chunked(result.n, anchors, bases, budget)
-    result.eppps = eppps
+        result.eppps += _build_chunked(result.n, anchors, bases, budget)
     result.truncated = True
 
 
 def _fast_steps(
-    n: int,
-    buckets: Buckets,
-    result: EpppResult,
-    degree: int,
-    total: int,
-    interner: BasisInterner,
+    func: BoolFunc,
     discard_equal: bool,
     factor_width: int | None,
     max_pseudoproducts: int | None,
     on_limit: str,
-    budget: Budget | None,
+    budget: Budget | None = None,
+    *,
+    trie: bool = False,
 ) -> EpppResult:
-    """The scalar step loop, resumable from any complete (buckets,
-    degree, total) state sorted by (basis, anchor) — both the plain
-    fallback entry point and the hand-off target when a packed step has
-    too few pairs to pay for its array calls or a sort key wider than
-    64 bits."""
+    """The scalar step loop, from the care set up.
+
+    The index lane (``trie=False``) sorts each level by (basis, anchor);
+    its levels are complete, so `_union_step` inserts only canonical
+    pairs.  The trie lane regroups each level through a
+    :class:`PartitionTrie` and inserts every pair, as the paper inserts
+    every union into the trie.
+    """
+    n = func.n
+    if trie:
+        def regroup(level: Buckets) -> Buckets:
+            return _trie_level(n, level, budget)
+    else:
+        regroup = _sorted_level
     # The raw union work per step is bounded as well as the distinct
     # pseudoproducts: an XOR-rich step makes 2^{k+1}-1 pairs per union.
     capped = max_pseudoproducts is not None
     comparison_cap = 8 * max_pseudoproducts if capped else None
+    # The degree-0 basis is (); interning makes the bucket probes
+    # identity-hits with one tuple per distinct basis.
+    interner = BasisInterner()
+    buckets = regroup({(): dict.fromkeys(sorted(func.care_set))})
+    result = EpppResult(n, [])
+    degree = 0
+    total = len(func.care_set)
 
     while buckets:
         t0 = time.perf_counter()
@@ -564,11 +552,10 @@ def _fast_steps(
             discard_equal,
             factor_width,
             budget,
-            complete=True,
+            complete=not trie,
             max_generated=max_pseudoproducts - total if capped else None,
             max_comparisons=comparison_cap,
         )
-        next_buckets = _sorted_level(next_buckets)
         if overflow:
             if on_limit == "raise":
                 raise GenerationBudgetExceeded(
@@ -576,7 +563,7 @@ def _fast_steps(
                 )
             # Keep everything seen at this degree and below: sound
             # superset (every discarded pseudoproduct's coverer kept).
-            _keep_truncated(result, (buckets, next_buckets), budget)
+            _keep_truncated(result, (buckets, regroup(next_buckets)), budget)
         else:
             _keep_groups(result, retained)
         result.steps.append(
@@ -595,7 +582,7 @@ def _fast_steps(
         if overflow:
             return result
         total += generated
-        buckets = next_buckets
+        buckets = regroup(next_buckets)
         degree += 1
     return result
 
@@ -613,29 +600,6 @@ def _fast_steps(
 # 0.81-0.82 s at 2^13, 0.79-0.88 s at 2^17 and 0.91 s at 2^12: smaller
 # blocks pay more per-block array calls, larger ones miss the cache.
 _BLOCK_PAIRS = 1 << 15
-
-# Below this many pairs the scalar dict loop wins, so the tail degrees
-# — and tiny functions outright — run scalar.  A packed step costs about
-# 0.1 ms before its first pair (some fifty array calls, one sort and the
-# state conversions), the scalar loop a few microseconds per pair: a
-# lone degree-0 step breaks even near 40 pairs on a 2-core x86 host, and
-# on the n=6 proxies every threshold from 0 to 96 times within noise of
-# 24.  Tests monkeypatch this to 0 to force every step through the
-# packed lanes.
-_MIN_PACKED_PAIRS = 24
-
-
-def _packed_to_buckets(anchors, sizes, rows):
-    """Packed step state → the scalar loop's bucket dicts, preserving
-    bucket order and within-bucket anchor order exactly."""
-    buckets: Buckets = {}
-    anchor_list = anchors.tolist()
-    start = 0
-    # Uniform full rank: no zero padding to strip from the rows.
-    for row, count in zip(rows.tolist(), sizes.tolist()):
-        buckets[tuple(row)] = dict.fromkeys(anchor_list[start : start + count])
-        start += count
-    return buckets
 
 
 def _tick(budget: Budget, count: int, n: int) -> None:
@@ -659,10 +623,10 @@ def _generate_packed(
     on_limit: str,
     budget: Budget | None = None,
 ) -> EpppResult:
-    """`_generate_fast` with every step computed as packed array ops.
+    """The index lane with every step computed as packed array ops.
 
     Per-step state is columnar: ``anchors`` (one uint32 per pseudocube,
-    grouped by bucket; ``n <= MAX_PACKED_N = 32``), ``sizes`` (bucket
+    grouped by bucket; ``n <= MAX_PACKED_N = 16``), ``sizes`` (bucket
     sizes), ``rows`` — one ``(groups, degree)`` uint32 matrix holding
     every bucket's RREF basis (uniform rank: every degree-``k``
     pseudocube has ``k`` direction rows) — and ``lits``, each bucket's
@@ -698,21 +662,27 @@ def _generate_packed(
 
     One sort of the step's keys builds the next level: parent groups
     are in basis order, so this is (child basis, anchor) order, and the
-    runs of equal ``(group, Δ)`` are its buckets.
+    runs of equal ``(group, Δ)`` are its buckets.  Items are int32
+    indices, so a level has fewer than 2^31 groups and the key fits 64
+    bits with ``n <= 16``.
+
+    A level with no pairs (no group holds two items) is retained whole
+    and ends generation, as the scalar step records it.
 
     Counters match the scalar lane: every pair is a comparison, the
     fitting canonical pairs are ``generated`` and the other fitting
     pairs ``duplicates``.
 
-    Each block ticks the budget for its pairs before decoding them, so
-    a deadline or cancel lands within a block.  Caps replicate the
-    scalar loop's row-granular check: the block whose last row end
-    breaks a cap finds the first row end inside it that does (both
-    conditions are monotone in the stream position), and the step stops
-    there, keeping the canonical children before it, sorted like a full
-    level.  An overflowing step's stream ends at the first row end past
-    the comparison cap, and it ticks to there even when the pseudoproduct
-    cap stops it sooner, so tick totals do not depend on the block size.
+    Caps replicate the scalar loop's row-granular check: the block
+    whose last row end breaks a cap finds the first row end inside it
+    that does (both conditions are monotone in the stream position), and
+    the step stops there, keeping the canonical children before it,
+    sorted like a full level.  The stream ends at the first row end past
+    the comparison cap, so an overflowing step decodes no block beyond
+    it.  Each block ticks the budget once it is classified, for the
+    pairs up to the row where the step stops, so a deadline or cancel
+    lands within a block and every step ticks what the scalar lane
+    does: one tick per pair compared, whatever the block size.
     """
     np = gf2mat._np
     n = func.n
@@ -733,8 +703,8 @@ def _generate_packed(
     # Literal count of each group's bases, carried across steps.
     lits = np.full(1, n, dtype=np.int64)
 
-    # Every iteration either returns (no pairs / no union fits / overflow
-    # / hand-off) or installs a non-empty next state of strictly higher
+    # Every iteration either returns (no pairs / no union fits /
+    # overflow) or installs a non-empty next state of strictly higher
     # degree <= n, mirroring the scalar `while buckets` loop (which
     # always enters: the degree-0 state is one group even for an empty
     # care set).
@@ -743,26 +713,24 @@ def _generate_packed(
         m = int(anchors.size)
         num_groups = int(sizes.size)
         pair_total = int((sizes * (sizes - 1) // 2).sum())
-        # The sort key (group, Δ, anchor) packs into one uint64 only
-        # while bits(groups) + 2n <= 64; wider steps run scalar.
-        if (
-            pair_total < _MIN_PACKED_PAIRS
-            or pair_total == 0
-            or (num_groups - 1).bit_length() + 2 * n > 64
-        ):
-            return _fast_steps(
-                n,
-                _packed_to_buckets(anchors, sizes, rows),
-                result,
-                degree,
-                total,
-                BasisInterner(),
-                discard_equal,
-                factor_width,
-                max_pseudoproducts,
-                on_limit,
-                budget,
+        if not pair_total:
+            # No group holds two items: the level is retained whole and
+            # generation ends, as in the scalar step.
+            result.eppps.append_level(anchors, sizes, rows, lits)
+            result.steps.append(
+                StepStats(
+                    degree=degree,
+                    pseudoproducts=m,
+                    groups=num_groups,
+                    comparisons=0,
+                    naive_comparisons=m * (m - 1) // 2,
+                    generated=0,
+                    duplicates=0,
+                    retained=m,
+                    seconds=time.perf_counter() - t0,
+                )
             )
+            return result
 
         lengths = gf2mat.row_lengths(sizes)
         row_ends = lengths.cumsum()
@@ -806,8 +774,6 @@ def _generate_packed(
         for end in block_ends:
             left, right = gf2mat.pair_block(lengths, start, end)
             count = int(left.size)
-            if budget is not None:
-                _tick(budget, count, n)
             lens = lengths[start:end]
             # Anchors are zero on the parent pivots, hence so is the
             # delta: it is already reduced modulo the parent basis.
@@ -854,18 +820,18 @@ def _generate_packed(
                     local if chosen is None else np.searchsorted(chosen, local)
                 )
                 hit = int(((made_at > budget_left) | (ends > comparison_cap)).argmax())
-                if budget is not None:
-                    _tick(budget, stop - pos - count, n)
-                if on_limit == "raise":
-                    raise GenerationBudgetExceeded(
-                        f"generated more than {max_pseudoproducts} pseudoproducts"
-                    )
                 count = int(local[hit])
                 made = int(made_at[hit]) - generated
                 if chosen is not None:
                     chosen = chosen[:made]
                 if fits is not None:
                     fits = fits[:count]
+            if budget is not None:
+                _tick(budget, count, n)
+            if overflow and on_limit == "raise":
+                raise GenerationBudgetExceeded(
+                    f"generated more than {max_pseudoproducts} pseudoproducts"
+                )
             inserted += count if fits is None else int(np.count_nonzero(fits))
             if made:
                 pick = slice(made) if chosen is None else chosen
@@ -990,100 +956,3 @@ def _build_chunked(n, anchors, bases, budget):
         stop = start + _MATERIALIZE_CHUNK
         out.extend(map(Pseudocube._unsafe, repeat(n), anchors[start:stop], bases[start:stop]))
     return out
-
-
-# ----------------------------------------------------------------------
-# Generic path: any store exposing insert/groups/items (trie backend)
-# ----------------------------------------------------------------------
-
-def _generate_generic(
-    func: BoolFunc,
-    discard_equal: bool,
-    factor_width: int | None,
-    max_pseudoproducts: int | None,
-    on_limit: str,
-    budget: Budget | None = None,
-) -> EpppResult:
-    store = make_store("trie")
-    for p in sorted(func.care_set):
-        store.insert(Pseudocube.from_point(func.n, p))
-
-    result = EpppResult(func.n, [])
-    degree = 0
-    total = len(store)
-    budget_left = None if max_pseudoproducts is None else max_pseudoproducts - total
-    comparison_cap = 0 if max_pseudoproducts is None else 8 * max_pseudoproducts
-    while len(store):
-        t0 = time.perf_counter()
-        next_store = make_store("trie")
-        covered: set[Pseudocube] = set()
-        comparisons = 0
-        duplicates = 0
-        groups = 0
-        size = len(store)
-        overflow = False
-        for group in store.groups(budget=budget):
-            g = len(group)
-            groups += 1
-            if g < 2:
-                continue
-            parent_literals = group[0].num_literals
-            for i in range(g - 1):
-                if budget is not None:
-                    budget.tick(g - 1 - i)
-                gi = group[i]
-                for j in range(i + 1, g):
-                    gj = group[j]
-                    union = gi.union(gj)
-                    comparisons += 1
-                    if (
-                        factor_width is not None
-                        and _basis_factor_width(union.n, union.basis) > factor_width
-                    ):
-                        continue
-                    if not next_store.insert(union):
-                        duplicates += 1
-                    child_literals = union.num_literals
-                    if child_literals < parent_literals or (
-                        discard_equal and child_literals == parent_literals
-                    ):
-                        covered.add(gi)
-                        covered.add(gj)
-                if budget_left is not None and (
-                    len(next_store) > budget_left or comparisons > comparison_cap
-                ):
-                    overflow = True
-                    break
-            if overflow:
-                break
-        if overflow:
-            if on_limit == "raise":
-                raise GenerationBudgetExceeded(
-                    f"generated more than {max_pseudoproducts} pseudoproducts"
-                )
-            retained = [*store.items(), *next_store.items()]
-            result.truncated = True
-        else:
-            retained = [pc for pc in store.items() if pc not in covered]
-        result.eppps.extend(retained)
-        result.steps.append(
-            StepStats(
-                degree=degree,
-                pseudoproducts=size,
-                groups=groups,
-                comparisons=comparisons,
-                naive_comparisons=size * (size - 1) // 2,
-                generated=len(next_store),
-                duplicates=duplicates,
-                retained=size if overflow else len(retained),
-                seconds=time.perf_counter() - t0,
-            )
-        )
-        if overflow:
-            return result
-        total += len(next_store)
-        if budget_left is not None:
-            budget_left = max_pseudoproducts - total
-        store = next_store
-        degree += 1
-    return result

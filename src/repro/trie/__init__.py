@@ -1,6 +1,5 @@
-"""Partition tries (Section 3.2) and the equivalent hash-map index."""
+"""Partition tries (Section 3.2)."""
 
-from repro.trie.index import StructureIndex
 from repro.trie.nodes import C_NODE, NC_NODE, Leaf, TrieNode
 from repro.trie.partition_trie import PartitionTrie
 
@@ -9,6 +8,5 @@ __all__ = [
     "NC_NODE",
     "Leaf",
     "PartitionTrie",
-    "StructureIndex",
     "TrieNode",
 ]

@@ -24,7 +24,6 @@ from repro.delta import build_context, toggle_points, warm_minimize
 from repro.fuzz.generators import draw_function
 from repro.kernels import bitmat, coverage, gf2mat
 from repro.minimize import covering as cov
-from repro.minimize import eppp as eppp_mod
 from repro.minimize.cost import literal_cost
 from repro.minimize.eppp import EpppColumns, generate_eppp
 from repro.minimize.exact import minimize_spp
@@ -101,13 +100,11 @@ class TestColumnarBuild:
                     _assert_same_build(func, generation.eppps)
         assert columnar >= 25
 
-    @pytest.mark.parametrize("min_packed", [0, eppp_mod._MIN_PACKED_PAIRS])
-    def test_fuzz_draws(self, monkeypatch, min_packed):
-        """400 draws of the fuzz families at every width, through the
-        packed lanes only and with the scalar hand-off tail; dc-heavy
-        draws leave candidates that cover no on-point."""
-        monkeypatch.setattr(eppp_mod, "_MIN_PACKED_PAIRS", min_packed)
-        rng = random.Random(20261018 + min_packed)
+    @pytest.mark.parametrize("seed", [0, 24])
+    def test_fuzz_draws(self, seed):
+        """400 draws of the fuzz families at every width; dc-heavy draws
+        leave candidates that cover no on-point."""
+        rng = random.Random(20261018 + seed)
         dropped = 0
         for _ in range(400):
             _, func = draw_function(rng, n_min=3, n_max=7)
@@ -118,15 +115,17 @@ class TestColumnarBuild:
         assert dropped > 0
 
     def test_too_wide_for_the_row_tables_takes_the_reference_pass(self):
-        """A 20-input function's row tables would exceed
-        ``_DENSE_TABLE_WORDS``, so its columns take the grouped pass."""
+        """A 16-input function with more than 256 on-points needs five
+        row tables of 2^16 words, past ``_DENSE_TABLE_WORDS``, so its
+        columns take the grouped pass."""
         rng = random.Random(8)
-        base = rng.randrange(1 << 20) & ~0b111111
+        base = rng.randrange(1 << 16) & ~0b111111
         on = {base | p for p in range(64) if bin(p).count("1") % 2}
-        on |= {rng.randrange(1 << 20) for _ in range(40)}
+        while len(on) <= 256:
+            on.add(rng.randrange(1 << 16))
         dc = {base | p for p in range(64)} - on
-        func = BoolFunc(20, frozenset(on), frozenset(dc))
-        assert (1 << 20) > coverage._DENSE_TABLE_WORDS
+        func = BoolFunc(16, frozenset(on), frozenset(dc))
+        assert 5 << 16 > coverage._DENSE_TABLE_WORDS
         eppps = generate_eppp(func).eppps
         assert isinstance(eppps, EpppColumns)
         _assert_same_build(func, eppps, columnar=False)

@@ -1,5 +1,5 @@
-"""Tests for the interned-basis table: canonicalisation, stable ids,
-and the per-basis pivot cache."""
+"""Tests for the interned-basis table: canonicalisation and the
+per-basis pivot cache."""
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,52 +21,7 @@ class TestIntern:
         b = (0b01, 0b10)
         assert interner.intern(a) is a
         assert interner.intern(b) is a
-        assert len(interner) == 1
-
-    def test_clear(self):
-        interner = BasisInterner()
-        interner.intern_id((1,))
-        interner.pivots((1,))
-        interner.clear()
-        assert len(interner) == 0
-        assert interner.lookup_id((1,)) is None
-
-
-class TestStableIds:
-    def test_ids_are_dense_in_first_seen_order(self):
-        interner = BasisInterner()
-        assert interner.intern_id((1,)) == 0
-        assert interner.intern_id((2,)) == 1
-        assert interner.intern_id((1,)) == 0
-        assert interner.basis_of(0) == (1,)
-        assert interner.basis_of(1) == (2,)
-        assert interner.bases() == [(1,), (2,)]
-
-    def test_lookup_id_never_inserts(self):
-        interner = BasisInterner()
-        assert interner.lookup_id((7,)) is None
-        assert len(interner) == 0
-        interner.intern((7,))
-        assert interner.lookup_id((7,)) == 0
-
-    def test_intern_and_intern_id_share_one_table(self):
-        interner = BasisInterner()
-        basis = (0b011, 0b100)
-        canonical = interner.intern(basis)
-        ident = interner.intern_id((0b011, 0b100))
-        assert interner.basis_of(ident) is canonical
-        assert len(interner) == 1
-
-    @given(st.lists(_bases(), min_size=1, max_size=20))
-    def test_id_order_matches_tuple_first_occurrence(self, bases):
-        """Iteration orders keyed by id match orders keyed by the
-        interned tuple — the property the columnar StructureIndex
-        relies on for bucket-order parity."""
-        interner = BasisInterner()
-        first_seen = list(dict.fromkeys(bases))
-        for b in bases:
-            interner.intern_id(b)
-        assert interner.bases() == first_seen
+        assert BasisInterner().intern(b) is b
 
 
 class TestPivotCache:
@@ -80,4 +35,3 @@ class TestPivotCache:
         basis = (0b0110, 0b1000)
         first = interner.pivots(basis)
         assert interner.pivots((0b0110, 0b1000)) is first
-        assert interner.pivots_of(interner.intern_id(basis)) is first

@@ -8,7 +8,6 @@ from repro.boolfunc.function import BoolFunc
 from repro.core.cex import cex_of
 from repro.core.pseudocube import Pseudocube
 from repro.kernels import gf2mat
-from repro.minimize import eppp
 from repro.minimize.bounded import max_factor_width, minimize_spp_bounded
 from repro.minimize.eppp import generate_eppp
 from repro.minimize.exact import minimize_spp
@@ -16,6 +15,7 @@ from repro.minimize.sp import minimize_sp
 from repro.verify import assert_equivalent
 
 from tests.conftest import pseudocubes
+from tests.minimize.test_eppp import step_counters
 
 small_funcs = st.builds(
     lambda on: BoolFunc(3, frozenset(on)),
@@ -64,16 +64,17 @@ class TestBoundedGeneration:
     @given(small_funcs, st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
     def test_trie_lane_matches_index_lane(self, func, bound):
+        """The same EPPP set and every step counter but ``seconds``."""
         index = generate_eppp(func, factor_width=bound)
         trie = generate_eppp(func, factor_width=bound, backend="trie")
         assert set(index.eppps) == set(trie.eppps)
+        assert step_counters(index) == step_counters(trie)
 
     def test_step_with_no_fitting_union_ends_generation(self, monkeypatch):
         """Two points at distance 2 unify only into a 2-literal factor:
         under B = 1 the step compares them, keeps both, and generation
         ends — in the packed, trie and scalar lanes alike."""
         func = BoolFunc(3, frozenset({0b000, 0b011}))
-        monkeypatch.setattr(eppp, "_MIN_PACKED_PAIRS", 0)
         lanes = [
             generate_eppp(func, factor_width=1, backend=backend)
             for backend in ("index", "trie")

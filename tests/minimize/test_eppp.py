@@ -1,18 +1,18 @@
 """Tests for EPPP generation (Algorithm 2, steps 1–2)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.suite import get_benchmark
 from repro.boolfunc.function import BoolFunc
 from repro.core import gf2
 from repro.core.pseudocube import Pseudocube
+from repro.fuzz.generators import FAMILIES
 from repro.kernels import gf2mat
-from repro.minimize.eppp import (
-    GenerationBudgetExceeded,
-    generate_eppp,
-    make_store,
-)
+from repro.minimize.eppp import GenerationBudgetExceeded, generate_eppp
 
 
 def _all_pseudoproducts(func: BoolFunc) -> set[Pseudocube]:
@@ -36,19 +36,28 @@ def _all_pseudoproducts(func: BoolFunc) -> set[Pseudocube]:
     return found
 
 
+def step_counters(result):
+    """Every ``StepStats`` field but ``seconds``, step by step."""
+    return [
+        (
+            s.degree,
+            s.pseudoproducts,
+            s.groups,
+            s.comparisons,
+            s.naive_comparisons,
+            s.generated,
+            s.duplicates,
+            s.retained,
+        )
+        for s in result.steps
+    ]
+
+
 small_funcs = st.builds(
     lambda n, on: BoolFunc(n, frozenset(on)),
     st.just(3),
     st.sets(st.integers(0, 7), min_size=1, max_size=8),
 )
-
-
-class TestStores:
-    def test_make_store(self):
-        assert make_store("index") is not None
-        assert make_store("trie") is not None
-        with pytest.raises(ValueError):
-            make_store("btree")
 
 
 class TestGeneration:
@@ -144,11 +153,34 @@ class TestGeneration:
                 assert pc in retained
 
     def test_backends_agree(self):
-        func = BoolFunc(4, frozenset({0, 3, 5, 6, 9, 10, 12, 15, 1, 7}))
-        a = generate_eppp(func, backend="index")
-        b = generate_eppp(func, backend="trie")
-        assert set(a.eppps) == set(b.eppps)
-        assert [s.comparisons for s in a.steps] == [s.comparisons for s in b.steps]
+        """Untruncated, the trie lane equals the index lane in EPPP set
+        and in every step counter: each level's trie groups are its
+        basis groups (Property 1 with Theorem 1), so the two lanes pair
+        the same items."""
+        funcs = [BoolFunc(4, frozenset({0, 3, 5, 6, 9, 10, 12, 15, 1, 7}))]
+        funcs += get_benchmark("adr3").outputs
+        funcs += [
+            FAMILIES[name](random.Random(seed), n)
+            for seed, name in enumerate(sorted(FAMILIES) * 6)
+            for n in (3, 5, 6)
+        ]
+        for func in funcs:
+            if not func.care_set:
+                continue  # the trie lane makes no step for an empty trie
+            for width in (None, 2):
+                index = generate_eppp(func, factor_width=width)
+                trie = generate_eppp(func, factor_width=width, backend="trie")
+                assert set(index.eppps) == set(trie.eppps)
+                assert step_counters(index) == step_counters(trie)
+
+    def test_unknown_backend_refused(self):
+        """``"index"`` and ``"trie"`` are the backends; any other name is
+        refused before any work."""
+        func = BoolFunc(3, frozenset({1, 6}))
+        for backend in ("index", "trie"):
+            assert generate_eppp(func, backend=backend).eppps
+        with pytest.raises(ValueError, match="btree"):
+            generate_eppp(func, backend="btree")
 
 
 class TestInstrumentation:

@@ -26,7 +26,7 @@ from repro.fuzz.generators import FAMILIES
 from repro.kernels import gf2mat
 from repro.minimize import eppp as eppp_mod
 from repro.minimize.eppp import generate_eppp
-from tests.minimize.test_eppp import _all_pseudoproducts
+from tests.minimize.test_eppp import _all_pseudoproducts, step_counters
 from tests.minimize.test_eppp_kernels import _run_both, _snapshot
 
 family_funcs = st.builds(
@@ -37,9 +37,9 @@ family_funcs = st.builds(
 )
 
 
-# (module, attribute, value) patches selecting each lane: the packed lane
-# at every degree, and the scalar lane with the kernels off.
-LANES = [(eppp_mod, "_MIN_PACKED_PAIRS", 0), (gf2mat, "AVAILABLE", False)]
+# The kernels' switch selecting each index lane: the packed lane where
+# numpy is available, and the scalar lane with the kernels off.
+LANES = [gf2mat.AVAILABLE, False]
 
 
 class TestCanonicalRule:
@@ -87,9 +87,9 @@ class TestCanonicalRule:
         """Retained items come level by level in (basis, anchor) order;
         an overflow appends its level and the children made before the
         trigger, so the order holds under a cap too."""
-        for module, attribute, value in LANES:
+        for available in LANES:
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(module, attribute, value)
+                mp.setattr(gf2mat, "AVAILABLE", available)
                 result = generate_eppp(
                     func, factor_width=width, max_pseudoproducts=cap, on_limit="stop"
                 )
@@ -161,20 +161,7 @@ class TestPinnedCounters:
         pairs are the distinct unions, and every other pair is still a
         comparison and a duplicate."""
         result = generate_eppp(get_benchmark(name)[output], factor_width=width)
-        got = [
-            (
-                s.degree,
-                s.pseudoproducts,
-                s.groups,
-                s.comparisons,
-                s.naive_comparisons,
-                s.generated,
-                s.duplicates,
-                s.retained,
-            )
-            for s in result.steps
-        ]
-        assert got == PINNED_STEPS[name, output, width]
+        assert step_counters(result) == PINNED_STEPS[name, output, width]
 
 
 @pytest.mark.skipif(
@@ -182,22 +169,31 @@ class TestPinnedCounters:
     reason="numpy GF(2) kernels disabled (REPRO_NO_NUMPY or no bitwise_count)",
 )
 class TestWideFunctions:
-    @pytest.mark.parametrize("n", [31, 32])
+    @pytest.mark.parametrize("n", [15, 16])
     @pytest.mark.parametrize("width", [None, 1, 2])
     @pytest.mark.parametrize("cap", [None, 12])
     def test_packed_matches_scalar_at_the_widest_n(self, n, width, cap):
         """A coset of dimension 3 with high bits set, plus two loose
-        points.  Degree 0 is one group, whose (Δ, anchor) key fills 2n
-        bits; the 24 degree-1 groups need 5 more, past 64, so the packed
-        lane hands off to the scalar one there."""
-        top = 1 << (n - 1)
-        span = gf2.span_points((1 | top, 2 | (top >> 1), 4 | (top >> 2)), 8)
-        care = set(span) | {top | 3, (top >> 3) | 5}
-        func = BoolFunc(n, frozenset(care))
+        points, at the packed lane's widest functions: the degree-0 key
+        (Δ, anchor) fills 2n bits and the 24 degree-1 groups add 5."""
         packed, scalar = _run_both(
-            func, factor_width=width, max_pseudoproducts=cap, on_limit="stop"
+            _wide_function(n), factor_width=width, max_pseudoproducts=cap, on_limit="stop"
         )
         assert packed == scalar
+
+    def test_wider_functions_run_the_scalar_lane(self):
+        """Past ``MAX_PACKED_N`` the index lane is the scalar loop: its
+        candidates are a list."""
+        assert gf2mat.MAX_PACKED_N == 16
+        result = generate_eppp(_wide_function(17))
+        assert isinstance(result.eppps, list) and result.eppps
+
+
+def _wide_function(n):
+    top = 1 << (n - 1)
+    span = gf2.span_points((1 | top, 2 | (top >> 1), 4 | (top >> 2)), 8)
+    care = set(span) | {top | 3, (top >> 3) | 5}
+    return BoolFunc(n, frozenset(care))
 
 
 class TestThreadSafety:
@@ -209,32 +205,30 @@ class TestThreadSafety:
             FAMILIES[name](random.Random(seed), 8)
             for seed, name in enumerate(("dense", "arith-like", "dc-heavy", "sparse"))
         ]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(eppp_mod, "_MIN_PACKED_PAIRS", 0)
-            want = [_snapshot(generate_eppp(f)) for f in funcs]
-            barrier = threading.Barrier(4)
-            wrong = []
+        want = [_snapshot(generate_eppp(f)) for f in funcs]
+        barrier = threading.Barrier(4)
+        wrong = []
 
-            def run(i):
-                barrier.wait(timeout=30)
-                for rep in range(10):
-                    try:
-                        got = _snapshot(generate_eppp(funcs[i]))
-                    except Exception as exc:  # noqa: BLE001 — a race may raise too
-                        wrong.append((i, rep, repr(exc)))
-                        continue
-                    if got != want[i]:
-                        wrong.append((i, rep))
+        def run(i):
+            barrier.wait(timeout=30)
+            for rep in range(10):
+                try:
+                    got = _snapshot(generate_eppp(funcs[i]))
+                except Exception as exc:  # noqa: BLE001 — a race may raise too
+                    wrong.append((i, rep, repr(exc)))
+                    continue
+                if got != want[i]:
+                    wrong.append((i, rep))
 
-            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-5)  # switch threads inside the steps often
-            try:
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=120)
-            finally:
-                sys.setswitchinterval(interval)
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside the steps often
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []

@@ -25,8 +25,10 @@ from repro.budget import Budget
 from repro.fuzz.generators import FAMILIES
 from repro.kernels import gf2mat
 from repro.minimize import eppp as eppp_mod
-from repro.minimize.eppp import GenerationBudgetExceeded, generate_eppp
+from repro.minimize.eppp import EpppColumns, GenerationBudgetExceeded, generate_eppp
 from repro.minimize.exact import minimize_spp
+from tests.kernels.test_columnar import POOL
+from tests.minimize.test_eppp import step_counters
 
 pytestmark = pytest.mark.skipif(
     not gf2mat.AVAILABLE,
@@ -38,43 +40,30 @@ def _snapshot(result):
     return (
         result.n,
         [(pc.anchor, pc.basis) for pc in result.eppps],
-        [
-            (
-                s.degree,
-                s.pseudoproducts,
-                s.groups,
-                s.comparisons,
-                s.naive_comparisons,
-                s.generated,
-                s.duplicates,
-                s.retained,
-            )
-            for s in result.steps
-        ],
+        step_counters(result),
         result.truncated,
     )
 
 
 def _run_both(func, **kwargs):
-    """(packed, scalar) snapshots of ``generate_eppp`` on ``func``.
+    """(packed, scalar) snapshots of ``generate_eppp`` on ``func``, each
+    with its budget's tick total: the lanes tick one unit per pair
+    compared, up to the row where a cap stops the step."""
+    snapshots = []
+    for available in (True, False):
+        budget = Budget()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf2mat, "AVAILABLE", available)
+            try:
+                snapshot = _snapshot(generate_eppp(func, budget=budget, **kwargs))
+            except GenerationBudgetExceeded:
+                snapshot = "raised"
+        snapshots.append((snapshot, budget.ticks))
+    return tuple(snapshots)
 
-    The packed leg forces the vector lane even for tiny pair streams
-    (``_MIN_PACKED_PAIRS = 0``) so parity covers the kernels, not the
-    size-based hand-off.
-    """
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eppp_mod, "_MIN_PACKED_PAIRS", 0)
-        try:
-            packed = _snapshot(generate_eppp(func, **kwargs))
-        except GenerationBudgetExceeded:
-            packed = "raised"
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gf2mat, "AVAILABLE", False)
-        try:
-            scalar = _snapshot(generate_eppp(func, **kwargs))
-        except GenerationBudgetExceeded:
-            scalar = "raised"
-    return packed, scalar
+
+def _no_scalar_step(*args, **kwargs):
+    raise AssertionError("a packed generation ran the scalar union step")
 
 
 family_funcs = st.builds(
@@ -120,13 +109,44 @@ class TestGenerationParity:
         assert packed == scalar
 
     def test_handoff_threshold_consistent(self):
-        """At the production threshold small streams take the scalar
-        lane and large ones the packed lane — outputs agree regardless."""
+        """No step hands off to the scalar loop, whatever its size: a
+        dense 5-input draw at every width runs packed from its first
+        step to its last and agrees with the scalar lane."""
         func = FAMILIES["dense"](random.Random(7), 5)
         for width in (None, 1, 2, 3):
-            default = _snapshot(generate_eppp(func, factor_width=width))
-            packed, scalar = _run_both(func, factor_width=width)
-            assert default == packed == scalar
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(eppp_mod, "_union_step", _no_scalar_step)
+                packed = _snapshot(generate_eppp(func, factor_width=width))
+            (packed_run, ticks), scalar = _run_both(func, factor_width=width)
+            assert packed_run == packed
+            assert (packed_run, ticks) == scalar
+
+
+class TestOnePackedLane:
+    def test_packed_generation_never_runs_a_scalar_step(self):
+        """A packed generation finishes every step it starts, down to a
+        last level with no pairs, and returns columns: the pool at
+        widths None and 2, an empty care set, one point, every care set
+        of at most 7 points drawn below, and mlp4[7], whose degree-3
+        step has 15 pairs."""
+        funcs = [get_benchmark(name)[output] for name, output in POOL]
+        funcs += [BoolFunc(4, frozenset()), BoolFunc(4, frozenset({9}))]
+        rng = random.Random(22)
+        for size in range(2, 8):
+            for n in (3, 4, 6):
+                points = rng.sample(range(1 << n), size)
+                funcs.append(BoolFunc(n, frozenset(points[1:]), frozenset(points[:1])))
+        mlp4 = get_benchmark("mlp4")[7]
+        funcs.append(mlp4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eppp_mod, "_union_step", _no_scalar_step)
+            for func in funcs:
+                for width in (None, 2):
+                    result = generate_eppp(func, factor_width=width)
+                    assert isinstance(result.eppps, EpppColumns)
+                    assert not result.truncated
+            steps = generate_eppp(mlp4).steps
+        assert 15 in [s.comparisons for s in steps]
 
 
 class TestMinimizerParity:
@@ -135,9 +155,7 @@ class TestMinimizerParity:
     def test_spp_form_identical(self, func):
         """The full minimizer yields the same ``SppForm`` (same
         pseudoproducts, same order, same cost) with kernels on vs. off."""
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(eppp_mod, "_MIN_PACKED_PAIRS", 0)
-            on = minimize_spp(func)
+        on = minimize_spp(func)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gf2mat, "AVAILABLE", False)
             off = minimize_spp(func)
@@ -172,7 +190,7 @@ class TestBlockedSteps:
         and the default pairs: every block holds pairs, the overflowing
         step stops in its first block, inside a block and on a block's
         last row, each time where the scalar lane stops, and the tick
-        total is the same for every block size."""
+        total is the scalar lane's for every block size."""
         decode = gf2mat.pair_block
         seen = set()
         for seed, name in enumerate(sorted(FAMILIES)):
@@ -186,6 +204,7 @@ class TestBlockedSteps:
                             func, max_pseudoproducts=cap, on_limit="stop", budget=budget
                         )
                     )
+                want_ticks = budget.ticks
                 ticks = set()
                 for block in (1, 5, 64, eppp_mod._BLOCK_PAIRS):
                     blocks: list[int] = []
@@ -201,7 +220,6 @@ class TestBlockedSteps:
                     budget = Budget()
                     with pytest.MonkeyPatch.context() as mp:
                         mp.setattr(eppp_mod, "_BLOCK_PAIRS", block)
-                        mp.setattr(eppp_mod, "_MIN_PACKED_PAIRS", 0)
                         mp.setattr(gf2mat, "pair_block", spy)
                         result = generate_eppp(
                             func, max_pseudoproducts=cap, on_limit="stop", budget=budget
@@ -214,7 +232,7 @@ class TestBlockedSteps:
                     if len(blocks) == 1:
                         seen.add("first block")
                     seen.add("last row" if processed == sum(blocks) else "mid-block")
-                assert len(ticks) == 1
+                assert ticks == {want_ticks}
         assert seen == {"first block", "mid-block", "last row"}
 
 

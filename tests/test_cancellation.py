@@ -205,6 +205,41 @@ class TestLiveCancellation:
                 )
         assert len(chunks) == 1
 
+    def test_cancel_lands_inside_a_trie_regroup(self):
+        """The trie lane regroups each level through a fresh partition
+        trie, and an overflowing step regroups its whole truncated next
+        level, so the inserts run in chunks with a budget check before
+        each.  life[0] capped at 1000 overflows in its degree-0 step;
+        with one-item chunks, a cancel during the first insert into the
+        overflow's trie must raise before the second."""
+        func = get_benchmark("life")[0]
+        budget = Budget()
+        inserted = []
+
+        class CancellingTrie(PartitionTrie):
+            def __init__(self):
+                super().__init__()
+                inserted.append(0)
+
+            def insert(self, pc):
+                inserted[-1] += 1
+                if len(inserted) == 2:  # the overflow's regroup
+                    budget.cancel("mid-regroup")
+                return super().insert(pc)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eppp_mod, "_REGROUP_CHUNK", 1)
+            mp.setattr(eppp_mod, "PartitionTrie", CancellingTrie)
+            with pytest.raises(Cancelled):
+                generate_eppp(
+                    func,
+                    backend="trie",
+                    max_pseudoproducts=1000,
+                    on_limit="stop",
+                    budget=budget,
+                )
+        assert inserted == [len(func.care_set), 1]
+
     def test_cancel_lands_inside_a_truncated_scalar_level(self):
         """The scalar lane keeps a truncated step's levels the same way:
         built in chunks with a budget check before each.  life[0]
