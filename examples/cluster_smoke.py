@@ -4,7 +4,9 @@
 The contract this asserts, operator's-eye view:
 
 1. a coordinator + 2 workers come up and report healthy;
-2. mixed traffic routes across both workers and succeeds;
+2. mixed traffic routes across both workers and succeeds, and a
+   near-duplicate and a repeat of a seen PLA reuse its parse on both
+   tiers (``parse.hits`` grows in each tier's ``/stats``);
 3. ``SIGKILL`` of one worker mid-load loses **no accepted request** —
    every in-flight and subsequent request either succeeds via failover
    to the ring successor or gets a structured 429/503 with a JSON
@@ -126,6 +128,31 @@ def main() -> None:
         )
         print(f"routing spread: {per_worker}")
 
+        # 2b. A near-duplicate of PLAS[0] and a repeat of its body skip
+        # the parse on the coordinator (routing) and the owning worker.
+        base = body_for(PLAS[0])
+        owner = coordinator.plan_for(coordinator.routing_key(base))[0]
+        owner_port = coordinator._workers[owner].proc.port
+
+        def parse_hits() -> tuple[int, int]:
+            front = json.loads(get(host, port, "/stats")[1])["parse"]
+            worker = json.loads(get(host, owner_port, "/stats")[1])["parse"]
+            return front["hits"], worker["hits"]
+
+        before = parse_hits()
+        near_duplicate = json.dumps({
+            "base": {"pla": PLAS[0]},
+            "delta": {"toggles": [1]},
+            "max_rung": "heuristic",
+        }).encode()
+        for body in (near_duplicate, base):
+            status, doc = post(host, port, body)
+            assert status == 200, (status, doc)
+        after = parse_hits()
+        assert after[0] > before[0], f"coordinator parse hits {before} -> {after}"
+        assert after[1] > before[1], f"worker {owner} parse hits {before} -> {after}"
+        print(f"parse hits (coordinator, {owner}): {before} -> {after}")
+
         # 3. SIGKILL one worker mid-load; count outcomes concurrently.
         victim = next(iter(coordinator._workers.values()))
         outcomes: list[int] = []
@@ -178,6 +205,7 @@ def main() -> None:
         samples = check_prometheus(text)
         assert "# TYPE repro_cluster_request_seconds histogram" in text
         assert "repro_cluster_worker_restarts_total" in text
+        assert "repro_cluster_parse_events_total" in text
         print(f"/metrics: {samples} samples, format OK")
     finally:
         coordinator.drain(grace=2.0)

@@ -45,9 +45,10 @@ The proxy path carries seeded network fault sites for chaos testing
 see :mod:`repro.faults`); ``.slow_worker`` SIGSTOPs the target worker,
 the exact failure hedging exists to absorb.
 
-Routing cost is kept off the hot path with a body-bytes → routing-key
-memo (an LRU): warm traffic repeats identical request bodies, so the
-coordinator usually routes without even parsing the JSON.
+Routing decodes each body with the workers' own request decoder,
+whose parse memo keeps the PLA texts this process has parsed: a repeat
+of a seen body, and a near-duplicate of a seen base, route without
+parsing the PLA again.
 
 Endpoints: ``POST /minimize`` (proxied), ``GET /healthz`` ``/readyz``
 ``/stats`` ``/metrics`` (answered by the coordinator; ``/metrics`` also
@@ -64,7 +65,6 @@ import hashlib
 import http.client
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
@@ -82,7 +82,11 @@ from repro.cluster.ring import HashRing
 from repro.cluster.worker import WorkerProcess, free_port
 from repro.errors import Overloaded, ReproError
 from repro.serve.metrics import LatencyHistogram, Metric, render_metrics
-from repro.serve.server import jobs_from_payload
+from repro.serve.server import (
+    jobs_from_payload,
+    parse_memo_metrics,
+    parse_memo_stats,
+)
 from repro.serve.tier import HttpTier, error_body, error_response, json_payload
 
 __all__ = ["ClusterConfig", "ClusterCoordinator"]
@@ -117,7 +121,6 @@ class ClusterConfig:
     retry_budget_ratio: float = 0.2  # tokens deposited per primary attempt
     retry_budget_cap: float = 10.0   # bucket size (also the initial burst)
     proxy_timeout: float = 300.0
-    route_cache_size: int = 4096     # body-bytes -> routing-key memo
     health_interval: float = 0.5
     health_timeout: float = 2.0
     health_misses: int = 2           # consecutive failures before eviction
@@ -188,7 +191,6 @@ class ClusterCoordinator(HttpTier):
                 "hedge_wins",
                 "unavailable",
                 "bad_requests",
-                "route_memo_hits",
                 "upstream_attempts",
                 "retry_budget_exhausted",
                 "deadline_shed",
@@ -218,8 +220,6 @@ class ClusterCoordinator(HttpTier):
         self._workers: dict[str, _WorkerState] = {}
         self._workers_lock = threading.Lock()
         self._next_worker_index = 0
-        self._route_memo: OrderedDict[bytes, str] = OrderedDict()
-        self._route_lock = threading.Lock()
         self._pool: dict[str, list[http.client.HTTPConnection]] = {}
         self._pool_lock = threading.Lock()
         self._autoscale_last = 0.0
@@ -306,11 +306,11 @@ class ClusterCoordinator(HttpTier):
     def routing_key(self, body: bytes) -> str:
         """Job-content-hash routing key for a raw request body.
 
-        Memoized on the exact body bytes: repeated (warm) traffic
-        routes via one dict probe instead of re-parsing and re-hashing
-        the function.  Raises the workers' own
-        :class:`~repro.errors.ParseError` / :class:`~repro.errors.UsageError`
-        on bodies the workers would reject anyway.
+        A PLA text this process has parsed before is not parsed again
+        (see :func:`~repro.serve.server.parse_memo_stats`).  Raises the
+        workers' own :class:`~repro.errors.ParseError` /
+        :class:`~repro.errors.UsageError` on bodies the workers would
+        reject anyway.
 
         Delta-form requests (``{"base": ..., "delta": ...}``) are keyed
         by their **base** jobs (``routing=True`` below): every
@@ -318,25 +318,14 @@ class ClusterCoordinator(HttpTier):
         so consistent-hash affinity lands it on the worker whose
         :class:`~repro.delta.DeltaIndex` holds the base context.
         """
-        with self._route_lock:
-            key = self._route_memo.get(body)
-            if key is not None:
-                self._route_memo.move_to_end(body)
-                self._bump("route_memo_hits")
-                return key
         jobs = jobs_from_payload(json_payload(body or b"{}"), routing=True)
         if len(jobs) == 1:
-            key = jobs[0].content_hash
-        else:  # multi-output request: one stable key over all its jobs
-            digest = hashlib.sha256()
-            for job in jobs:
-                digest.update(job.content_hash.encode("ascii"))
-            key = digest.hexdigest()
-        with self._route_lock:
-            self._route_memo[body] = key
-            while len(self._route_memo) > self.config.route_cache_size:
-                self._route_memo.popitem(last=False)
-        return key
+            return jobs[0].content_hash
+        # multi-output request: one stable key over all its jobs
+        digest = hashlib.sha256()
+        for job in jobs:
+            digest.update(job.content_hash.encode("ascii"))
+        return digest.hexdigest()
 
     def plan_for(self, key: str) -> list[str]:
         """Failover-ordered worker names for a routing key."""
@@ -883,6 +872,7 @@ class ClusterCoordinator(HttpTier):
             # shed counts, Retry-After) from the latest autoscale
             # scrape — the satellite view operators alert on.
             "workers_aggregate": dict(self._worker_aggregate),
+            "parse": parse_memo_stats(),
         }
 
     def metrics_text(self) -> str:
@@ -908,6 +898,7 @@ class ClusterCoordinator(HttpTier):
         for key, value in sorted(self.counter_snapshot().items()):
             events.add(value, kind=key)
         metrics.append(events)
+        metrics += parse_memo_metrics("repro_cluster")
         per_worker = Metric(
             "repro_cluster_worker_info",
             "Worker liveness (1 = in ring) with pid/port labels.",

@@ -31,6 +31,11 @@ scan-then-delete sequence.  Maintenance is best-effort: a worker that
 cannot get the lock promptly skips its turn rather than stalling the
 request path.
 
+Within a process the in-memory LRU is guarded by one lock, since a
+service reads and writes it from its request threads, its shadow
+verifier and its memory watchdog at once; the disk tier's file work
+runs outside it.
+
 All counters (hits, misses, evictions, corrupt quarantines, …) are
 exposed via :class:`CacheStats` for the CLI summary and the tests.
 """
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -149,6 +155,7 @@ class ResultCache:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.stats = CacheStats()
         self._lru: OrderedDict[str, dict[str, Any]] = OrderedDict()
+        self._lock = threading.Lock()  # guards _lru
         self._stores_since_prune = 0
         self._audit_tick = 0
 
@@ -188,11 +195,12 @@ class ResultCache:
         re-audited: LRU entries were either produced (and verified) by
         this process or audited when first promoted from disk.
         """
-        record = self._lru.get(key)
-        if record is not None:
-            self._lru.move_to_end(key)
-            self.stats.hits += 1
-            return record
+        with self._lock:
+            record = self._lru.get(key)
+            if record is not None:
+                self._lru.move_to_end(key)
+                self.stats.hits += 1
+                return record
         path = self.path_for(key)
         if path is not None and path.is_file():
             try:
@@ -232,7 +240,8 @@ class ResultCache:
         again: drop the LRU entry and quarantine the disk file so the
         next request recomputes.
         """
-        self._lru.pop(key, None)
+        with self._lock:
+            self._lru.pop(key, None)
         path = self.path_for(key)
         if path is not None and path.is_file():
             self._quarantine(path)
@@ -297,12 +306,13 @@ class ResultCache:
         """
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be within [0, 1]")
-        keep = int(len(self._lru) * fraction)
         evicted = 0
-        while len(self._lru) > keep:
-            self._lru.popitem(last=False)
-            self.stats.evictions += 1
-            evicted += 1
+        with self._lock:
+            keep = int(len(self._lru) * fraction)
+            while len(self._lru) > keep:
+                self._lru.popitem(last=False)
+                self.stats.evictions += 1
+                evicted += 1
         return evicted
 
     def __len__(self) -> int:
@@ -375,8 +385,9 @@ class ResultCache:
                 lock.release()
 
     def _insert(self, key: str, record: dict[str, Any]) -> None:
-        self._lru[key] = record
-        self._lru.move_to_end(key)
-        while len(self._lru) > self.max_entries:
-            self._lru.popitem(last=False)
-            self.stats.evictions += 1
+        with self._lock:
+            self._lru[key] = record
+            self._lru.move_to_end(key)
+            while len(self._lru) > self.max_entries:
+                self._lru.popitem(last=False)
+                self.stats.evictions += 1

@@ -14,8 +14,8 @@ deadlines are cooperative, not ``SIGALRM``-based.  The pieces:
   keep timing out on similar-sized jobs (via the scheduler's
   ``rung_gate``);
 * :class:`~repro.serve.watchdog.MemoryWatchdog` shrinks the result
-  cache at the soft RSS ceiling and flips admission to shed-all at the
-  hard one;
+  cache and empties the PLA parse memo at the soft RSS ceiling and
+  flips admission to shed-all at the hard one;
 * SIGTERM triggers a graceful drain: stop admitting, let in-flight
   requests finish within the grace window, cancel stragglers through
   their tokens, then shut the listener down.  The manifest journal is
@@ -34,13 +34,17 @@ Endpoints::
 
 from __future__ import annotations
 
+import math
+import sys
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any
 
 from repro import faults
 from repro.bench.suite import BENCHMARKS, get_benchmark
+from repro.boolfunc.function import MultiBoolFunc
 from repro.boolfunc.pla import parse_pla
 from repro.budget import Budget
 from repro.delta import DeltaIndex
@@ -68,6 +72,8 @@ __all__ = [
     "ServeConfig",
     "MinimizeService",
     "jobs_from_payload",
+    "parse_memo_metrics",
+    "parse_memo_stats",
     "VERIFIED_HEADER",
 ]
 
@@ -79,6 +85,16 @@ VERIFIED_HEADER = "X-Repro-Verified"
 # Ladder rank of each method: a request's ``max_rung`` gates every rung
 # ranked above it (the scheduler still never gates the final rung).
 _RUNG_RANK = {"sp": 0, "heuristic": 1, "bounded": 2, "exact": 3}
+
+# The parse memo below keeps at most _PARSE_MEMO_ENTRIES parsed PLA
+# texts per process, each an ASCII text of at most _PARSE_MEMO_MAX_TEXT
+# bytes whose parsed function holds at most _PARSE_MEMO_MAX_HELD bytes:
+# a short text can describe a large function (".i 16" and one all-dash
+# cube is 33 bytes and 65,536 points, about 6 MiB parsed).  Any other
+# text is parsed on every request.
+_PARSE_MEMO_ENTRIES = 64
+_PARSE_MEMO_MAX_TEXT = 64 * 1024
+_PARSE_MEMO_MAX_HELD = 256 * 1024
 
 
 def _option(
@@ -92,9 +108,95 @@ def _option(
     if value is None:
         return default
     try:
-        return cast(value)
+        result = cast(value)
     except (TypeError, ValueError, OverflowError, KeyError):
         raise UsageError(f"{key} must be {expect}, not {value!r}") from None
+    # JSON admits NaN and Infinity; neither is a usable budget, timeout
+    # or memory ceiling (a NaN budget would never expire).
+    if isinstance(result, float) and not math.isfinite(result):
+        raise UsageError(f"{key} must be a finite number, not {value!r}")
+    return result
+
+
+def _held_bytes(func: MultiBoolFunc) -> int:
+    """What keeping ``func`` costs: each output's two point-set tables
+    plus one integer per point, sized for ``n`` bits.  A point count
+    alone would miss wide inputs, where every point is a large integer."""
+    point = sys.getsizeof((1 << func.n) - 1)
+    return sum(
+        sys.getsizeof(f.on_set)
+        + sys.getsizeof(f.dc_set)
+        + point * (len(f.on_set) + len(f.dc_set))
+        for f in func
+    )
+
+
+class _ParseMemo:
+    """The functions of request PLA texts this process has parsed, an
+    LRU keyed on the text, not the body, so an exact repeat and a
+    near-duplicate over a seen base both hit.  Parsed functions are
+    frozen, so every caller can share one.  A
+    :class:`~repro.boolfunc.pla.PlaError` is never kept; every lookup
+    counts as one hit or one miss (a parse)."""
+
+    def __init__(self) -> None:
+        self._funcs: OrderedDict[str, MultiBoolFunc] = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+    def parse(self, text: str) -> MultiBoolFunc:
+        # isascii() makes the length a byte count (and is O(1)).
+        keep = len(text) <= _PARSE_MEMO_MAX_TEXT and text.isascii()
+        with self._lock:
+            func = self._funcs.get(text) if keep else None
+            if func is not None:
+                self._funcs.move_to_end(text)
+                self.hits += 1
+                return func
+            self.misses += 1
+        func = parse_pla(text, name="request")
+        if keep and _held_bytes(func) <= _PARSE_MEMO_MAX_HELD:
+            with self._lock:
+                self._funcs[text] = func
+                while len(self._funcs) > _PARSE_MEMO_ENTRIES:
+                    self._funcs.popitem(last=False)
+        return func
+
+    def clear(self) -> None:
+        with self._lock:
+            self._funcs.clear()
+
+    def stats(self) -> dict[str, int]:
+        with self._lock:
+            return {
+                "hits": self.hits,
+                "misses": self.misses,
+                "entries": len(self._funcs),
+            }
+
+
+_PARSE_MEMO = _ParseMemo()
+
+
+def parse_memo_stats() -> dict[str, int]:
+    """The process's parse-memo counters (the ``/stats`` ``parse`` block)."""
+    return _PARSE_MEMO.stats()
+
+
+def parse_memo_metrics(prefix: str) -> list[Metric]:
+    """The same counters as the ``<prefix>_parse_*`` metric families."""
+    parse = parse_memo_stats()
+    events = Metric(
+        f"{prefix}_parse_events_total",
+        "PLA parse-memo lookups by outcome.",
+        "counter",
+    )
+    events.add(parse["hits"], kind="hits").add(parse["misses"], kind="misses")
+    entries = Metric(
+        f"{prefix}_parse_entries", "Parsed PLA texts in the parse memo."
+    )
+    return [events, entries.add(parse["entries"])]
 
 
 def jobs_from_payload(payload: dict[str, Any], *, routing: bool = False) -> list[Job]:
@@ -102,7 +204,9 @@ def jobs_from_payload(payload: dict[str, Any], *, routing: bool = False) -> list
 
     Shared with the cluster coordinator, which needs the same expansion
     to compute the content-hash routing key without owning an engine.
-    Raises :class:`UsageError` on malformed payloads.
+    A PLA text this process has parsed before is not parsed again (see
+    :func:`parse_memo_stats`).  Raises :class:`UsageError` on malformed
+    payloads.
 
     The near-duplicate request form puts the function spec under
     ``"base"`` and the edit under ``"delta"``::
@@ -147,7 +251,7 @@ def jobs_from_payload(payload: dict[str, Any], *, routing: bool = False) -> list
             out.append(replace(job, func=func, label=f"{job.label}+d{len(toggles)}"))
         return out
     if "pla" in payload:
-        func = parse_pla(str(payload["pla"]), name="request")
+        func = _PARSE_MEMO.parse(str(payload["pla"]))
         name = str(payload.get("label", "request"))
     elif "benchmark" in payload:
         bench = str(payload["benchmark"])
@@ -287,6 +391,7 @@ class MinimizeService(HttpTier):
 
     def _on_memory_soft(self, rss: float) -> None:
         self.cache.shrink()
+        _PARSE_MEMO.clear()
 
     def _on_memory_hard(self, rss: float) -> None:
         self.admission.shed_all = True
@@ -553,6 +658,7 @@ class MinimizeService(HttpTier):
                 "stats": self.cache.stats.summary(),
             },
             "delta": self.delta.stats() if self.delta is not None else {},
+            "parse": parse_memo_stats(),
         }
 
     def metrics_text(self) -> str:
@@ -630,6 +736,7 @@ class MinimizeService(HttpTier):
                     "Minimization contexts in the near-duplicate LRU.",
                 ).add(delta_stats["entries"])
             )
+        metrics += parse_memo_metrics("repro")
         cache_metric = Metric(
             "repro_cache_events_total",
             "Result-cache events by kind (memory/disk tiers).",

@@ -14,6 +14,7 @@ import signal
 import socket
 import threading
 import time
+import uuid
 from types import SimpleNamespace
 
 import pytest
@@ -21,6 +22,7 @@ import pytest
 from repro.cli import build_parser
 from repro.cluster import ClusterConfig, ClusterCoordinator
 from repro.cluster.worker import WorkerProcess
+from repro.serve.server import parse_memo_stats
 from tests.serve.test_metrics import parse_prometheus
 from tests.serve.test_serve import raw_post
 
@@ -61,10 +63,38 @@ class TestRoutingKey:
         assert json.loads(body)["error"]["code"] == "parse"
 
     def test_routing_key_is_memoized(self, coordinator):
-        body = _body(PLAS[0])
+        # The repeat routes through the process's PLA parse memo.
+        body = _body(f"# {uuid.uuid4().hex}\n{PLAS[0]}")
         first = coordinator.routing_key(body)
+        before = parse_memo_stats()["hits"]
         assert coordinator.routing_key(body) == first
-        assert coordinator._counters["route_memo_hits"] >= 1
+        assert parse_memo_stats()["hits"] == before + 1
+
+    @pytest.mark.parametrize(
+        "padding, lines",
+        [
+            ("# padding\n", 10_240),  # 100 KiB of ASCII
+            # 39,600 characters that encode to 75,600 bytes: short
+            # enough by length, too long by bytes.
+            ("# " + "\u00e9" * 30 + "\n", 1_200),
+        ],
+        ids=["ascii", "non-ascii"],
+    )
+    def test_oversize_body_routes_but_is_not_memoized(
+        self, coordinator, padding, lines
+    ):
+        # Comment lines keep the PLA valid and its key equal, but the
+        # parse memo keeps no text over 64 KiB.
+        text = padding * lines + PLAS[0]
+        assert len(text.encode()) > 64 * 1024
+        key = coordinator.routing_key(_body(PLAS[0]))
+        before = parse_memo_stats()
+        for _ in range(2):
+            assert coordinator.routing_key(_body(text)) == key
+        after = parse_memo_stats()
+        assert after["entries"] == before["entries"]
+        assert after["hits"] == before["hits"]  # the repeat parsed afresh
+        assert after["misses"] == before["misses"] + 2
 
     def test_plan_lists_distinct_workers(self, coordinator):
         coordinator.ring.add("w0")
@@ -202,6 +232,16 @@ MALFORMED = {
     ),
     "memory-str": ("/minimize", _body(PLAS[0], memory_mb="x"), 400, "usage"),
     "timeout-str": ("/minimize", _body(PLAS[0], timeout="x"), 400, "usage"),
+    # JSON's NaN/Infinity literals: a non-finite budget never expires.
+    "budget-nan": (
+        "/minimize", _body(PLAS[0], budget_seconds=float("nan")), 400, "usage",
+    ),
+    "timeout-nan": (
+        "/minimize", _body(PLAS[0], timeout=float("nan")), 400, "usage",
+    ),
+    "memory-inf": (
+        "/minimize", _body(PLAS[0], memory_mb=float("inf")), 400, "usage",
+    ),
     "max-rung-list": (
         "/minimize", _body(PLAS[0], max_rung=["sp"]), 400, "usage",
     ),

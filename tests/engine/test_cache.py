@@ -1,5 +1,9 @@
 """Tests for the two-tier result cache."""
 
+import random
+import sys
+import threading
+
 from repro.boolfunc.function import BoolFunc
 from repro.engine.cache import ResultCache
 from repro.engine.job import _SOLVER_VERSION
@@ -313,3 +317,44 @@ class TestVerifyOnRead:
         cache = self._disk_cache(tmp_path, record, audit_rate=1)
         cache.get(self.KEY, func=_FUNC)
         assert "audit" in cache.stats.summary()
+
+
+class TestThreadSafety:
+    def test_concurrent_gets_and_puts_keep_the_lru_consistent(self):
+        """A service's request threads share one cache: four threads
+        hammering a 4-entry LRU over 8 keys (so nearly every put evicts
+        what another thread is about to touch) must neither raise nor
+        hand back another key's record, and the LRU stays in bounds."""
+        cache = ResultCache(max_entries=4)
+        keys = [f"{i:064x}" for i in range(8)]
+        barrier = threading.Barrier(4)
+        errors = []
+
+        def run(seed):
+            rng = random.Random(seed)
+            barrier.wait(timeout=30)
+            try:
+                for _ in range(200_000):
+                    key = rng.choice(keys)
+                    record = cache.get(key)
+                    if record is None:
+                        cache.put(key, {"key": key})
+                    elif record["key"] != key:
+                        errors.append((key, record))
+                        return
+            except Exception as exc:  # noqa: BLE001 — the race raises
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside each call
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(cache) <= 4

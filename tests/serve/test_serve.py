@@ -13,13 +13,22 @@ import json
 import socket
 import threading
 import time
+import uuid
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import faults
+from repro.boolfunc.function import BoolFunc, MultiBoolFunc
+from repro.boolfunc.pla import PlaError, parse_pla, write_pla
+from repro.cluster import ClusterConfig, ClusterCoordinator
 from repro.engine.batch import Manifest
+from repro.engine.job import Job
 from repro.faults import FaultPlan, FaultRule
 from repro.serve import MinimizeService, ServeConfig
+from repro.serve.server import jobs_from_payload, parse_memo_stats
+from tests.serve.test_metrics import parse_prometheus
 
 PLA = ".i 3\n.o 1\n1-- 1\n-11 1\n.e\n"
 # A different function with the same on-set size (5 points, so the same
@@ -312,3 +321,193 @@ class TestDeadlinePropagation:
         )
         assert status == 200
         assert body["ok"]
+
+
+def _unique_pla(body: str = ".i 3\n.o 1\n1-- 1\n-11 1\n.e\n") -> str:
+    """A PLA text no earlier test sent: the parse memo is process-wide,
+    so each test starts from a text it has certainly not seen."""
+    return f"# {uuid.uuid4().hex}\n{body}"
+
+
+def _fresh_jobs(text: str) -> list[tuple]:
+    """(func, content hash, label) of each job a fresh parse of ``text``
+    gives, built the way ``jobs_from_payload`` builds them."""
+    func = parse_pla(text, name="request")
+    return [
+        (fo, Job(fo, label=f"request[{o}]").content_hash, f"request[{o}]")
+        for o, fo in enumerate(func)
+        if fo.on_set
+    ]
+
+
+def _memo_jobs(text: str) -> list[tuple]:
+    return [
+        (job.func, job.content_hash, job.label)
+        for job in jobs_from_payload({"pla": text})
+    ]
+
+
+def _moved(before: dict, after: dict) -> tuple[int, int]:
+    """(hits, misses) the parse memo counted between two snapshots."""
+    return after["hits"] - before["hits"], after["misses"] - before["misses"]
+
+
+# Hand-written texts the writer never emits: fd cubes with dashes in
+# the input part and don't-care outputs, an fr table leaving points
+# unmentioned, and a multi-output table whose last output is all zero.
+HAND_WRITTEN = {
+    "fd-dashes": ".i 4\n.o 1\n1-0- 1\n-11- -\n0000 1\n.e\n",
+    "fr-unmentioned": ".i 3\n.o 1\n.type fr\n1-- 1\n0-0 0\n.e\n",
+    "multi-output": (
+        ".i 3\n.o 3\n.ob a b c\n1-- 1-0\n-1- 010\n--1 -00\n.e\n"
+    ),
+}
+
+
+@st.composite
+def _multi_funcs(draw) -> MultiBoolFunc:
+    n = draw(st.integers(2, 4))
+    space = 1 << n
+    outputs = []
+    for _ in range(draw(st.integers(1, 3))):
+        on = draw(st.sets(st.integers(0, space - 1), min_size=1, max_size=space))
+        dc = draw(st.sets(st.integers(0, space - 1), max_size=4)) - on
+        outputs.append(BoolFunc(n, frozenset(on), frozenset(dc)))
+    return MultiBoolFunc(n, tuple(outputs))
+
+
+class TestParseMemo:
+    """Both tiers decode requests through ``jobs_from_payload``, which
+    parses each PLA text once per process.  The memo's counters are
+    process-wide, so these tests assert deltas, never absolutes."""
+
+    @given(_multi_funcs())
+    @settings(max_examples=30, deadline=None)
+    def test_hit_equals_a_fresh_parse_of_written_plas(self, func):
+        text = write_pla(func)
+        first = _memo_jobs(text)
+        before = parse_memo_stats()
+        second = _memo_jobs(text)
+        assert _moved(before, parse_memo_stats()) == (1, 0)
+        assert first == second == _fresh_jobs(text)
+
+    @pytest.mark.parametrize("case", sorted(HAND_WRITTEN))
+    def test_hit_equals_a_fresh_parse_of_hand_written_plas(self, case):
+        text = _unique_pla(HAND_WRITTEN[case])
+        first = _memo_jobs(text)
+        before = parse_memo_stats()
+        second = _memo_jobs(text)
+        assert _moved(before, parse_memo_stats()) == (1, 0)
+        assert first == second == _fresh_jobs(text)
+
+    def test_one_byte_different_text_misses(self):
+        text = _unique_pla()
+        _memo_jobs(text)
+        flipped = text[:2] + ("0" if text[2] != "0" else "1") + text[3:]
+        assert len(flipped) == len(text) and flipped != text
+        before = parse_memo_stats()
+        assert _memo_jobs(flipped) == _fresh_jobs(text)  # same function
+        assert _moved(before, parse_memo_stats()) == (0, 1)
+        _memo_jobs(text)
+        assert _moved(before, parse_memo_stats()) == (1, 1)
+
+    def test_malformed_pla_raises_alike_and_is_not_kept(self):
+        text = _unique_pla(".i 3\n.o 1\n1x- 1\n.e\n")
+        before = parse_memo_stats()
+        errors = []
+        for _ in range(2):
+            with pytest.raises(PlaError) as info:
+                jobs_from_payload({"pla": text})
+            errors.append((str(info.value), info.value.line))
+        after = parse_memo_stats()
+        assert errors[0] == errors[1]
+        assert errors[0][1] == 4  # the cube line, after the comment
+        assert _moved(before, after) == (0, 2)  # the repeat parsed again
+        assert after["entries"] == before["entries"]
+
+    @pytest.mark.parametrize(
+        "cube, moved",
+        [
+            ("-" * 11, (1, 1)),  # 2,048 points, about 184 KiB: kept
+            ("-" * 12, (0, 2)),  # 4,096 points, about 368 KiB
+            # Fewer points, but each a 4,000-bit integer: about 620 KiB.
+            ("1" * 3990 + "-" * 10, (0, 2)),
+        ],
+        ids=["i11", "i12", "i4000"],
+    )
+    def test_held_size_decides_what_is_kept(self, cube, moved):
+        # One cube of dashes covers 2^dashes points; the memo keeps a
+        # function only if it holds at most 256 KiB.
+        text = _unique_pla(f".i {len(cube)}\n.o 1\n{cube} 1\n.e\n")
+        before = parse_memo_stats()
+        assert _memo_jobs(text) == _memo_jobs(text) == _fresh_jobs(text)
+        assert _moved(before, parse_memo_stats()) == moved
+
+    def test_short_texts_of_large_functions_answer_and_are_not_kept(
+        self, service
+    ):
+        # A few dozen bytes can describe a large function: one all-dash
+        # cube over 16 inputs is 65,536 on-points, and an fr table over
+        # 16 inputs with no rows makes all 2 x 65,536 points don't-care
+        # (so every output is constant 0, a 400).
+        all_dash = _unique_pla(".i 16\n.o 1\n" + "-" * 16 + " 1\n.e\n")
+        no_care = _unique_pla(".i 16\n.o 2\n.type fr\n.e\n")
+        ((_, key, _),) = _fresh_jobs(all_dash)
+        _, port = service()
+        coordinator = ClusterCoordinator(ClusterConfig(workers=2))
+        before = parse_memo_stats()
+        for _ in range(2):
+            body = json.dumps({"pla": all_dash}).encode()
+            assert coordinator.routing_key(body) == key
+            status, _, answer = _post(port, {"pla": no_care})
+            assert status == 400, answer
+            assert answer["error"]["code"] == "usage"
+        after = parse_memo_stats()
+        assert _moved(before, after) == (0, 4)
+        assert after["entries"] == before["entries"]
+
+    def test_soft_memory_ceiling_empties_the_memo(self, service):
+        svc, _ = service(memory_soft_mb=1, watchdog_interval=3600)
+        _memo_jobs(_unique_pla())
+        assert parse_memo_stats()["entries"] >= 1
+        svc.watchdog.poll_once()  # every process is over 1 MB
+        assert parse_memo_stats()["entries"] == 0
+
+    def test_near_duplicate_routes_through_a_parse_memo_hit(self):
+        coordinator = ClusterCoordinator(ClusterConfig(workers=2))
+        text = _unique_pla()
+        base = {"pla": text, "max_rung": "heuristic"}
+        base_key = coordinator.routing_key(json.dumps(base).encode())
+        near_duplicate = json.dumps({
+            "base": {"pla": text},
+            "delta": {"toggles": [0]},
+            "max_rung": "heuristic",
+        }).encode()
+        before = parse_memo_stats()
+        assert coordinator.routing_key(near_duplicate) == base_key
+        assert _moved(before, parse_memo_stats()) == (1, 0)
+
+    def test_stats_and_metrics_count_the_memo(self, service):
+        svc, port = service()
+        coordinator = ClusterCoordinator(ClusterConfig(workers=2))
+        text = _unique_pla()
+        before = _get(port, "/stats")[2]["parse"]
+        assert coordinator.stats()["parse"] == before
+        for _ in range(2):  # a miss, then a hit
+            assert _post(port, {"pla": text, "max_rung": "sp"})[0] == 200
+        after = _get(port, "/stats")[2]["parse"]
+        assert _moved(before, after) == (1, 1)
+        assert after["entries"] == min(before["entries"] + 1, 64)
+        assert coordinator.stats()["parse"] == after
+
+        for prefix, text_ in (
+            ("repro", svc.metrics_text()),
+            ("repro_cluster", coordinator.metrics_text()),
+        ):
+            families = parse_prometheus(text_)
+            events = families[f"{prefix}_parse_events_total"]
+            assert events["type"] == "counter"
+            counts = {s[1]["kind"]: s[2] for s in events["samples"]}
+            assert counts == {"hits": after["hits"], "misses": after["misses"]}
+            (entries,) = families[f"{prefix}_parse_entries"]["samples"]
+            assert entries[2] == after["entries"]
