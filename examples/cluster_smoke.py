@@ -4,9 +4,11 @@
 The contract this asserts, operator's-eye view:
 
 1. a coordinator + 2 workers come up and report healthy;
-2. mixed traffic routes across both workers and succeeds, and a
+2. mixed traffic routes across both workers and succeeds, a
    near-duplicate and a repeat of a seen PLA reuse its parse on both
-   tiers (``parse.hits`` grows in each tier's ``/stats``);
+   tiers (``parse.hits`` grows in each tier's ``/stats``), and a
+   9-point care-preserving edit of an exact-rung base is served warm
+   by the base's worker (its ``delta.warm_hits`` grows by one);
 3. ``SIGKILL`` of one worker mid-load loses **no accepted request** —
    every in-flight and subsequent request either succeeds via failover
    to the ring successor or gets a structured 429/503 with a JSON
@@ -37,6 +39,12 @@ import time
 from repro.cluster import ClusterConfig, ClusterCoordinator
 
 PLAS = [f".i 3\n.o 1\n{format(i, '03b')} 1\n111 1\n.e\n" for i in range(8)]
+# A 5-input exact-rung base and 9 of its on-points (column i is bit i).
+WARM_BASE_ON = (2, 3, 9, 10, 11, 13, 15, 17, 21, 23, 29, 31)
+WARM_TOGGLES = [3, 9, 11, 13, 17, 21, 23, 29, 31]
+WARM_BASE_PLA = ".i 5\n.o 1\n" + "".join(
+    "".join(str(p >> i & 1) for i in range(5)) + " 1\n" for p in WARM_BASE_ON
+) + ".e\n"
 KILL_WINDOW_REQUESTS = 40
 MAX_SHED_RATE = 0.5  # over the outage window; normally ~0
 
@@ -152,6 +160,30 @@ def main() -> None:
         assert after[0] > before[0], f"coordinator parse hits {before} -> {after}"
         assert after[1] > before[1], f"worker {owner} parse hits {before} -> {after}"
         print(f"parse hits (coordinator, {owner}): {before} -> {after}")
+
+        # 2c. An edit of 9 points that keeps the care set (on -> dc) is
+        # served warm from its base's context, whatever its size.
+        warm_base = json.dumps({"pla": WARM_BASE_PLA}).encode()
+        warm_owner = coordinator.plan_for(coordinator.routing_key(warm_base))[0]
+        warm_port = coordinator._workers[warm_owner].proc.port
+        status, doc = post(host, port, warm_base)
+        assert status == 200 and doc["results"][0]["rung"] == "exact", (status, doc)
+
+        def warm_hits() -> int:
+            return json.loads(get(host, warm_port, "/stats")[1])["delta"]["warm_hits"]
+
+        before_warm = warm_hits()
+        status, doc = post(host, port, json.dumps({
+            "base": {"pla": WARM_BASE_PLA},
+            "delta": {"toggles": WARM_TOGGLES},
+        }).encode())
+        assert status == 200, (status, doc)
+        after_warm = warm_hits()
+        assert after_warm == before_warm + 1, (
+            f"worker {warm_owner} warm hits {before_warm} -> {after_warm}"
+        )
+        print(f"9-point edit served warm by {warm_owner}: "
+              f"warm hits {before_warm} -> {after_warm}")
 
         # 3. SIGKILL one worker mid-load; count outcomes concurrently.
         victim = next(iter(coordinator._workers.values()))

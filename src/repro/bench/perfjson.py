@@ -387,7 +387,7 @@ def run_perf_suite(
         on = sorted(fo.on_set)
         toggles = on[:: max(1, len(on) // k)][:k]  # spread, care-preserving
         edited = toggle_points(fo, toggles)
-        # Route through the near-duplicate index (signature lookup is
+        # Route through the near-duplicate index (the care-set lookup is
         # part of the warm path's real cost in the serving tier).
         index = DeltaIndex()
         base_job = Job(fo, method="exact", max_pseudoproducts=200_000)

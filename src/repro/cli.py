@@ -456,7 +456,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         drain_grace=args.drain_grace,
         parent_pid=args.parent_pid,
         delta_entries=args.delta_entries,
-        delta_max_edit=args.delta_max_edit,
     )
     _run_until_drained(
         MinimizeService(config), "serving",
@@ -984,9 +983,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--delta-entries", type=int, default=64, metavar="N",
                          help="near-duplicate context index capacity; "
                          "0 disables the warm path (default 64)")
-    p_serve.add_argument("--delta-max-edit", type=int, default=8, metavar="K",
-                         help="largest on-set edit (symmetric difference) "
-                         "served warm from the delta index (default 8)")
     p_serve.set_defaults(handler=_cmd_serve)
 
     p_cluster = sub.add_parser(

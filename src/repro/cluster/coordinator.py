@@ -28,7 +28,7 @@ Failure handling, in order of escalation (policies from
   that can no longer finish is shed (503) instead of computed, and
   the remainder lands in the worker's request budget;
 * the health loop probes ``/healthz`` continuously; a worker that
-  misses ``health_misses`` probes in a row — or whose process has
+  misses ``_HEALTH_MISSES`` probes in a row — or whose process has
   exited — is removed from the ring, killed, and restarted with
   capped exponential backoff + deterministic per-worker jitter, then
   **re-admitted** once it answers probes again;
@@ -91,6 +91,15 @@ from repro.serve.tier import HttpTier, error_body, error_response, json_payload
 
 __all__ = ["ClusterConfig", "ClusterCoordinator"]
 
+# Fixed policy values (no caller tunes them; ClusterConfig holds the rest).
+_HEDGE_MAX = 5.0               # adaptive hedge delay ceiling (seconds)
+_HEDGE_MULTIPLIER = 1.0        # hedge delay = multiplier x p95
+_HEALTH_MISSES = 2             # consecutive failed probes before eviction
+_RESTART_BACKOFF_CAP = 15.0    # ceiling of the restart backoff (seconds)
+_AUTOSCALE_INTERVAL = 1.0      # seconds between autoscaler decisions
+_AUTOSCALE_QUEUE_HIGH = 1.0    # waiting requests per worker that scale up
+_AUTOSCALE_IDLE_AFTER = 10.0   # calm seconds before a reap
+
 
 @dataclass
 class ClusterConfig:
@@ -98,9 +107,11 @@ class ClusterConfig:
 
     ``spp-minimize cluster`` exposes the topology, hedging, retry-budget
     and health-interval knobs and the worker pass-through as flags; the
-    rest (``hedge_min``/``hedge_max``, ``proxy_timeout``, the restart
-    backoff, the autoscale thresholds, ``drain_grace`` …) keep their
-    defaults there and are set only programmatically.
+    rest (``hedge_min``, ``hedge_initial``, ``proxy_timeout``,
+    ``restart_backoff``, ``drain_grace`` …) keep their defaults there and
+    are set only programmatically.  The hedge ceiling and multiplier, the
+    health-miss count, the restart backoff cap and the autoscale interval
+    and thresholds are module constants (``_HEDGE_MAX`` …).
     """
 
     host: str = "127.0.0.1"
@@ -113,26 +124,19 @@ class ClusterConfig:
     # instead, and hedge=False disables duplication entirely.
     hedge: bool = True
     hedge_after: float | None = None  # static override (seconds)
-    hedge_min: float = 0.05          # adaptive delay clamp (seconds)
-    hedge_max: float = 5.0
+    hedge_min: float = 0.05          # adaptive delay floor (seconds)
     hedge_initial: float = 1.0       # delay before enough samples exist
-    hedge_multiplier: float = 1.0    # delay = multiplier x p95
     # Retry/hedge amplification cap per worker (token bucket).
     retry_budget_ratio: float = 0.2  # tokens deposited per primary attempt
     retry_budget_cap: float = 10.0   # bucket size (also the initial burst)
     proxy_timeout: float = 300.0
     health_interval: float = 0.5
     health_timeout: float = 2.0
-    health_misses: int = 2           # consecutive failures before eviction
     restart_backoff: float = 0.5     # base of the exponential backoff
-    restart_backoff_cap: float = 15.0
     # Queue-driven autoscaling: spawn up to max_workers under admission
     # pressure, reap back toward `workers` after a sustained idle
     # window.  max_workers=None (or == workers) disables scaling.
     max_workers: int | None = None
-    autoscale_interval: float = 1.0
-    autoscale_queue_high: float = 1.0   # waiting requests per worker
-    autoscale_idle_after: float = 10.0  # calm seconds before a reap
     worker_start_timeout: float = 60.0
     drain_grace: float = 10.0
     # Pass-through configuration for every worker's MinimizeService:
@@ -203,9 +207,9 @@ class ClusterCoordinator(HttpTier):
         self.ring = HashRing(replicas=cfg.replicas)
         self.latency = LatencyHistogram()
         self.hedge = AdaptiveHedge(
-            multiplier=cfg.hedge_multiplier,
+            multiplier=_HEDGE_MULTIPLIER,
             min_delay=cfg.hedge_min,
-            max_delay=cfg.hedge_max,
+            max_delay=_HEDGE_MAX,
             initial=cfg.hedge_initial,
         )
         max_workers = cfg.max_workers if cfg.max_workers is not None else cfg.workers
@@ -214,8 +218,8 @@ class ClusterCoordinator(HttpTier):
             self.autoscale = AutoscalePolicy(
                 min_workers=cfg.workers,
                 max_workers=max_workers,
-                queue_high=cfg.autoscale_queue_high,
-                idle_after=cfg.autoscale_idle_after,
+                queue_high=_AUTOSCALE_QUEUE_HIGH,
+                idle_after=_AUTOSCALE_IDLE_AFTER,
             )
         self._workers: dict[str, _WorkerState] = {}
         self._workers_lock = threading.Lock()
@@ -641,7 +645,7 @@ class ClusterCoordinator(HttpTier):
                         state.misses = 0
                     else:
                         state.misses += 1
-                        if state.misses >= cfg.health_misses:
+                        if state.misses >= _HEALTH_MISSES:
                             self._evict(name, state, reason="unresponsive")
                 else:  # starting (autoscaled spawn) or restarting
                     if state.proc.alive and state.proc.healthy(
@@ -662,7 +666,7 @@ class ClusterCoordinator(HttpTier):
                         delay = restart_delay(
                             state.restart_attempts,
                             base=cfg.restart_backoff,
-                            cap=cfg.restart_backoff_cap,
+                            cap=_RESTART_BACKOFF_CAP,
                             key=name,
                         )
                         if time.monotonic() - state.down_since >= delay:
@@ -699,13 +703,13 @@ class ClusterCoordinator(HttpTier):
     def _autoscale_tick(self) -> None:
         """One autoscaler step: scrape admission pressure, act on it.
 
-        Runs on the health thread at most every ``autoscale_interval``
+        Runs on the health thread at most every ``_AUTOSCALE_INTERVAL``
         seconds.  Pressure is the aggregate worker view — requests
         waiting in admission queues and shed deltas since the previous
         tick — not coordinator-side guesses.
         """
         now = time.monotonic()
-        if now - self._autoscale_last < self.config.autoscale_interval:
+        if now - self._autoscale_last < _AUTOSCALE_INTERVAL:
             return
         self._autoscale_last = now
         aggregate = self._scrape_workers()

@@ -16,8 +16,9 @@ operation instead of a cold solve:
   with the identical solver (so a warm result is bit-identical to the
   cold one whenever the candidate list is reusable);
 * :mod:`repro.delta.index` — :class:`DeltaIndex`, the engine-level
-  near-duplicate LRU keyed by a banded-minhash on-set signature, plus
-  :func:`warm_record_for`, which seals a warm solve with
+  near-duplicate LRU, which files each context under its function's
+  ``(n, care set)`` so a lookup reads only the contexts a job can
+  reuse, plus :func:`warm_record_for`, which seals a warm solve with
   :func:`repro.engine.ladder.seal_record`, the record builder every
   cold rung uses (verify + integrity certificate — reuse can never
   change answers, only speed).
@@ -25,29 +26,23 @@ operation instead of a cold solve:
 The soundness argument rests on candidate-order purity: EPPP generation
 is a pure function of the care set ``on ∪ dc`` alone (every level
 sorted by (basis, anchor)), so any edit that preserves the care set
-(on↔dc toggles) reuses the base candidate list *verbatim*, in order.  Care-set-changing edits fall back to the cold
-path — greedy covering is order-sensitive, so there is no sound way to
-splice new candidates into the stream without risking a different
-cover.
+(on↔dc toggles), of any size, reuses the base candidate list
+*verbatim*, in order, and the care set is the index's exact key.
+Care-set-changing edits find no base and run cold — greedy covering is
+order-sensitive, so there is no sound way to splice new candidates into
+the stream without risking a different cover.
 """
 
 from repro.delta.context import MinimizationContext, build_context, toggle_points
-from repro.delta.index import DeltaIndex, onset_signature, warm_record_for
-from repro.delta.reminimize import (
-    DEFAULT_MAX_EDIT,
-    DeltaIneligible,
-    eligibility,
-    warm_minimize,
-)
+from repro.delta.index import DeltaIndex, warm_record_for
+from repro.delta.reminimize import DeltaIneligible, eligibility, warm_minimize
 
 __all__ = [
     "MinimizationContext",
     "build_context",
     "toggle_points",
     "DeltaIndex",
-    "onset_signature",
     "warm_record_for",
-    "DEFAULT_MAX_EDIT",
     "DeltaIneligible",
     "eligibility",
     "warm_minimize",

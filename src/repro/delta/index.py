@@ -1,13 +1,11 @@
 """The engine-level near-duplicate index.
 
 :class:`DeltaIndex` is an LRU of recent exact-job contexts keyed by the
-job content hash, with a **banded minhash** signature over the on-set
-as the locality-sensitive shortlist: two functions whose on-sets agree
-on most points collide in at least one band with high probability, so
-a lookup inspects a handful of entries instead of all of them.  (The
-last few MRU entries are additionally always scanned — service traffic
-edits *recent* functions, and the deterministic scan makes warm-path
-behaviour reproducible in tests and benches.)
+job content hash, and files each context under its function's
+``(n, care set)``.  EPPP generation is a pure function of the care set
+(``on ∪ dc``), so the contexts filed under a job's care set are exactly
+the ones whose candidate list the job can reuse: a lookup reads those
+and no others, and an edit that changes the care set is a plain miss.
 
 :func:`warm_record_for` is the scheduler's entry point: look up a base
 context, run the warm solve, and seal it with
@@ -22,79 +20,42 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from collections.abc import Iterable
 from typing import Any
 
+from repro.boolfunc.function import BoolFunc
 from repro.budget import Budget
 from repro.delta.context import MinimizationContext, build_context
-from repro.delta.reminimize import (
-    DEFAULT_MAX_EDIT,
-    DeltaIneligible,
-    eligibility,
-    warm_minimize,
-)
+from repro.delta.reminimize import warm_minimize
 from repro.engine.ladder import _DEFAULT_EXACT_CAP, seal_record
 from repro.errors import BudgetExceeded, IntegrityError
 
-__all__ = ["DeltaIndex", "onset_signature", "warm_record_for"]
+__all__ = ["DeltaIndex", "warm_record_for"]
 
-_SIG_BANDS = 4
-_SIG_ROWS = 2  # minhashes per band
-_MASK64 = (1 << 64) - 1
-# Fixed odd multipliers (splitmix64-style constants): the signature must
-# be deterministic across processes and sessions.
-_MIXERS = tuple(
-    ((0x9E3779B97F4A7C15 * (k + 1)) | 1) & _MASK64 for k in range(_SIG_BANDS * _SIG_ROWS)
-)
-_MRU_SCAN = 8
+_CareKey = tuple[int, frozenset[int]]
 
 
-def _minhash(points: Iterable[int], mixer: int) -> int:
-    best = _MASK64
-    for p in points:
-        h = ((p + 1) * mixer) & _MASK64
-        h ^= h >> 31
-        if h < best:
-            best = h
-    return best
-
-
-def onset_signature(on_set: Iterable[int]) -> tuple[int, ...]:
-    """Banded minhash signature: ``_SIG_BANDS`` band keys, each combining
-    ``_SIG_ROWS`` independent minhashes of the on-set."""
-    pts = list(on_set)
-    sig = []
-    for band in range(_SIG_BANDS):
-        acc = band
-        for row in range(_SIG_ROWS):
-            acc = (acc * 0x100000001B3 + _minhash(pts, _MIXERS[band * _SIG_ROWS + row])) & _MASK64
-        sig.append(acc)
-    return tuple(sig)
-
-
-class _Entry:
-    __slots__ = ("key", "ctx", "signature")
-
-    def __init__(self, key: str, ctx: MinimizationContext, signature: tuple[int, ...]):
-        self.key = key
-        self.ctx = ctx
-        self.signature = signature
+def _care_key(func: BoolFunc) -> _CareKey:
+    return func.n, func.care_set
 
 
 class DeltaIndex:
-    """LRU of minimization contexts with near-duplicate lookup.
+    """LRU of minimization contexts, looked up by care set.
 
     Thread-safe: the serving tier shares one index across request
     threads.  Counters (``lookups``, ``warm_hits``, ``fallbacks`` with
     a per-reason breakdown, ``inserts``, ``evictions``,
-    ``capture_errors``) feed ``/stats`` and ``/metrics``.
+    ``capture_errors``) feed ``/stats`` and ``/metrics``.  A fallback
+    is a lookup that found contexts under the job's care set but could
+    use none of them; a lookup with nothing filed under its care set
+    counts in neither ``warm_hits`` nor ``fallbacks``.
     """
 
-    def __init__(self, capacity: int = 64, *, max_edit: int = DEFAULT_MAX_EDIT) -> None:
+    def __init__(self, capacity: int = 64) -> None:
         self.capacity = capacity
-        self.max_edit = max_edit
-        self._entries: OrderedDict[str, _Entry] = OrderedDict()
-        self._bands: dict[tuple[int, int], set[str]] = {}
+        self._entries: OrderedDict[str, MinimizationContext] = OrderedDict()
+        # Job hashes per care set, in insertion order (a dict, not a set,
+        # so equal edits break ties the same way in every process).
+        self._by_care: dict[_CareKey, dict[str, None]] = {}
         self._lock = threading.Lock()
         self.lookups = 0
         self.warm_hits = 0
@@ -132,32 +93,29 @@ class DeltaIndex:
     def put(self, key: str, ctx: MinimizationContext) -> None:
         with self._lock:
             if key in self._entries:
+                # An equal job hash means an equal function: same care set.
                 self._entries.move_to_end(key)
-                self._entries[key].ctx = ctx
+                self._entries[key] = ctx
                 return
-            entry = _Entry(key, ctx, onset_signature(ctx.func.on_set))
-            self._entries[key] = entry
-            for band, value in enumerate(entry.signature):
-                self._bands.setdefault((band, value), set()).add(key)
+            self._entries[key] = ctx
+            self._by_care.setdefault(_care_key(ctx.func), {})[key] = None
             self.inserts += 1
             while len(self._entries) > self.capacity:
-                _, victim = self._entries.popitem(last=False)
-                self._unlink(victim)
+                self._unlink(*self._entries.popitem(last=False))
                 self.evictions += 1
 
-    def _unlink(self, entry: _Entry) -> None:
-        for band, value in enumerate(entry.signature):
-            keys = self._bands.get((band, value))
-            if keys is not None:
-                keys.discard(entry.key)
-                if not keys:
-                    del self._bands[(band, value)]
+    def _unlink(self, key: str, ctx: MinimizationContext) -> None:
+        care = _care_key(ctx.func)
+        keys = self._by_care[care]
+        del keys[key]
+        if not keys:
+            del self._by_care[care]
 
     def drop(self, ctx: MinimizationContext) -> None:
         """Quarantine a context (e.g. after an integrity failure)."""
         with self._lock:
-            for key in [k for k, e in self._entries.items() if e.ctx is ctx]:
-                self._unlink(self._entries.pop(key))
+            for key in [k for k, c in self._entries.items() if c is ctx]:
+                self._unlink(key, self._entries.pop(key))
 
     # ------------------------------------------------------------------
     # Lookup
@@ -166,54 +124,40 @@ class DeltaIndex:
     def lookup(self, job: Any) -> MinimizationContext | None:
         """The best warm-eligible base context for ``job``, or None.
 
-        Shortlist = banded-signature collisions ∪ the last ``_MRU_SCAN``
-        MRU entries; each entry of the job's dimension is gated on
-        covering-mode equality, candidate count within the job's
-        effective cap, then :func:`~repro.delta.reminimize.eligibility`
-        (exact care-set equality, edit distance ≤ ``max_edit``).  A near
-        miss (shortlisted but gated out) counts as a fallback with its
-        reason.
+        Reads only the contexts filed under the job's ``(n, care set)``:
+        each is gated on covering-mode equality, then on a candidate
+        count within the job's effective cap, and the one with the
+        smallest on-set edit wins.  When contexts were filed under the
+        key but every one was gated out, the first gate that refused
+        one is counted as the fallback reason.
         """
         if job.method != "exact":
             return None
         func = job.func
         with self._lock:
             self.lookups += 1
-            if not self._entries:
+            keys = self._by_care.get(_care_key(func))
+            if keys is None:
                 return None
-            shortlist: OrderedDict[str, _Entry] = OrderedDict()
-            for band, value in enumerate(onset_signature(func.on_set)):
-                for key in self._bands.get((band, value), ()):
-                    shortlist[key] = self._entries[key]
-            for key in list(reversed(self._entries))[:_MRU_SCAN]:
-                shortlist.setdefault(key, self._entries[key])
             cap = job.max_pseudoproducts if job.max_pseudoproducts is not None else _DEFAULT_EXACT_CAP
-            best: _Entry | None = None
+            best: str | None = None
             best_edit = -1
             near_miss: str | None = None
-            for entry in shortlist.values():
-                ctx = entry.ctx
-                if ctx.func.n != func.n:
-                    continue
+            for key in keys:
+                ctx = self._entries[key]
                 if ctx.covering != job.covering:
-                    reason = "covering-mode-changed"
+                    near_miss = near_miss or "covering-mode-changed"
                 elif ctx.num_candidates > cap:
-                    reason = "cap-exceeded"
+                    near_miss = near_miss or "cap-exceeded"
                 else:
-                    reason = eligibility(ctx, func, max_edit=self.max_edit)
-                if reason is not None:
-                    near_miss = near_miss or reason
-                    continue
-                edit = ctx.edit_size(func)
-                if best is None or edit < best_edit:
-                    best = entry
-                    best_edit = edit
+                    edit = ctx.edit_size(func)
+                    if best is None or edit < best_edit:
+                        best, best_edit = key, edit
             if best is None:
-                if near_miss is not None:
-                    self.fallback_reasons[near_miss] = self.fallback_reasons.get(near_miss, 0) + 1
+                self.fallback_reasons[near_miss] = self.fallback_reasons.get(near_miss, 0) + 1
                 return None
-            self._entries.move_to_end(best.key)
-            return best.ctx
+            self._entries.move_to_end(best)
+            return self._entries[best]
 
     # ------------------------------------------------------------------
     # Counters
@@ -260,10 +204,7 @@ def warm_record_for(
     func = job.func
     t0 = time.perf_counter()
     try:
-        result = warm_minimize(base, func, max_edit=index.max_edit, budget=budget)
-    except DeltaIneligible as exc:
-        index.count_fallback(exc.reason)
-        return None
+        result = warm_minimize(base, func, budget=budget)
     except BudgetExceeded:
         raise
     except Exception:  # noqa: BLE001 — warm path must never break serving

@@ -27,8 +27,9 @@ work left is the covering step:
 
 Care-set-*changing* edits are refused with :class:`DeltaIneligible`:
 greedy covering is order-sensitive, so splicing freshly generated
-candidates into the stream could change the answer.  The engine then
-runs the request cold on its own ladder.
+candidates into the stream could change the answer.  The engine's
+index files contexts by care set, so it never offers such a base: the
+request runs cold on its own ladder.
 """
 
 from __future__ import annotations
@@ -45,17 +46,7 @@ from repro.kernels.coverage import build_problem
 from repro.minimize import covering as cov
 from repro.minimize.exact import SppResult, trivial_result
 
-__all__ = [
-    "DEFAULT_MAX_EDIT",
-    "DeltaIneligible",
-    "eligibility",
-    "warm_minimize",
-]
-
-# Edits past this many toggled points go cold: the covering patch stays
-# cheap, but a large edit is no longer "the same function with noise"
-# and the near-duplicate index should not pretend otherwise.
-DEFAULT_MAX_EDIT = 8
+__all__ = ["DeltaIneligible", "eligibility", "warm_minimize"]
 
 
 class DeltaIneligible(Exception):
@@ -66,23 +57,18 @@ class DeltaIneligible(Exception):
         self.reason = reason
 
 
-def eligibility(
-    base: MinimizationContext,
-    func: BoolFunc,
-    *,
-    max_edit: int = DEFAULT_MAX_EDIT,
-) -> str | None:
+def eligibility(base: MinimizationContext, func: BoolFunc) -> str | None:
     """Why ``func`` cannot reuse ``base`` — or None when it can.
 
     Reason slugs, in precedence order: ``dimension-changed``,
-    ``care-set-changed``, ``edit-too-large``.
+    ``care-set-changed``.  Any care-set-preserving edit is eligible,
+    whatever its size: the base candidate list is the edited function's
+    own.
     """
     if func.n != base.func.n:
         return "dimension-changed"
     if func.care_set != base.func.care_set:
         return "care-set-changed"
-    if base.edit_size(func) > max_edit:
-        return "edit-too-large"
     return None
 
 
@@ -137,7 +123,6 @@ def warm_minimize(
     base: MinimizationContext,
     func: BoolFunc,
     *,
-    max_edit: int = DEFAULT_MAX_EDIT,
     budget: Budget | None = None,
 ) -> SppResult:
     """Re-minimize ``func`` warm from ``base``; the result is
@@ -148,7 +133,7 @@ def warm_minimize(
 
     Raises :class:`DeltaIneligible` when the edit cannot go warm.
     """
-    reason = eligibility(base, func, max_edit=max_edit)
+    reason = eligibility(base, func)
     if reason is not None:
         raise DeltaIneligible(reason)
     trivial = trivial_result(func)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.boolfunc.function import BoolFunc
 from repro.budget import Budget
@@ -30,7 +30,6 @@ from repro.minimize.cost import literal_cost
 from repro.minimize.eppp import (
     EpppColumns,
     EpppResult,
-    GenerationBudgetExceeded,
     _basis_factor_width,
     generate_eppp,
 )
@@ -196,7 +195,6 @@ def minimize_spp(
     factor_width: int | None = None,
     max_pseudoproducts: int | None = None,
     on_limit: str = "raise",
-    fallback: Callable[[BoolFunc], SppResult] | None = None,
     budget: Budget | None = None,
 ) -> SppResult:
     """Minimize ``func`` as an SPP form (Algorithm 2).
@@ -214,13 +212,6 @@ def minimize_spp(
     :func:`~repro.minimize.eppp.generate_eppp`); the single-coset
     shortcut then applies only to a coset within the bound.
 
-    ``fallback`` is the degradation hook used by :mod:`repro.engine`:
-    when generation blows the ``max_pseudoproducts`` budget under
-    ``on_limit="raise"``, the fallback minimizer (e.g. bounded or
-    ``SPP_0``) is invoked instead of propagating
-    :class:`~repro.minimize.eppp.GenerationBudgetExceeded`, and its
-    result is returned with ``covering_optimal`` forced off.
-
     ``budget`` is a cooperative :class:`~repro.budget.Budget` threaded
     into generation and covering; a blown deadline, memory ceiling or
     cancellation raises :class:`repro.errors.BudgetExceeded` /
@@ -229,19 +220,14 @@ def minimize_spp(
     trivial = trivial_result(func, factor_width)
     if trivial is not None:
         return trivial
-    try:
-        generation = generate_eppp(
-            func,
-            backend=backend,
-            factor_width=factor_width,
-            max_pseudoproducts=max_pseudoproducts,
-            on_limit=on_limit,
-            budget=budget,
-        )
-    except GenerationBudgetExceeded:
-        if fallback is None:
-            raise
-        return replace(fallback(func), covering_optimal=False)
+    generation = generate_eppp(
+        func,
+        backend=backend,
+        factor_width=factor_width,
+        max_pseudoproducts=max_pseudoproducts,
+        on_limit=on_limit,
+        budget=budget,
+    )
     candidates = generation.eppps
     if generation.truncated:
         # A capped generation may have lost the mid-degree pseudoproducts
@@ -249,7 +235,7 @@ def minimize_spp(
         # pseudoproducts and guarantee the result is no worse than a
         # two-level cover.
         candidates = candidates + [
-            cube.to_pseudocube(func.n) for cube in prime_implicants(func)
+            cube.to_pseudocube(func.n) for cube in prime_implicants(func, budget)
         ]
     form, optimal, cover_seconds, cover_stats, problem = cover_with(
         func, candidates, covering=covering, cost=cost, budget=budget

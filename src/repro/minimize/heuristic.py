@@ -124,7 +124,7 @@ def minimize_spp_k(
     # Phase 1: initialize per-degree stores with the initial cover
     # (default: the SP prime implicants).
     if initial_cover is None:
-        primes = prime_implicants(func)
+        primes = prime_implicants(func, budget)
         cover = [cube.to_pseudocube(n) for cube in primes]
     else:
         cover = list(initial_cover)

@@ -16,6 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.boolfunc.function import BoolFunc
+from repro.budget import Budget
 from repro.core.bitvec import mask_of_width, popcount
 from repro.core.pseudocube import Pseudocube
 
@@ -68,9 +69,14 @@ class Cube:
         return "".join(chars)
 
 
-def prime_implicants(func: BoolFunc) -> list[Cube]:
+def prime_implicants(func: BoolFunc, budget: Budget | None = None) -> list[Cube]:
     """All prime implicants of ``func`` (don't-cares participate in
-    expansion, as in standard Quine–McCluskey)."""
+    expansion, as in standard Quine–McCluskey).
+
+    ``budget`` is ticked once per merge row, one unit per partner the
+    row is compared with: the merge work grows about 4× per input on
+    wide functions (3^n cubes for the all-dash function).
+    """
     care = func.care_set
     if not care:
         return []
@@ -87,6 +93,8 @@ def prime_implicants(func: BoolFunc) -> list[Cube]:
         for (mask, ones), cubes in groups.items():
             partners = groups.get((mask, ones + 1), [])
             for a in cubes:
+                if budget is not None:
+                    budget.tick(len(partners))
                 for b in partners:
                     diff = a.values ^ b.values
                     if popcount(diff) == 1:

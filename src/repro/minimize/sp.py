@@ -52,7 +52,7 @@ def minimize_sp(
 ) -> SpResult:
     """Minimize ``func`` as a sum of products."""
     t0 = time.perf_counter()
-    primes = prime_implicants(func)
+    primes = prime_implicants(func, budget)
     if not func.on_set:
         return SpResult(SppForm(func.n, ()), primes, True, time.perf_counter() - t0)
     if budget is not None:

@@ -96,6 +96,11 @@ _PARSE_MEMO_ENTRIES = 64
 _PARSE_MEMO_MAX_TEXT = 64 * 1024
 _PARSE_MEMO_MAX_HELD = 256 * 1024
 
+# Ceiling on a client-requested ``budget_seconds``.
+_MAX_BUDGET = 300.0
+# Seconds an open rung breaker stays open before it half-opens.
+_BREAKER_COOLDOWN = 30.0
+
 
 def _option(
     payload: dict[str, Any], key: str, cast, default=None, expect="a number"
@@ -298,8 +303,10 @@ class ServeConfig:
     """Knobs of one service instance.
 
     ``spp-minimize serve`` exposes most of them as flags; ``wait_timeout``,
-    ``retry_after``, ``max_budget``, ``watchdog_interval`` and the breaker
-    settings keep their defaults there and are set only programmatically.
+    ``retry_after``, ``watchdog_interval`` and ``breaker_threshold`` keep
+    their defaults there and are set only programmatically.  The ceiling
+    on client budgets (``_MAX_BUDGET``, 300 s) and the breaker cooldown
+    (``_BREAKER_COOLDOWN``, 30 s) are module constants.
     """
 
     host: str = "127.0.0.1"
@@ -310,19 +317,16 @@ class ServeConfig:
     retry_after: float = 1.0     # advisory Retry-After on shed responses
     default_timeout: float = 5.0     # per-attempt rung deadline
     default_budget: float = 30.0     # overall budget when none requested
-    max_budget: float = 300.0        # ceiling on client-requested budgets
     memory_soft_mb: float | None = None
     memory_hard_mb: float | None = None
     watchdog_interval: float = 0.5
     breaker_threshold: int = 3
-    breaker_cooldown: float = 30.0
     cache_entries: int = 1024
     cache_dir: str | None = None
     max_disk_entries: int | None = None  # shared disk tier cap (cluster)
     audit_rate: int = 16     # verify-on-read: audit every Nth disk load
     shadow_rate: int = 8     # shadow-verify every Nth response (0 = off)
     delta_entries: int = 64  # near-duplicate context LRU (0 = warm path off)
-    delta_max_edit: int = 8  # on-set edit distance ceiling for warm reuse
     manifest_dir: str | None = None
     drain_grace: float = 10.0
     parent_pid: int | None = None  # drain when this process disappears
@@ -364,16 +368,12 @@ class MinimizeService(HttpTier):
             retry_after=cfg.retry_after,
         )
         self.breaker = RungBreaker(
-            threshold=cfg.breaker_threshold, cooldown=cfg.breaker_cooldown
+            threshold=cfg.breaker_threshold, cooldown=_BREAKER_COOLDOWN
         )
         self.shadow = ShadowVerifier(
             rate=cfg.shadow_rate, breaker=self.breaker, cache=self.cache
         )
-        self.delta = (
-            DeltaIndex(cfg.delta_entries, max_edit=cfg.delta_max_edit)
-            if cfg.delta_entries > 0
-            else None
-        )
+        self.delta = DeltaIndex(cfg.delta_entries) if cfg.delta_entries > 0 else None
         self.watchdog = MemoryWatchdog(
             soft_mb=cfg.memory_soft_mb,
             hard_mb=cfg.memory_hard_mb,
@@ -407,7 +407,7 @@ class MinimizeService(HttpTier):
     ) -> Budget:
         cfg = self.config
         seconds = _option(payload, "budget_seconds", float, cfg.default_budget)
-        seconds = min(max(seconds, 0.001), cfg.max_budget)
+        seconds = min(max(seconds, 0.001), _MAX_BUDGET)
         if cap is not None:
             # The propagated end-to-end deadline wins over whatever the
             # payload asked for: a result the client will never read is

@@ -1,11 +1,16 @@
 """Tests for the near-duplicate index and the scheduler warm path."""
 
+import random
+
+import pytest
+
 from repro.boolfunc.function import BoolFunc
 from repro.delta import (
     DeltaIndex,
+    MinimizationContext,
     build_context,
-    onset_signature,
     toggle_points,
+    warm_minimize,
     warm_record_for,
 )
 from repro.delta import index as index_module
@@ -33,20 +38,6 @@ def _put(index, func=FUNC, covering="greedy"):
     return job
 
 
-class TestSignature:
-    def test_deterministic_and_order_independent(self):
-        assert onset_signature([3, 1, 9]) == onset_signature([9, 3, 1])
-        assert onset_signature(FUNC.on_set) == onset_signature(sorted(FUNC.on_set))
-
-    def test_near_duplicates_collide_in_some_band(self):
-        a = onset_signature(FUNC.on_set)
-        b = onset_signature(toggle_points(FUNC, [0]).on_set)
-        assert any(x == y for x, y in zip(a, b))
-
-    def test_disjoint_sets_differ(self):
-        assert onset_signature({0, 1, 2}) != onset_signature({13, 14, 15})
-
-
 class TestLookup:
     def test_near_duplicate_job_finds_base(self):
         index = DeltaIndex()
@@ -70,44 +61,70 @@ class TestLookup:
         assert index.lookup(job) is None
         assert index.stats()["fallback_reasons"] == {"covering-mode-changed": 1}
 
-    def test_edit_too_large_counted(self):
-        index = DeltaIndex(max_edit=1)
-        _put(index)
-        edited = toggle_points(FUNC, [0, 5])  # symmetric diff of 2
-        assert index.lookup(Job(edited, method="exact")) is None
-        assert index.stats()["fallback_reasons"] == {"edit-too-large": 1}
-
     def test_gate_precedence(self):
-        """An entry of another dimension is skipped uncounted, and the
-        covering-mode gate reports before eligibility()'s reasons."""
+        """Only contexts filed under the job's (n, care set) are read: an
+        entry of another dimension or another care set is a plain miss,
+        counted as no fallback.  Under the key, the covering-mode gate
+        reports before the cap gate."""
         index = DeltaIndex()
         _put(index, BoolFunc(3, frozenset({0, 1, 3}), frozenset({6})))
+        _put(index)
         grown = toggle_points(FUNC, [7])  # care set changed as well
         assert index.lookup(Job(grown, method="exact", covering="exact")) is None
         assert index.stats()["fallback_reasons"] == {}
-        _put(index)
-        assert index.lookup(Job(grown, method="exact", covering="exact")) is None
+        edited = toggle_points(FUNC, [0])
+        job = Job(edited, method="exact", covering="exact", max_pseudoproducts=1)
+        assert index.lookup(job) is None
         assert index.stats()["fallback_reasons"] == {"covering-mode-changed": 1}
 
     def test_eligibility_runs_only_past_the_cheap_gates(self, monkeypatch):
-        """Care-set and edit checks run only for entries that pass the
-        dimension, covering-mode and cap gates."""
+        """The edit size is measured only for contexts filed under the
+        job's care set that pass the covering-mode and cap gates; a
+        context under another care set is never read."""
         calls = []
-        check = index_module.eligibility
+        edit_size = MinimizationContext.edit_size
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return check(*args, **kwargs)
+        def counted(ctx, func):
+            calls.append(ctx.func)
+            return edit_size(ctx, func)
 
-        monkeypatch.setattr(index_module, "eligibility", counted)
+        monkeypatch.setattr(MinimizationContext, "edit_size", counted)
         index = DeltaIndex()
         _put(index)
+        _put(index, BoolFunc(4, frozenset({0, 1, 3, 6, 9, 12}), frozenset({5, 10})))
         edited = toggle_points(FUNC, [0])
         assert index.lookup(Job(edited, method="exact", covering="exact")) is None
         assert index.lookup(Job(edited, method="exact", max_pseudoproducts=1)) is None
         assert calls == []
         assert index.lookup(Job(edited, method="exact")) is not None
-        assert len(calls) == 1
+        assert calls == [FUNC]
+
+    def test_base_found_whatever_its_recency(self):
+        """A base with the job's care set is found however many newer
+        entries of its dimension came after it."""
+        base = BoolFunc(5, frozenset({2, 3, 9, 10, 11, 13, 15, 17, 21, 23, 29, 31}))
+        index = DeltaIndex()
+        _put(index, base)
+        rng = random.Random(5)
+        for _ in range(8):
+            _put(index, BoolFunc(5, frozenset(rng.sample(range(32), 12))))
+        edited = toggle_points(base, [11, 17, 21, 31])
+        got = index.lookup(Job(edited, method="exact"))
+        assert got is not None and got.func == base
+        assert index.stats()["fallbacks"] == 0
+
+    def test_unrelated_functions_count_no_fallback(self):
+        """Distinct functions share no care set: each lookup, made before
+        its function is captured, is a plain miss with no fallback."""
+        index = DeltaIndex()
+        rng = random.Random(11)
+        for n in (3, 4, 4, 4, 5, 5, 5, 5):
+            func = BoolFunc(n, frozenset(rng.sample(range(1 << n), 1 << (n - 1))))
+            assert index.lookup(Job(func, method="exact")) is None
+            _put(index, func)
+        stats = index.stats()
+        assert stats["lookups"] == 8 and stats["warm_hits"] == 0
+        assert stats["fallbacks"] == 0 and stats["fallback_reasons"] == {}
 
     def test_smallest_edit_wins(self):
         index = DeltaIndex()
@@ -124,6 +141,31 @@ class TestLookup:
         index.drop(index.lookup(job))
         assert len(index) == 0
         assert index.lookup(job) is None
+
+
+@pytest.fixture(scope="module")
+def wide_base():
+    """80 on-points and 72 don't-cares over B^8: room for 64-point edits
+    in both directions."""
+    points = random.Random(1).sample(range(256), 152)
+    return BoolFunc(8, frozenset(points[:80]), frozenset(points[80:]))
+
+
+class TestLargeEdits:
+    @pytest.mark.parametrize("size", [16, 32, 64])
+    @pytest.mark.parametrize("direction", ["on-to-dc", "dc-to-on"])
+    def test_large_edit_goes_warm_and_equals_cold(self, wide_base, direction, size):
+        """Any care-preserving edit finds its base, whatever its size, and
+        the warm cover is the cold cover."""
+        index = DeltaIndex()
+        _put(index, wide_base)
+        pool = wide_base.on_set if direction == "on-to-dc" else wide_base.dc_set
+        toggles = random.Random(size).sample(sorted(pool), size)
+        edited = toggle_points(wide_base, toggles)
+        base = index.lookup(Job(edited, method="exact"))
+        assert base is not None and base.edit_size(edited) == size
+        assert warm_minimize(base, edited).form == minimize_spp(edited).form
+        assert index.stats()["fallbacks"] == 0
 
 
 class TestLru:

@@ -15,7 +15,7 @@ from repro.delta import (
     toggle_points,
     warm_minimize,
 )
-from repro.delta.reminimize import DEFAULT_MAX_EDIT, _patched_problem
+from repro.delta.reminimize import _patched_problem
 from repro.kernels import bitmat
 from repro.kernels.coverage import build_problem
 from repro.minimize.exact import minimize_spp
@@ -116,8 +116,10 @@ class TestPackedPatch:
         rows = sorted(life_ctx.func.on_set)
         _patch_matches_cold(life_ctx, [rows[i] for i in positions])
 
-    @pytest.mark.parametrize("size", range(1, DEFAULT_MAX_EDIT + 1))
+    @pytest.mark.parametrize("size", [*range(1, 9), 16, 32, 64])
     def test_edits_up_to_the_cap(self, life_ctx, size):
+        """Edits of every size up to 8 rows and well past it: no edit
+        size is capped, so a 64-row retirement patches too."""
         rows = sorted(life_ctx.func.on_set)
         _patch_matches_cold(life_ctx, random.Random(size).sample(rows, size))
 
@@ -132,7 +134,7 @@ class TestPackedPatch:
         problem = sparse_ctx.problem
         rows = sorted(sparse_ctx.func.on_set)
         single = sorted({m.bit_length() - 1 for m in problem.column_masks if m.bit_count() == 1})
-        got = _patch_matches_cold(sparse_ctx, [rows[i] for i in single[:DEFAULT_MAX_EDIT]])
+        got = _patch_matches_cold(sparse_ctx, [rows[i] for i in single[:16]])
         assert got.num_columns < problem.num_columns
 
 
@@ -220,14 +222,12 @@ class TestEligibility:
         assert eligibility(ctx, edited) == "care-set-changed"
 
     def test_edit_at_threshold_is_warm(self):
+        """No edit size is too large: toggling every care point of FUNC
+        (an edit of 9 points) keeps the care set and is eligible."""
         ctx = _context()
-        edited = toggle_points(FUNC, [0, 5])  # symmetric diff of 2
-        assert eligibility(ctx, edited, max_edit=2) is None
-
-    def test_edit_past_threshold_goes_cold(self):
-        ctx = _context()
-        edited = toggle_points(FUNC, [0, 1, 5])  # symmetric diff of 3
-        assert eligibility(ctx, edited, max_edit=2) == "edit-too-large"
+        edited = toggle_points(FUNC, sorted(FUNC.care_set))
+        assert ctx.edit_size(edited) == 9
+        assert eligibility(ctx, edited) is None
 
     def test_warm_minimize_raises_on_ineligible(self):
         ctx = _context()

@@ -227,7 +227,8 @@ class TestCandidatePruning:
 
 
 class TestGenerationFallbackHook:
-    """The engine's degradation hook on minimize_spp (see repro.engine)."""
+    """A blown generation cap under ``on_limit="raise"`` propagates; the
+    engine's ladder degrades with ``on_limit="stop"`` instead."""
 
     def _hard_func(self):
         from repro.bench.suite import get_benchmark
@@ -240,32 +241,6 @@ class TestGenerationFallbackHook:
 
         with pytest.raises(GenerationBudgetExceeded):
             minimize_spp(self._hard_func(), max_pseudoproducts=10, on_limit="raise")
-
-    def test_fallback_invoked_and_marked_non_optimal(self):
-        from repro.minimize.heuristic import minimize_spp_k
-
-        func = self._hard_func()
-        calls = []
-
-        def fallback(f):
-            calls.append(f)
-            return minimize_spp_k(f, 0)
-
-        result = minimize_spp(
-            func, max_pseudoproducts=10, on_limit="raise", fallback=fallback
-        )
-        assert calls == [func]
-        assert result.covering_optimal is False
-        assert_equivalent(result.form, func)
-
-    def test_fallback_not_invoked_within_budget(self):
-        func = BoolFunc(3, frozenset({1, 2}))
-
-        def fallback(f):  # pragma: no cover — must not run
-            raise AssertionError("fallback must not be called")
-
-        result = minimize_spp(func, max_pseudoproducts=10_000, fallback=fallback)
-        assert_equivalent(result.form, func)
 
 
 class TestCostFunctions:

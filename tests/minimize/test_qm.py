@@ -1,9 +1,12 @@
 """Tests for Quine–McCluskey prime implicant generation."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.boolfunc.function import BoolFunc
+from repro.budget import Budget
+from repro.errors import Cancelled
 from repro.minimize.qm import Cube, prime_implicants
 
 
@@ -77,6 +80,12 @@ class TestPrimeImplicants:
 
     def test_empty_function(self):
         assert prime_implicants(BoolFunc(3, frozenset())) == []
+
+    def test_cancelled_budget_raises(self):
+        budget = Budget(tick_every=1)
+        budget.cancel("test")
+        with pytest.raises(Cancelled):
+            prime_implicants(BoolFunc(4, frozenset(range(16))), budget)
 
     def test_classic_example(self):
         # f = x0'x1' + x0x1 over 2 vars: two prime minterm-pairs? No:

@@ -195,6 +195,21 @@ class TestOverload:
         assert body["error"]["code"] == "budget-exceeded"
         assert body["results"][0]["source"] == "cancelled"
 
+    def test_sp_rung_stops_at_the_budget(self, service):
+        # One all-dash cube over 12 inputs: Quine–McCluskey merges all
+        # 3^12 cubes of B^12, about 13 s of work, unless it ticks the
+        # request budget as it goes.
+        _, port = service()
+        t0 = time.monotonic()
+        status, _, body = _post(port, {
+            "pla": ".i 12\n.o 1\n" + "-" * 12 + " 1\n.e\n",
+            "max_rung": "sp",
+            "budget_seconds": 0.5,
+        })
+        assert time.monotonic() - t0 < 5.0
+        assert status == 408
+        assert body["error"]["code"] == "budget-exceeded"
+
 
 class TestDrain:
     def test_drain_cancels_inflight_and_journal_survives(self, service, tmp_path):
