@@ -17,36 +17,7 @@ Quick start::
     print(spp.form, spp.num_literals, "vs SP", sp.num_literals)
 """
 
-from repro.boolfunc import BoolFunc, MultiBoolFunc, parse_pla, parse_pla_file, write_pla
-from repro.budget import Budget, CancelToken
-from repro.core import (
-    CexExpression,
-    ExorFactor,
-    Pseudocube,
-    SppForm,
-    cex_of,
-    cex_union,
-    structure_of,
-    sub_pseudocubes,
-)
-from repro.core.parse import parse_cex, parse_spp
-from repro.export import spp_to_blif, spp_to_verilog
-from repro.minimize import (
-    Cube,
-    generate_eppp,
-    generate_eppp_naive,
-    minimize_aox,
-    minimize_sp,
-    minimize_spp,
-    minimize_spp_bounded,
-    minimize_spp_k,
-    prime_implicants,
-)
-from repro.minimize.multi import minimize_spp_multi
-from repro.serialize import dumps as dump_json
-from repro.serialize import loads as load_json
-from repro.trie import PartitionTrie
-from repro.verify import assert_equivalent, verify_form
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -86,3 +57,30 @@ __all__ = [
     "verify_form",
     "write_pla",
 ]
+
+# Each public name is imported from its submodule on first access: every
+# ``import repro.<sub>`` runs this file first, and must load only <sub>.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.boolfunc": (
+            "BoolFunc", "MultiBoolFunc", "parse_pla", "parse_pla_file", "write_pla",
+        ),
+        "repro.budget": ("Budget", "CancelToken"),
+        "repro.core": (
+            "CexExpression", "ExorFactor", "Pseudocube", "SppForm", "cex_of",
+            "cex_union", "structure_of", "sub_pseudocubes",
+        ),
+        "repro.core.parse": ("parse_cex", "parse_spp"),
+        "repro.export": ("spp_to_blif", "spp_to_verilog"),
+        "repro.minimize": (
+            "Cube", "generate_eppp", "generate_eppp_naive", "minimize_aox",
+            "minimize_sp", "minimize_spp", "minimize_spp_bounded",
+            "minimize_spp_k", "prime_implicants",
+        ),
+        "repro.minimize.multi": ("minimize_spp_multi",),
+        "repro.serialize": ("dumps as dump_json", "loads as load_json"),
+        "repro.trie": ("PartitionTrie",),
+        "repro.verify": ("assert_equivalent", "verify_form"),
+    },
+)

@@ -32,11 +32,11 @@ class BoolFunc:
     def __post_init__(self) -> None:
         if self.n <= 0:
             raise ValueError("n must be positive")
-        space = 1 << self.n
-        if any(not 0 <= p < space for p in self.on_set):
-            raise ValueError("on-set point outside B^n")
-        if any(not 0 <= p < space for p in self.dc_set):
-            raise ValueError("dc-set point outside B^n")
+        # Checked by shifting, not against 1 << n: a huge n (a PLA's
+        # ``.i`` header) must not cost a huge integer.
+        for points, kind in ((self.on_set, "on"), (self.dc_set, "dc")):
+            if points and (min(points) < 0 or max(points) >> self.n):
+                raise ValueError(f"{kind}-set point outside B^n")
         if self.on_set & self.dc_set:
             raise ValueError("on-set and dc-set overlap")
 

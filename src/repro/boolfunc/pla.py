@@ -29,21 +29,92 @@ from dataclasses import dataclass
 from repro.boolfunc.function import BoolFunc, MultiBoolFunc
 from repro.errors import ParseError
 
-__all__ = ["parse_pla", "parse_pla_file", "write_pla", "PlaError"]
+__all__ = ["PlaBody", "PlaError", "parse_pla", "parse_pla_file", "read_pla", "write_pla"]
 
 
 class PlaError(ParseError):
     """Malformed PLA input (with file/line context when known)."""
 
 
+# The output characters that add a cube's points to an output's on-, dc-
+# or off-set, by ``.type`` (see :meth:`PlaBody.function`), as tables that
+# delete them: what a row's output part loses is what it sets.
+_DROP_SETTERS = {
+    kind: str.maketrans("", "", chars)
+    for kind, chars in (
+        ("f", "14-2"), ("fd", "14-2"), ("fr", "140"), ("fdr", "14-20")
+    )
+}
+
+
 @dataclass
-class _PlaBody:
+class PlaBody:
+    """A PLA's headers and cube rows, checked for shape but with no cube
+    expanded yet: :meth:`points` says what :meth:`function` would
+    build, before it is built."""
+
     n_inputs: int
     n_outputs: int
     pla_type: str
     rows: list[tuple[int, str, str]]  # (line number, input part, output part)
     name: str
     output_names: tuple[str, ...]
+    file: str | None = None
+
+    def points(self) -> int:
+        """How many points :meth:`function` materializes, counted from
+        the text alone: each cube's ``2^dashes`` once per output it sets
+        (at least once, for the expansion itself), plus per output the
+        ``2^n`` don't-care fill of ``fr``/``fdr`` or, for ``f``/``fd``,
+        one for the output itself.  That ``2^n`` counts at most ``2^64``:
+        a cube is as long as its text, but ``.i`` alone can be any size.
+        """
+        drop = _DROP_SETTERS[self.pla_type]
+        total = sum([
+            (len(out_part) - len(out_part.translate(drop)) or 1)
+            << in_part.count("-")
+            for _, in_part, out_part in self.rows
+        ])
+        if self.pla_type in ("fr", "fdr"):
+            return total + (self.n_outputs << min(self.n_inputs, 64))
+        return total + self.n_outputs
+
+    def function(self) -> MultiBoolFunc:
+        """Expand every cube into the multi-output function."""
+        file = self.file
+        n, m = self.n_inputs, self.n_outputs
+        on: list[set[int]] = [set() for _ in range(m)]
+        off: list[set[int]] = [set() for _ in range(m)]
+        dc: list[set[int]] = [set() for _ in range(m)]
+        for lineno, in_part, out_part in self.rows:
+            points = list(_expand_cube(in_part, lineno, file))
+            for o, ch in enumerate(out_part):
+                if ch == "1" or ch == "4":
+                    on[o].update(points)
+                elif ch in ("-", "2", "~") and self.pla_type in ("fd", "fdr", "f"):
+                    if ch != "~":
+                        dc[o].update(points)
+                elif ch == "0":
+                    if self.pla_type in ("fr", "fdr"):
+                        off[o].update(points)
+                elif ch in ("-", "2", "~"):
+                    pass  # fr: unspecified
+                else:
+                    raise PlaError(
+                        f"invalid output character {ch!r}", file=file, line=lineno
+                    )
+        outputs = []
+        for o in range(m):
+            if self.pla_type in ("fr", "fdr"):
+                # Points not mentioned at all are don't-care in fr PLAs.
+                mentioned = on[o] | off[o]
+                dc_set = frozenset(p for p in range(1 << n) if p not in mentioned)
+            else:
+                dc_set = frozenset(dc[o] - on[o])
+            outputs.append(BoolFunc(n, frozenset(on[o]), dc_set))
+        return MultiBoolFunc(
+            n, tuple(outputs), name=self.name, output_names=self.output_names
+        )
 
 
 def _tokenize(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -73,11 +144,17 @@ def _directive_int(tokens: list[str], lineno: int, file: str | None) -> int:
     return value
 
 
-def _parse_header(text: str, file: str | None) -> _PlaBody:
+def read_pla(text: str, name: str = "", file: str | None = None) -> PlaBody:
+    """Read PLA text's headers and cube rows without expanding a cube.
+
+    ``file`` (defaulting to ``name`` when that looks like a path) is
+    attached to any :class:`PlaError` for ``file:line:`` messages.
+    """
+    if file is None and name:
+        file = name
     n_inputs = n_outputs = -1
     pla_type = "fd"
     rows: list[tuple[int, str, str]] = []
-    name = ""
     output_names: tuple[str, ...] = ()
     for lineno, tokens in _tokenize(text):
         key = tokens[0]
@@ -130,7 +207,7 @@ def _parse_header(text: str, file: str | None) -> _PlaBody:
         raise PlaError("missing .i/.o headers", file=file)
     if pla_type not in ("f", "fd", "fr", "fdr"):
         raise PlaError(f"unsupported .type {pla_type!r}", file=file)
-    return _PlaBody(n_inputs, n_outputs, pla_type, rows, name, output_names)
+    return PlaBody(n_inputs, n_outputs, pla_type, rows, name, output_names, file)
 
 
 def _expand_cube(in_part: str, lineno: int, file: str | None) -> Iterator[int]:
@@ -155,47 +232,8 @@ def _expand_cube(in_part: str, lineno: int, file: str | None) -> Iterator[int]:
 
 
 def parse_pla(text: str, name: str = "", file: str | None = None) -> MultiBoolFunc:
-    """Parse PLA text into a multi-output function.
-
-    ``file`` (defaulting to ``name`` when that looks like a path) is
-    attached to any :class:`PlaError` for ``file:line:`` messages.
-    """
-    if file is None and name:
-        file = name
-    body = _parse_header(text, file)
-    n, m = body.n_inputs, body.n_outputs
-    on: list[set[int]] = [set() for _ in range(m)]
-    off: list[set[int]] = [set() for _ in range(m)]
-    dc: list[set[int]] = [set() for _ in range(m)]
-    for lineno, in_part, out_part in body.rows:
-        points = list(_expand_cube(in_part, lineno, file))
-        for o, ch in enumerate(out_part):
-            if ch == "1" or ch == "4":
-                on[o].update(points)
-            elif ch in ("-", "2", "~") and body.pla_type in ("fd", "fdr", "f"):
-                if ch != "~":
-                    dc[o].update(points)
-            elif ch == "0":
-                if body.pla_type in ("fr", "fdr"):
-                    off[o].update(points)
-            elif ch in ("-", "2", "~"):
-                pass  # fr: unspecified
-            else:
-                raise PlaError(
-                    f"invalid output character {ch!r}", file=file, line=lineno
-                )
-    outputs = []
-    for o in range(m):
-        if body.pla_type in ("fr", "fdr"):
-            # Points not mentioned at all are don't-care in fr PLAs.
-            mentioned = on[o] | off[o]
-            dc_set = frozenset(p for p in range(1 << n) if p not in mentioned)
-        else:
-            dc_set = frozenset(dc[o] - on[o])
-        outputs.append(BoolFunc(n, frozenset(on[o]), dc_set))
-    return MultiBoolFunc(
-        n, tuple(outputs), name=name, output_names=body.output_names
-    )
+    """Parse PLA text into a multi-output function (see :func:`read_pla`)."""
+    return read_pla(text, name, file).function()
 
 
 def parse_pla_file(path: str, name: str = "") -> MultiBoolFunc:

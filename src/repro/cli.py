@@ -24,18 +24,17 @@ import argparse
 import os
 import sys
 
-from repro.bench import harness
 from repro.bench.paper_data import TABLE1
 from repro.bench.suite import BENCHMARKS, get_benchmark
 from repro.boolfunc.function import BoolFunc, MultiBoolFunc
 from repro.boolfunc.pla import parse_pla_file, write_pla
 from repro.core.cex import cex_of
 from repro.errors import ReproError
-from repro.minimize.bounded import minimize_spp_bounded
-from repro.minimize.exact import SppResult, minimize_spp
-from repro.minimize.heuristic import minimize_spp_k
-from repro.minimize.sp import minimize_sp
 from repro.verify import VerificationReport, verify_form
+
+# The minimizers, the harness and the engine are imported inside the
+# commands that run them: ``serve`` loads them with its service, and
+# ``cluster`` (the coordinator) never does, so it starts without numpy.
 
 __all__ = ["main"]
 
@@ -58,6 +57,11 @@ def _fail_verification(label: str, report: VerificationReport) -> None:
 
 
 def _minimize_one(fo: BoolFunc, label: str, args: argparse.Namespace):
+    from repro.minimize.bounded import minimize_spp_bounded
+    from repro.minimize.exact import SppResult, minimize_spp
+    from repro.minimize.heuristic import minimize_spp_k
+    from repro.minimize.sp import minimize_sp
+
     if args.method == "aox":
         from repro.minimize.aox import minimize_aox
 
@@ -231,6 +235,8 @@ def _tables_perf_entries(table: str, items) -> list:
 
 
 def _cmd_tables(args: argparse.Namespace) -> None:
+    from repro.bench import harness
+
     parallel = args.jobs != 1
     cache = _tables_cache(args)
     delta_index = None

@@ -45,10 +45,12 @@ The proxy path carries seeded network fault sites for chaos testing
 see :mod:`repro.faults`); ``.slow_worker`` SIGSTOPs the target worker,
 the exact failure hedging exists to absorb.
 
-Routing decodes each body with the workers' own request decoder,
-whose parse memo keeps the PLA texts this process has parsed: a repeat
-of a seen body, and a near-duplicate of a seen base, route without
-parsing the PLA again.
+Routing decodes each body with the workers' own request decoder
+(:mod:`repro.serve.request`), whose parse memo keeps the PLA texts this
+process has parsed: a repeat of a seen body, and a near-duplicate of a
+seen base, route without parsing the PLA again.  The decoder imports
+no solver, so this process never loads numpy or the minimizers; only
+its workers do.
 
 Endpoints: ``POST /minimize`` (proxied), ``GET /healthz`` ``/readyz``
 ``/stats`` ``/metrics`` (answered by the coordinator; ``/metrics`` also
@@ -69,6 +71,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro import faults
+from repro.budget import current_rss_mb
 from repro.cluster.resilience import (
     DEADLINE_HEADER,
     AdaptiveHedge,
@@ -82,7 +85,7 @@ from repro.cluster.ring import HashRing
 from repro.cluster.worker import WorkerProcess, free_port
 from repro.errors import Overloaded, ReproError
 from repro.serve.metrics import LatencyHistogram, Metric, render_metrics
-from repro.serve.server import (
+from repro.serve.request import (
     jobs_from_payload,
     parse_memo_metrics,
     parse_memo_stats,
@@ -311,7 +314,7 @@ class ClusterCoordinator(HttpTier):
         """Job-content-hash routing key for a raw request body.
 
         A PLA text this process has parsed before is not parsed again
-        (see :func:`~repro.serve.server.parse_memo_stats`).  Raises the
+        (see :func:`~repro.serve.request.parse_memo_stats`).  Raises the
         workers' own :class:`~repro.errors.ParseError` /
         :class:`~repro.errors.UsageError` on bodies the workers would
         reject anyway.
@@ -854,6 +857,7 @@ class ClusterCoordinator(HttpTier):
         cfg = self.config
         return {
             "uptime_seconds": self.uptime,
+            "rss_mb": current_rss_mb(),
             "draining": self._draining,
             "counters": counters,
             "latency": self.latency.snapshot(),
@@ -894,6 +898,14 @@ class ClusterCoordinator(HttpTier):
                 "repro_cluster_ring_size", "Workers currently in the ring."
             ).add(len(self.ring)),
         ]
+        rss = current_rss_mb()
+        if rss is not None:
+            metrics.append(
+                Metric(
+                    "repro_cluster_resident_memory_bytes",
+                    "Resident set size of the coordinator process.",
+                ).add(round(rss * 2**20))
+            )
         events = Metric(
             "repro_cluster_events_total",
             "Coordinator events by kind (routing, failover, hedging).",

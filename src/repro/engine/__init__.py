@@ -28,22 +28,7 @@ record quarantine — is exercised on demand through the deterministic
 fault-injection hooks of :mod:`repro.faults`.
 """
 
-from repro.engine.batch import (
-    SOURCE_CACHE,
-    SOURCE_CANCELLED,
-    SOURCE_COMPUTED,
-    SOURCE_FAILED,
-    SOURCE_MANIFEST,
-    SOURCE_QUARANTINED,
-    BatchResult,
-    JobOutcome,
-    Manifest,
-)
-from repro.engine.cache import CacheStats, ResultCache
-from repro.engine.job import Job, job_from_dict, job_to_dict
-from repro.engine.ladder import Rung, execute_rung, ladder_for
-from repro.engine.lockfile import FileLock, LockTimeout
-from repro.engine.scheduler import DeadlineExceeded, parallel_map, run_batch
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BatchResult",
@@ -69,3 +54,22 @@ __all__ = [
     "parallel_map",
     "run_batch",
 ]
+
+# Imported on first access: importing ``repro.engine.job`` runs this
+# file, and the cluster coordinator needs that module without the
+# scheduler, the ladder or the minimizers.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.engine.batch": (
+            "SOURCE_CACHE", "SOURCE_CANCELLED", "SOURCE_COMPUTED", "SOURCE_FAILED",
+            "SOURCE_MANIFEST", "SOURCE_QUARANTINED", "BatchResult", "JobOutcome",
+            "Manifest",
+        ),
+        "repro.engine.cache": ("CacheStats", "ResultCache"),
+        "repro.engine.job": ("Job", "job_from_dict", "job_to_dict"),
+        "repro.engine.ladder": ("Rung", "execute_rung", "ladder_for"),
+        "repro.engine.lockfile": ("FileLock", "LockTimeout"),
+        "repro.engine.scheduler": ("DeadlineExceeded", "parallel_map", "run_batch"),
+    },
+)

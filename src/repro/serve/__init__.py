@@ -1,11 +1,16 @@
 """repro.serve — an overload-safe HTTP/JSON minimization service.
 
-Stdlib-only serving layer over :mod:`repro.engine`, designed around the
-cooperative budgets of :mod:`repro.budget`:
+A serving layer over :mod:`repro.engine` on the stdlib's HTTP server
+(no web framework), designed around the cooperative budgets of
+:mod:`repro.budget`:
 
-* :mod:`repro.serve.server` — :class:`MinimizeService`: request
-  expansion, budgets and the engine behind ``POST /minimize``, its
-  ``/stats`` and ``/metrics``, and its graceful SIGTERM drain;
+* :mod:`repro.serve.server` — :class:`MinimizeService`: budgets and
+  the engine behind ``POST /minimize``, its ``/stats`` and
+  ``/metrics``, and its graceful SIGTERM drain;
+* :mod:`repro.serve.request` — the request decoder both tiers call
+  (``jobs_from_payload``), with the per-process PLA parse memo and the
+  bound on what a request PLA may expand to; it loads no solver, so
+  the cluster coordinator that imports it stays free of numpy;
 * :mod:`repro.serve.tier` — the HTTP skeleton the service shares with
   the cluster coordinator: one handler (``/minimize``, ``/healthz``,
   ``/readyz``, ``/stats``, ``/metrics``), one error table, one drain
@@ -29,11 +34,7 @@ Start one with ``spp-minimize serve`` or programmatically::
     service.drain()
 """
 
-from repro.serve.admission import AdmissionQueue
-from repro.serve.breaker import RungBreaker
-from repro.serve.server import VERIFIED_HEADER, MinimizeService, ServeConfig
-from repro.serve.shadow import ShadowVerifier
-from repro.serve.watchdog import MemoryWatchdog
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AdmissionQueue",
@@ -44,3 +45,17 @@ __all__ = [
     "ShadowVerifier",
     "VERIFIED_HEADER",
 ]
+
+# Imported on first access: the cluster coordinator imports this
+# package's tier, metrics and request modules, and must not load the
+# service and the engine behind it.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.serve.admission": ("AdmissionQueue",),
+        "repro.serve.breaker": ("RungBreaker",),
+        "repro.serve.server": ("VERIFIED_HEADER", "MinimizeService", "ServeConfig"),
+        "repro.serve.shadow": ("ShadowVerifier",),
+        "repro.serve.watchdog": ("MemoryWatchdog",),
+    },
+)

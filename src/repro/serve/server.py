@@ -34,26 +34,20 @@ Endpoints::
 
 from __future__ import annotations
 
-import math
-import sys
 import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from repro import faults
-from repro.bench.suite import BENCHMARKS, get_benchmark
-from repro.boolfunc.function import MultiBoolFunc
-from repro.boolfunc.pla import parse_pla
-from repro.budget import Budget
+from repro.budget import Budget, current_rss_mb
 from repro.delta import DeltaIndex
 from repro.engine.batch import SOURCE_CANCELLED, Manifest
 from repro.engine.cache import ResultCache
 from repro.engine.job import Job
 from repro.engine.ladder import Rung
 from repro.engine.scheduler import run_batch
-from repro.errors import IntegrityError, UsageError
+from repro.errors import IntegrityError
 from repro.integrity import (
     VERIFIED_FULL,
     VERIFIED_NONE,
@@ -64,18 +58,18 @@ from repro.serve.admission import AdmissionQueue
 from repro.serve.breaker import RungBreaker
 from repro.serve.deadline import DeadlineExpired
 from repro.serve.metrics import LatencyHistogram, Metric, render_metrics
+from repro.serve.request import (
+    _PARSE_MEMO,
+    _option,
+    jobs_from_payload,
+    parse_memo_metrics,
+    parse_memo_stats,
+)
 from repro.serve.shadow import ShadowVerifier
 from repro.serve.tier import HttpTier, json_payload
 from repro.serve.watchdog import MemoryWatchdog
 
-__all__ = [
-    "ServeConfig",
-    "MinimizeService",
-    "jobs_from_payload",
-    "parse_memo_metrics",
-    "parse_memo_stats",
-    "VERIFIED_HEADER",
-]
+__all__ = ["ServeConfig", "MinimizeService", "VERIFIED_HEADER"]
 
 # Every /minimize response carries the weakest verification level among
 # the records it returns: "full" (producer-verified or synchronously
@@ -86,216 +80,10 @@ VERIFIED_HEADER = "X-Repro-Verified"
 # ranked above it (the scheduler still never gates the final rung).
 _RUNG_RANK = {"sp": 0, "heuristic": 1, "bounded": 2, "exact": 3}
 
-# The parse memo below keeps at most _PARSE_MEMO_ENTRIES parsed PLA
-# texts per process, each an ASCII text of at most _PARSE_MEMO_MAX_TEXT
-# bytes whose parsed function holds at most _PARSE_MEMO_MAX_HELD bytes:
-# a short text can describe a large function (".i 16" and one all-dash
-# cube is 33 bytes and 65,536 points, about 6 MiB parsed).  Any other
-# text is parsed on every request.
-_PARSE_MEMO_ENTRIES = 64
-_PARSE_MEMO_MAX_TEXT = 64 * 1024
-_PARSE_MEMO_MAX_HELD = 256 * 1024
-
 # Ceiling on a client-requested ``budget_seconds``.
 _MAX_BUDGET = 300.0
 # Seconds an open rung breaker stays open before it half-opens.
 _BREAKER_COOLDOWN = 30.0
-
-
-def _option(
-    payload: dict[str, Any], key: str, cast, default=None, expect="a number"
-):
-    """``payload[key]`` converted by ``cast``; ``default`` when absent or
-    null.  Every typed request option is read through here, so a
-    mistyped one is a :class:`UsageError` (400 ``usage``) on both tiers
-    instead of an exception that drops the client's connection."""
-    value = payload.get(key)
-    if value is None:
-        return default
-    try:
-        result = cast(value)
-    except (TypeError, ValueError, OverflowError, KeyError):
-        raise UsageError(f"{key} must be {expect}, not {value!r}") from None
-    # JSON admits NaN and Infinity; neither is a usable budget, timeout
-    # or memory ceiling (a NaN budget would never expire).
-    if isinstance(result, float) and not math.isfinite(result):
-        raise UsageError(f"{key} must be a finite number, not {value!r}")
-    return result
-
-
-def _held_bytes(func: MultiBoolFunc) -> int:
-    """What keeping ``func`` costs: each output's two point-set tables
-    plus one integer per point, sized for ``n`` bits.  A point count
-    alone would miss wide inputs, where every point is a large integer."""
-    point = sys.getsizeof((1 << func.n) - 1)
-    return sum(
-        sys.getsizeof(f.on_set)
-        + sys.getsizeof(f.dc_set)
-        + point * (len(f.on_set) + len(f.dc_set))
-        for f in func
-    )
-
-
-class _ParseMemo:
-    """The functions of request PLA texts this process has parsed, an
-    LRU keyed on the text, not the body, so an exact repeat and a
-    near-duplicate over a seen base both hit.  Parsed functions are
-    frozen, so every caller can share one.  A
-    :class:`~repro.boolfunc.pla.PlaError` is never kept; every lookup
-    counts as one hit or one miss (a parse)."""
-
-    def __init__(self) -> None:
-        self._funcs: OrderedDict[str, MultiBoolFunc] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def parse(self, text: str) -> MultiBoolFunc:
-        # isascii() makes the length a byte count (and is O(1)).
-        keep = len(text) <= _PARSE_MEMO_MAX_TEXT and text.isascii()
-        with self._lock:
-            func = self._funcs.get(text) if keep else None
-            if func is not None:
-                self._funcs.move_to_end(text)
-                self.hits += 1
-                return func
-            self.misses += 1
-        func = parse_pla(text, name="request")
-        if keep and _held_bytes(func) <= _PARSE_MEMO_MAX_HELD:
-            with self._lock:
-                self._funcs[text] = func
-                while len(self._funcs) > _PARSE_MEMO_ENTRIES:
-                    self._funcs.popitem(last=False)
-        return func
-
-    def clear(self) -> None:
-        with self._lock:
-            self._funcs.clear()
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "entries": len(self._funcs),
-            }
-
-
-_PARSE_MEMO = _ParseMemo()
-
-
-def parse_memo_stats() -> dict[str, int]:
-    """The process's parse-memo counters (the ``/stats`` ``parse`` block)."""
-    return _PARSE_MEMO.stats()
-
-
-def parse_memo_metrics(prefix: str) -> list[Metric]:
-    """The same counters as the ``<prefix>_parse_*`` metric families."""
-    parse = parse_memo_stats()
-    events = Metric(
-        f"{prefix}_parse_events_total",
-        "PLA parse-memo lookups by outcome.",
-        "counter",
-    )
-    events.add(parse["hits"], kind="hits").add(parse["misses"], kind="misses")
-    entries = Metric(
-        f"{prefix}_parse_entries", "Parsed PLA texts in the parse memo."
-    )
-    return [events, entries.add(parse["entries"])]
-
-
-def jobs_from_payload(payload: dict[str, Any], *, routing: bool = False) -> list[Job]:
-    """Expand a ``POST /minimize`` body into engine jobs.
-
-    Shared with the cluster coordinator, which needs the same expansion
-    to compute the content-hash routing key without owning an engine.
-    A PLA text this process has parsed before is not parsed again (see
-    :func:`parse_memo_stats`).  Raises :class:`UsageError` on malformed
-    payloads.
-
-    The near-duplicate request form puts the function spec under
-    ``"base"`` and the edit under ``"delta"``::
-
-        {"base": {"benchmark": "life6", "output": 0},
-         "delta": {"toggles": [5, 9]}, ...options}
-
-    Toggles move points on→dc, dc→on, or off→on (see
-    :func:`repro.delta.toggle_points`); care-set-preserving edits are
-    the warm-path sweet spot.  With ``routing=True`` the *base* jobs
-    are returned instead of the toggled ones — the coordinator hashes
-    those, so near-duplicates land on the worker holding the base
-    context.
-    """
-    if not isinstance(payload, dict):
-        raise UsageError("request body must be a JSON object")
-    delta = payload.get("delta")
-    if delta is not None:
-        base = payload.get("base")
-        if not isinstance(base, dict):
-            raise UsageError('"delta" requires a "base" object with the function spec')
-        if not isinstance(delta, dict):
-            raise UsageError('"delta" must be a JSON object')
-        merged = {k: v for k, v in payload.items() if k not in ("base", "delta")}
-        merged.update(base)
-        jobs = jobs_from_payload(merged)
-        if routing:
-            return jobs
-        toggles = delta.get("toggles", [])
-        if not isinstance(toggles, list) or not all(
-            isinstance(t, int) and not isinstance(t, bool) for t in toggles
-        ):
-            raise UsageError('"delta.toggles" must be a list of integer points')
-        from repro.delta.context import toggle_points
-
-        out = []
-        for job in jobs:
-            try:
-                func = toggle_points(job.func, toggles)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
-            out.append(replace(job, func=func, label=f"{job.label}+d{len(toggles)}"))
-        return out
-    if "pla" in payload:
-        func = _PARSE_MEMO.parse(str(payload["pla"]))
-        name = str(payload.get("label", "request"))
-    elif "benchmark" in payload:
-        bench = str(payload["benchmark"])
-        if bench not in BENCHMARKS:
-            raise UsageError(f"unknown benchmark {bench!r}")
-        func = get_benchmark(bench)
-        name = bench
-    else:
-        raise UsageError('request needs "pla" text or a "benchmark" name')
-    outputs = range(func.num_outputs)
-    o = _option(payload, "output", int, expect="an integer")
-    if o is not None:
-        if not 0 <= o < func.num_outputs:
-            raise UsageError(f"output {o} out of range")
-        outputs = [o]
-    k = _option(payload, "k", int, 0, expect="an integer")
-    bound = _option(payload, "bound", int, 2, expect="an integer")
-    jobs = []
-    for o in outputs:
-        fo = func[o]
-        if not fo.on_set:
-            continue
-        try:
-            job = Job(
-                fo,
-                method=payload.get("method", "exact"),
-                k=k,
-                bound=bound,
-                covering=str(payload.get("covering", "greedy")),
-                backend=str(payload.get("backend", "index")),
-                max_pseudoproducts=payload.get("max_pseudoproducts"),
-                label=f"{name}[{o}]",
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        jobs.append(job)
-    if not jobs:
-        raise UsageError("every requested output is constant 0")
-    return jobs
 
 
 @dataclass
@@ -640,6 +428,7 @@ class MinimizeService(HttpTier):
     def stats(self) -> dict[str, Any]:
         return {
             "uptime_seconds": self.uptime,
+            "rss_mb": current_rss_mb(),
             "inflight": self.inflight,
             "draining": self._draining,
             "counters": self.counter_snapshot(),
@@ -674,6 +463,14 @@ class MinimizeService(HttpTier):
                 "repro_inflight_requests", "Requests currently executing."
             ).add(self.inflight),
         ]
+        rss = current_rss_mb()
+        if rss is not None:
+            metrics.append(
+                Metric(
+                    "repro_resident_memory_bytes",
+                    "Resident set size of this process.",
+                ).add(round(rss * 2**20))
+            )
         requests = Metric(
             "repro_requests_total",
             "Terminal request outcomes by status.",

@@ -22,7 +22,7 @@ import pytest
 from repro.cli import build_parser
 from repro.cluster import ClusterConfig, ClusterCoordinator
 from repro.cluster.worker import WorkerProcess
-from repro.serve.server import parse_memo_stats
+from repro.serve.request import parse_memo_stats
 from tests.serve.test_metrics import parse_prometheus
 from tests.serve.test_serve import raw_post
 
@@ -255,6 +255,12 @@ MALFORMED = {
     "max-pseudoproducts-str": (
         "/minimize", _body(PLAS[0], max_pseudoproducts="many"), 400, "usage",
     ),
+    # Over the 2^17 points a request PLA may expand to: the coordinator
+    # refuses them before routing, as a worker does before parsing.
+    "points-all-dash": (
+        "/minimize", _body(".i 17\n.o 1\n" + "-" * 17 + " 1\n.e\n"), 400, "usage",
+    ),
+    "points-fr": ("/minimize", _body(".i 17\n.o 2\n.type fr\n.e\n"), 400, "usage"),
     "wrong-path": ("/nope", _body(PLAS[0]), 404, "not-found"),
 }
 
@@ -357,6 +363,7 @@ class TestCluster:
         assert set(doc["workers"]) == {"w0", "w1"}
         assert doc["counters"]["requests"] >= 1
         assert sorted(doc["ring"]) == ["w0", "w1"]
+        assert doc["rss_mb"] > 0
 
     def test_metrics_parse_as_prometheus(self, cluster):
         coordinator, host, port = cluster

@@ -60,7 +60,7 @@ class TestWorkload:
     def test_dup_bodies_are_delta_requests(self):
         workload = Workload(seed=3, small_pool=6, large_pool=0, dup_rate=0.5)
         assert workload.describe()["dup_pool"] > 0
-        from repro.serve.server import jobs_from_payload
+        from repro.serve.request import jobs_from_payload
 
         for body in workload._dups:
             payload = json.loads(body)

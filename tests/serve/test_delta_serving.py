@@ -7,8 +7,9 @@ import json
 
 import pytest
 
+from repro.errors import UsageError
 from repro.serve import MinimizeService, ServeConfig
-from repro.serve.server import UsageError, jobs_from_payload
+from repro.serve.request import jobs_from_payload
 
 # On-set {1,3,5,6,7}: not a pseudocube, so the exact rung generates a
 # real candidate stream the DeltaIndex can snapshot.

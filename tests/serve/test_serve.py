@@ -11,6 +11,7 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import sys
 import threading
 import time
 import uuid
@@ -21,13 +22,18 @@ from hypothesis import strategies as st
 
 from repro import faults
 from repro.boolfunc.function import BoolFunc, MultiBoolFunc
-from repro.boolfunc.pla import PlaError, parse_pla, write_pla
+from repro.boolfunc.pla import PlaBody, PlaError, parse_pla, read_pla, write_pla
 from repro.cluster import ClusterConfig, ClusterCoordinator
 from repro.engine.batch import Manifest
 from repro.engine.job import Job
+from repro.errors import UsageError
 from repro.faults import FaultPlan, FaultRule
 from repro.serve import MinimizeService, ServeConfig
-from repro.serve.server import jobs_from_payload, parse_memo_stats
+from repro.serve.request import (
+    MAX_REQUEST_POINTS,
+    jobs_from_payload,
+    parse_memo_stats,
+)
 from tests.serve.test_metrics import parse_prometheus
 
 PLA = ".i 3\n.o 1\n1-- 1\n-11 1\n.e\n"
@@ -139,6 +145,28 @@ class TestEndpoints:
         assert _get(port, "/healthz")[0] == 200  # liveness unaffected
         svc.admission.shed_all = False
         assert _get(port, "/readyz")[0] == 200
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/self/statm"
+)
+class TestResidentMemory:
+    """Each tier reports its own resident set, so a cluster's footprint
+    shows in its /stats and /metrics without a memory ceiling set."""
+
+    def test_both_tiers_report_their_resident_memory(self, service):
+        svc, port = service()
+        coordinator = ClusterCoordinator(ClusterConfig(workers=2))
+        assert _get(port, "/stats")[2]["rss_mb"] > 0
+        assert coordinator.stats()["rss_mb"] > 0
+        for name, text in (
+            ("repro_resident_memory_bytes", svc.metrics_text()),
+            ("repro_cluster_resident_memory_bytes", coordinator.metrics_text()),
+        ):
+            family = parse_prometheus(text)[name]
+            assert family["type"] == "gauge"
+            ((_, labels, value),) = family["samples"]
+            assert labels == {} and value > 1 << 20
 
 
 class TestOverload:
@@ -480,6 +508,56 @@ class TestParseMemo:
         after = parse_memo_stats()
         assert _moved(before, after) == (0, 4)
         assert after["entries"] == before["entries"]
+
+    @pytest.mark.parametrize(
+        "body, points",
+        [
+            # One all-dash cube: 2^17 points, plus one for its output.
+            (".i 17\n.o 1\n" + "-" * 17 + " 1\n.e\n", 131_073),
+            # No rows: every point of both outputs is don't-care.
+            (".i 17\n.o 2\n.type fr\n.e\n", 262_144),
+            # A few bytes naming ten million outputs.
+            (".i 1\n.o 10000000\n.e\n", 10_000_000),
+        ],
+        ids=["i17-all-dash", "i17-fr", "o10m"],
+    )
+    def test_text_over_the_point_bound_is_refused_unexpanded(
+        self, body, points, monkeypatch
+    ):
+        def expand(self):
+            raise AssertionError("expanded a text over the bound")
+
+        monkeypatch.setattr(PlaBody, "function", expand)
+        text = _unique_pla(body)
+        before = parse_memo_stats()
+        for _ in range(2):
+            with pytest.raises(UsageError, match=f"{points:,} points"):
+                jobs_from_payload({"pla": text})
+        after = parse_memo_stats()
+        assert _moved(before, after) == (0, 2)
+        assert after["entries"] == before["entries"]
+
+    @pytest.mark.parametrize(
+        "body, points",
+        [
+            (".i 16\n.o 1\n" + "-" * 16 + " 1\n.e\n", 65_537),
+            (".i 16\n.o 2\n.type fr\n.e\n", 131_072),  # at the bound
+            (".i 4000\n.o 1\n" + "1" * 3990 + "-" * 10 + " 1\n.e\n", 1_025),
+        ],
+        ids=["i16-all-dash", "i16-fr", "i4000"],
+    )
+    def test_the_largest_texts_sent_above_are_within_the_bound(
+        self, body, points
+    ):
+        # The held-size and short-text tests above show they decode.
+        assert read_pla(body).points() == points <= MAX_REQUEST_POINTS
+
+    def test_huge_input_width_without_rows_costs_nothing(self):
+        # A rowless fd text describes constant-0 outputs whatever its
+        # ``.i``; nothing may build an integer of 2^40 bits on the way.
+        text = _unique_pla(".i 1099511627776\n.o 1\n.e\n")
+        with pytest.raises(UsageError, match="constant 0"):
+            jobs_from_payload({"pla": text})
 
     def test_soft_memory_ceiling_empties_the_memo(self, service):
         svc, _ = service(memory_soft_mb=1, watchdog_interval=3600)
