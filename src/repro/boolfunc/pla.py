@@ -46,6 +46,11 @@ _DROP_SETTERS = {
     )
 }
 
+# What :meth:`PlaBody.function` builds for each output beyond its points
+# (three sets and a BoolFunc, about 1.2 KB at peak), in points (about 64
+# to 136 bytes each): the least any output is charged.
+_OUTPUT_POINTS = 16
+
 
 @dataclass
 class PlaBody:
@@ -62,12 +67,13 @@ class PlaBody:
     file: str | None = None
 
     def points(self) -> int:
-        """How many points :meth:`function` materializes, counted from
-        the text alone: each cube's ``2^dashes`` once per output it sets
-        (at least once, for the expansion itself), plus per output the
-        ``2^n`` don't-care fill of ``fr``/``fdr`` or, for ``f``/``fd``,
-        one for the output itself.  That ``2^n`` counts at most ``2^64``:
-        a cube is as long as its text, but ``.i`` alone can be any size.
+        """What :meth:`function` costs, in points, counted from the text
+        alone: each cube's ``2^dashes`` once per output it sets (at least
+        once, for the expansion itself), plus per output the ``2^n``
+        don't-care fill of ``fr``/``fdr``, and at least 16 points per
+        output for the output itself, however few points it holds.  That
+        ``2^n`` counts at most ``2^64``: a cube is as long as its text,
+        but ``.i`` alone can be any size.
         """
         drop = _DROP_SETTERS[self.pla_type]
         total = sum([
@@ -75,9 +81,8 @@ class PlaBody:
             << in_part.count("-")
             for _, in_part, out_part in self.rows
         ])
-        if self.pla_type in ("fr", "fdr"):
-            return total + (self.n_outputs << min(self.n_inputs, 64))
-        return total + self.n_outputs
+        fill = 1 << min(self.n_inputs, 64) if self.pla_type in ("fr", "fdr") else 0
+        return total + self.n_outputs * max(fill, _OUTPUT_POINTS)
 
     def function(self) -> MultiBoolFunc:
         """Expand every cube into the multi-output function."""

@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
-import http.client
 import threading
 import time
 from dataclasses import dataclass
@@ -90,7 +89,13 @@ from repro.serve.request import (
     parse_memo_metrics,
     parse_memo_stats,
 )
-from repro.serve.tier import HttpTier, error_body, error_response, json_payload
+from repro.serve.tier import (
+    Connection,
+    HttpTier,
+    error_body,
+    error_response,
+    json_payload,
+)
 
 __all__ = ["ClusterConfig", "ClusterCoordinator"]
 
@@ -102,6 +107,10 @@ _RESTART_BACKOFF_CAP = 15.0    # ceiling of the restart backoff (seconds)
 _AUTOSCALE_INTERVAL = 1.0      # seconds between autoscaler decisions
 _AUTOSCALE_QUEUE_HIGH = 1.0    # waiting requests per worker that scale up
 _AUTOSCALE_IDLE_AFTER = 10.0   # calm seconds before a reap
+
+# Worker reply headers the client sees: the shed hint, and the
+# certificate level, so integrity travels end to end.
+_PASSED_HEADERS = ("Retry-After", "X-Repro-Verified")
 
 
 @dataclass
@@ -227,7 +236,7 @@ class ClusterCoordinator(HttpTier):
         self._workers: dict[str, _WorkerState] = {}
         self._workers_lock = threading.Lock()
         self._next_worker_index = 0
-        self._pool: dict[str, list[http.client.HTTPConnection]] = {}
+        self._pool: dict[str, list[Connection]] = {}
         self._pool_lock = threading.Lock()
         self._autoscale_last = 0.0
         self._shed_seen: dict[str, float] = {}
@@ -561,39 +570,35 @@ class ClusterCoordinator(HttpTier):
         started = time.monotonic()
         for fresh in (False, True):
             conn = None if fresh else self._pool_get(name)
-            if conn is None:
-                if not state.proc.alive:
-                    return None
-                conn = http.client.HTTPConnection(
-                    state.proc.host, state.proc.port, timeout=timeout,
-                )
-            elif conn.sock is not None:
-                conn.sock.settimeout(timeout)
+            if conn is None and not state.proc.alive:
+                return None
             try:
-                conn.request("POST", "/minimize", body=body, headers=headers)
-                response = conn.getresponse()
-                data = response.read()
-                out_headers = {}
-                retry_after = response.getheader("Retry-After")
-                if retry_after is not None:
-                    out_headers["Retry-After"] = retry_after
-                # Integrity travels end to end: the worker's certificate
-                # level reaches the client unchanged.
-                verified = response.getheader("X-Repro-Verified")
-                if verified is not None:
-                    out_headers["X-Repro-Verified"] = verified
-                with self._workers_lock:
-                    state.requests += 1
-                self._pool_put(name, conn)
-                self.hedge.observe(name, time.monotonic() - started)
-                return response.status, out_headers, data
-            except (OSError, http.client.HTTPException):
-                conn.close()
+                if conn is None:
+                    conn = Connection(state.proc.host, state.proc.port, timeout)
+                else:
+                    conn.settimeout(timeout)
+                status, reply, data = conn.exchange(
+                    "POST", "/minimize", body, headers
+                )
+            except OSError:  # a refused, dropped, short or malformed exchange
+                if conn is not None:
+                    conn.close()
                 if fresh:
                     with self._workers_lock:
                         state.errors += 1
                     self._probe_now.set()  # let the health loop confirm
                     return None
+                continue
+            out_headers = {
+                header: reply[header.lower()]
+                for header in _PASSED_HEADERS
+                if header.lower() in reply
+            }
+            with self._workers_lock:
+                state.requests += 1
+            self._pool_put(name, conn)
+            self.hedge.observe(name, time.monotonic() - started)
+            return status, out_headers, data
         return None  # pragma: no cover — loop always returns
 
     def _suspend_worker(self, name: str, duration: float) -> None:
@@ -608,19 +613,20 @@ class ClusterCoordinator(HttpTier):
 
     # -- connection pool -----------------------------------------------
 
-    def _pool_get(self, name: str) -> http.client.HTTPConnection | None:
+    def _pool_get(self, name: str) -> Connection | None:
         with self._pool_lock:
             conns = self._pool.get(name)
             if conns:
                 return conns.pop()
         return None
 
-    def _pool_put(self, name: str, conn: http.client.HTTPConnection) -> None:
-        with self._pool_lock:
-            self._pool.setdefault(name, [])
-            if len(self._pool[name]) < 8:
-                self._pool[name].append(conn)
-                return
+    def _pool_put(self, name: str, conn: Connection) -> None:
+        if conn.open:  # not after a reply that closed it
+            with self._pool_lock:
+                conns = self._pool.setdefault(name, [])
+                if len(conns) < 8:
+                    conns.append(conn)
+                    return
         conn.close()
 
     def _pool_drop(self, name: str) -> None:

@@ -17,7 +17,6 @@ restart count kept across generations.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import signal
@@ -27,6 +26,8 @@ import sys
 import time
 from pathlib import Path
 from typing import Any
+
+from repro.serve.tier import Connection
 
 __all__ = ["WorkerProcess", "free_port"]
 
@@ -179,7 +180,7 @@ class WorkerProcess:
             return False
         try:
             status, _ = self.request("GET", "/healthz", timeout=timeout)
-        except (OSError, http.client.HTTPException):
+        except OSError:
             return False
         return status == 200
 
@@ -204,22 +205,19 @@ class WorkerProcess:
         timeout: float = 30.0,
         headers: dict[str, str] | None = None,
     ) -> tuple[int, bytes]:
-        """One HTTP exchange with the worker; returns (status, body)."""
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=timeout)
-        try:
-            conn.request(method, path, body=body, headers=headers or {})
-            response = conn.getresponse()
-            return response.status, response.read()
-        finally:
-            conn.close()
+        """One HTTP exchange with the worker on a connection of its own;
+        returns (status, body).  Raises ``OSError``, a short or malformed
+        reply included (:class:`~repro.serve.tier.ReplyError`)."""
+        with Connection(self.host, self.port, timeout) as conn:
+            status, _, data = conn.exchange(method, path, body, headers)
+        return status, data
 
     def stats(self, timeout: float = 5.0) -> dict[str, Any] | None:
         """The worker's ``/stats`` document, or None when unreachable."""
         try:
+            # A worker killed mid-reply leaves a short body: a ReplyError.
             status, body = self.request("GET", "/stats", timeout=timeout)
-        except (OSError, http.client.HTTPException):
-            # A worker killed mid-reply leaves a short body, which
-            # http.client reports as IncompleteRead, not an OSError.
+        except OSError:
             return None
         if status != 200:
             return None

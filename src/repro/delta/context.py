@@ -13,7 +13,8 @@ minimization already built, for reuse on a near-duplicate function:
   cold greedy solve), so an edit that only retires rows can patch that
   matrix (or, on the scalar path, its masks) instead of rebuilding the
   problem;
-* the base cover and the covering mode that produced it.
+* the base cover, with its columns in that problem, and the covering
+  mode that produced it.
 
 Capture copies and computes nothing: it runs no kernel and builds no
 trie, it only keeps references to the solve's own lists.  Nothing
@@ -52,6 +53,7 @@ class MinimizationContext:
     candidates: Sequence[Pseudocube]
     problem: CoveringProblem[Pseudocube]
     form: SppForm
+    cover: Sequence[int]  # the problem's columns of ``form``, in form order
     covering: str
     generation_comparisons: int
 
@@ -93,6 +95,7 @@ def build_context(
         candidates=candidates,
         problem=result.problem,
         form=result.form,
+        cover=result.selected,
         covering=covering,
         generation_comparisons=generation.total_comparisons,
     )

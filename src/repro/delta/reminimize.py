@@ -21,9 +21,10 @@ work left is the covering step:
    would build;
 2. run the identical solver.  Identical problem + deterministic solver
    ⇒ identical cover, so warm results match cold results bit for bit.
-   In exact mode the prior cover is additionally passed as a warm-start
-   upper bound (used only as a fallback incumbent when the node budget
-   runs out — a proved search is unaffected).
+   In exact mode an edit that only retires rows additionally passes the
+   prior cover, its columns found through the patch's kept columns, as
+   a warm-start upper bound (used only as a fallback incumbent when the
+   node budget runs out — a proved search is unaffected).
 
 Care-set-*changing* edits are refused with :class:`DeltaIneligible`:
 greedy covering is order-sensitive, so splicing freshly generated
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from collections.abc import Sequence
 
 from repro.boolfunc.function import BoolFunc
 from repro.budget import Budget
@@ -74,8 +76,10 @@ def eligibility(base: MinimizationContext, func: BoolFunc) -> str | None:
 
 def _patched_problem(
     base: MinimizationContext, func: BoolFunc, budget: Budget | None
-) -> cov.CoveringProblem[Pseudocube]:
-    """The covering problem of the edited on-set over the base candidates.
+) -> tuple[cov.CoveringProblem[Pseudocube], Sequence[int] | None]:
+    """The covering problem of the edited on-set over the base
+    candidates, and the base problem's column each of its columns is
+    (None when it was rebuilt).
 
     An edit that only retires rows can only empty columns, so the base
     problem is patched: each retired row is deleted (higher rows shift
@@ -93,7 +97,7 @@ def _patched_problem(
     on1 = base.func.on_set
     on2 = func.on_set
     if on2 - on1:
-        return build_problem(sorted(on2), base.candidates, budget=budget)
+        return build_problem(sorted(on2), base.candidates, budget=budget), None
     rows1 = sorted(on1)
     rem_pos = [bisect_left(rows1, p) for p in on1 - on2]
     problem = base.problem
@@ -104,10 +108,12 @@ def _patched_problem(
         matrix, kept = bm.delete_rows(rem_pos)
         if kept is None:
             costs, payloads = list(problem.costs), problem.payloads
+            kept = range(problem.num_columns)
         else:
             costs = [problem.costs[i] for i in kept]
             payloads = cov.take_payloads(problem.payloads, kept)
-        return cov.CoveringProblem(len(on2), None, costs, payloads, matrix=matrix)
+        patched = cov.CoveringProblem(len(on2), None, costs, payloads, matrix=matrix)
+        return patched, kept
     # Delete highest positions first so lower ones stay valid.
     rem_pos.sort(reverse=True)
     out = []
@@ -116,7 +122,22 @@ def _patched_problem(
             low = (1 << i) - 1
             mask = (mask & low) | ((mask >> 1) & ~low)
         out.append(mask)
-    return cov.problem_from_masks(len(on2), out, problem.costs, problem.payloads)
+    kept = [i for i, mask in enumerate(out) if mask]
+    patched = cov.problem_from_masks(len(on2), out, problem.costs, problem.payloads)
+    return patched, kept
+
+
+def _seed(kept: Sequence[int], cover: Sequence[int]) -> list[int] | None:
+    """The base cover's columns in a patched problem that kept the base
+    columns ``kept`` (ascending), or None when one of them was dropped:
+    a cover missing a column is no witness."""
+    seed = []
+    for column in cover:
+        i = bisect_left(kept, column)
+        if i == len(kept) or kept[i] != column:
+            return None
+        seed.append(i)
+    return seed
 
 
 def warm_minimize(
@@ -140,17 +161,16 @@ def warm_minimize(
     if trivial is not None:
         return trivial
     t0 = time.perf_counter()
-    problem = _patched_problem(base, func, budget)
+    problem, kept = _patched_problem(base, func, budget)
     if budget is not None:
         budget.check()
+    # In exact mode the base cover seeds the search.  An edit that
+    # retires rows keeps it feasible unless one of its columns emptied;
+    # one that appends rows passes none, as the base cover need not
+    # reach them.
     seed = None
-    if base.covering == "exact" and base.form.pseudoproducts:
-        index_of: dict[Pseudocube, int] = {}
-        for i, pc in enumerate(problem.payloads):
-            index_of.setdefault(pc, i)
-        seed = [index_of[pc] for pc in base.form.pseudoproducts if pc in index_of]
-        if len(seed) != len(base.form.pseudoproducts):
-            seed = None  # a prior column vanished; the old cover is no witness
+    if base.covering == "exact" and base.cover and kept is not None:
+        seed = _seed(kept, base.cover)
     solution = cov.solve(problem, mode=base.covering, budget=budget, seed=seed)
     form = SppForm(func.n, tuple(solution.payloads))
     return SppResult(

@@ -54,8 +54,10 @@ class SppResult:
     # eliminated, components, cyclic-core size), when one was produced.
     covering_stats: dict | None = None
     # The covering problem minimize_spp selected its cover from (after
-    # the zero-coverage drop); delta contexts reuse it.
+    # the zero-coverage drop) and the columns of ``form`` in it, in form
+    # order; delta contexts reuse both.
     problem: cov.CoveringProblem[Pseudocube] | None = None
+    selected: list[int] | None = None
 
     @property
     def num_literals(self) -> int:
@@ -78,7 +80,9 @@ def cover_with(
     cost: Callable[[Pseudocube], int] = literal_cost,
     max_candidates: int = 400_000,
     budget: Budget | None = None,
-) -> tuple[SppForm, bool, float, dict | None, cov.CoveringProblem[Pseudocube]]:
+) -> tuple[
+    SppForm, bool, float, dict | None, cov.CoveringProblem[Pseudocube], list[int]
+]:
     """Select a minimal-cost subset of ``candidates`` covering the on-set.
 
     Candidate lists beyond ``max_candidates`` (they arise from
@@ -88,10 +92,11 @@ def cover_with(
     (so feasibility is preserved).  A pruned instance can no longer be
     solved exactly, so ``proved_optimal`` is forced off.
 
-    Returns ``(form, proved_optimal, seconds, reduction_stats, problem)``
-    where ``reduction_stats`` is the covering reduction report as a dict
-    (or None when the problem had no rows) and ``problem`` is the
-    covering problem that was solved.
+    Returns ``(form, proved_optimal, seconds, reduction_stats, problem,
+    selected)`` where ``reduction_stats`` is the covering reduction
+    report as a dict (or None when the problem had no rows), ``problem``
+    is the covering problem that was solved and ``selected`` the
+    problem's columns of ``form``, in form order.
     """
     t0 = time.perf_counter()
     pruned = False
@@ -108,7 +113,8 @@ def cover_with(
     form = SppForm(func.n, tuple(solution.payloads))
     optimal = solution.optimal and not pruned
     stats = solution.stats.as_dict() if solution.stats is not None else None
-    return form, optimal, time.perf_counter() - t0, stats, problem
+    seconds = time.perf_counter() - t0
+    return form, optimal, seconds, stats, problem, solution.selected
 
 
 # Candidates rated between two budget checks in `_prune_candidates`.
@@ -237,7 +243,7 @@ def minimize_spp(
         candidates = candidates + [
             cube.to_pseudocube(func.n) for cube in prime_implicants(func, budget)
         ]
-    form, optimal, cover_seconds, cover_stats, problem = cover_with(
+    form, optimal, cover_seconds, cover_stats, problem, selected = cover_with(
         func, candidates, covering=covering, cost=cost, budget=budget
     )
     return SppResult(
@@ -249,4 +255,5 @@ def minimize_spp(
         seconds_covering=cover_seconds,
         covering_stats=cover_stats,
         problem=problem,
+        selected=selected,
     )

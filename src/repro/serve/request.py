@@ -14,8 +14,9 @@ form reaches :mod:`repro.delta`).
 
 Each process keeps one parse memo: a PLA text it has parsed before is
 not parsed again.  Before a text is parsed, the decoder counts the
-points its cubes and headers expand to (:meth:`PlaBody.points`) and
-refuses one over :data:`MAX_REQUEST_POINTS` with a
+points its cubes, headers and outputs expand to (:meth:`PlaBody.points`,
+which charges every output at least 16 points, what building it costs)
+and refuses one over :data:`MAX_REQUEST_POINTS` with a
 :class:`~repro.errors.UsageError` (400 ``usage``): a few dozen bytes can
 describe millions of points, and the coordinator would pay for them
 before any worker saw the request.

@@ -7,6 +7,7 @@ Routing-key unit tests use an unstarted coordinator — no processes.
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import os
@@ -21,8 +22,10 @@ import pytest
 
 from repro.cli import build_parser
 from repro.cluster import ClusterConfig, ClusterCoordinator
+from repro.cluster.coordinator import _WorkerState
 from repro.cluster.worker import WorkerProcess
 from repro.serve.request import parse_memo_stats
+from repro.serve.tier import MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE
 from tests.serve.test_metrics import parse_prometheus
 from tests.serve.test_serve import raw_post
 
@@ -129,44 +132,72 @@ class TestWorkerFlags:
         )
 
 
-class TestWorkerProbes:
-    """The coordinator's health thread calls ``healthy`` and ``stats``:
-    a worker killed mid-reply must read as down, not raise."""
+# Replies a worker killed mid-reply, or a peer that is not a tier, might
+# send: a body shorter than its Content-Length, and no status line.
+BAD_REPLIES = {
+    "short-body": (
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+        b"Content-Length: 64\r\n\r\n{\"ok\": "
+    ),
+    "no-status-line": b"SSH-2.0-OpenSSH_9.2\r\n\r\n",
+}
 
-    @pytest.fixture()
-    def truncating_worker(self):
-        """A fake worker that answers every request with a 200 whose
-        ``Content-Length`` promises more body than it sends, then
-        closes — what a worker SIGKILLed mid-reply looks like."""
-        listener = socket.create_server(("127.0.0.1", 0))
-        listener.settimeout(0.1)
-        stop = threading.Event()
 
-        def serve() -> None:
-            while not stop.is_set():
-                try:
-                    conn, _ = listener.accept()
-                except TimeoutError:
-                    continue
-                with conn:
-                    conn.recv(65536)
-                    conn.sendall(
-                        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
-                        b"Content-Length: 64\r\n\r\n{\"ok\": "
-                    )
+@contextlib.contextmanager
+def _fake_worker(reply: bytes):
+    """A fake worker that answers every request with ``reply``, then
+    closes."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.1)
+    stop = threading.Event()
 
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        worker = WorkerProcess("fake", listener.getsockname()[1])
-        worker._proc = SimpleNamespace(poll=lambda: None, pid=None)  # alive
+    def serve() -> None:
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.recv(65536)
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    worker = WorkerProcess("fake", listener.getsockname()[1])
+    worker._proc = SimpleNamespace(poll=lambda: None, pid=None)  # alive
+    try:
         yield worker
+    finally:
         stop.set()
         thread.join(timeout=5)
         listener.close()
 
+
+class TestWorkerProbes:
+    """The coordinator's health thread calls ``healthy`` and ``stats``,
+    and its request threads ``_proxy``: a worker killed mid-reply, or a
+    malformed reply, must read as down or as a failed attempt, not
+    raise."""
+
+    @pytest.fixture()
+    def truncating_worker(self):
+        """What a worker SIGKILLed mid-reply looks like: a 200 whose
+        ``Content-Length`` promises more body than it sends."""
+        with _fake_worker(BAD_REPLIES["short-body"]) as worker:
+            yield worker
+
     def test_truncated_reply_reads_as_down(self, truncating_worker):
         assert truncating_worker.stats(timeout=5) is None
         assert truncating_worker.healthy(timeout=5) is False
+
+    @pytest.mark.parametrize("reply", sorted(BAD_REPLIES))
+    def test_bad_reply_is_a_failed_proxy_attempt(self, reply):
+        coordinator = ClusterCoordinator(ClusterConfig(workers=1))
+        with _fake_worker(BAD_REPLIES[reply]) as worker:
+            coordinator._workers["fake"] = _WorkerState(worker)
+            assert coordinator._proxy("fake", _body(PLAS[0])) is None
+        assert coordinator._workers["fake"].errors == 1
+        assert coordinator._pool == {}
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +292,14 @@ MALFORMED = {
         "/minimize", _body(".i 17\n.o 1\n" + "-" * 17 + " 1\n.e\n"), 400, "usage",
     ),
     "points-fr": ("/minimize", _body(".i 17\n.o 2\n.type fr\n.e\n"), 400, "usage"),
+    # Every output is charged 16 points, what building it costs.
+    "points-outputs": ("/minimize", _body(".i 1\n.o 131072\n.e\n"), 400, "usage"),
+    "points-outputs-one-row": (
+        "/minimize",
+        _body(".i 1\n.o 131071\n1 1" + "0" * 131_070 + "\n.e\n"),
+        400,
+        "usage",
+    ),
     "wrong-path": ("/nope", _body(PLAS[0]), 404, "not-found"),
 }
 
@@ -315,6 +354,158 @@ class TestTierParity:
         assert worker == front
         assert front[0] == 400 and front[1]["error"]["code"] == "parse"
         assert self._health(coordinator) == before
+
+
+def _responses(data: bytes) -> list[tuple[int, dict[str, str], bytes]]:
+    """Every (status, headers, body) in ``data``, a byte stream of
+    Content-Length-framed responses, in order."""
+    out = []
+    while data:
+        head, _, data = data.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = {}
+        for line in lines:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers.get("content-length", 0))
+        out.append((int(status_line.split()[1]), headers, data[:length]))
+        data = data[length:]
+    return out
+
+
+def _until_closed(port: int, *messages: bytes, timeout: float = 30) -> bytes:
+    """Send each message on one fresh connection, then read until the
+    server closes it (a server that keeps it open times the test out)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        for message in messages:
+            sock.sendall(message)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _post_bytes(body: bytes, *headers: str, version: str = "1.1") -> bytes:
+    lines = [
+        f"POST /minimize HTTP/{version}", "Host: test",
+        f"Content-Length: {len(body)}", *headers,
+    ]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
+
+
+@pytest.fixture(params=["worker", "coordinator"])
+def tier_port(cluster, request) -> int:
+    """The port of one tier of the shared cluster."""
+    coordinator, _, port = cluster
+    return coordinator._workers["w0"].proc.port if request.param == "worker" else port
+
+
+class TestWire:
+    """Both tiers frame HTTP/1.1 themselves (``repro.serve.tier``).
+    Each exchange runs over a raw socket, so what the server sends, and
+    when it closes, is what the test sees."""
+
+    @staticmethod
+    def _only(data: bytes) -> tuple[int, dict[str, str], bytes]:
+        """The one response in ``data``; every response names its
+        server and date."""
+        ((status, headers, body),) = _responses(data)
+        assert headers["server"].startswith("repro")
+        assert headers["date"].endswith(" GMT")
+        return status, headers, body
+
+    def test_pipelined_requests_are_answered_in_order(self, tier_port):
+        first = _post_bytes(_body(PLAS[0], label="first"))
+        second = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+        answers = _responses(_until_closed(tier_port, first + second))
+        assert [status for status, _, _ in answers] == [200, 200]
+        assert json.loads(answers[0][2])["results"][0]["label"] == "first[0]"
+        assert json.loads(answers[1][2]) == {"status": "ok"}
+        for _, headers, _ in answers:
+            assert headers["server"].startswith("repro") and "date" in headers
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+            _post_bytes(_body(PLAS[1]), version="1.0"),
+        ],
+        ids=["http-1.0-get", "connection-close", "http-1.0-post"],
+    )
+    def test_answered_then_closed(self, tier_port, request_bytes):
+        status, _, body = self._only(_until_closed(tier_port, request_bytes))
+        assert status == 200
+        body = json.loads(body)
+        assert body.get("status") == "ok" or body["ok"]
+
+    def test_expect_100_continue_before_the_body(self, tier_port):
+        body = _body(PLAS[2])
+        head = _post_bytes(body, "Expect: 100-continue")[: -len(body)]
+        with socket.create_connection(("127.0.0.1", tier_port), timeout=30) as sock:
+            sock.sendall(head)
+            interim = sock.recv(65536)
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body + b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        statuses = [status for status, _, _ in _responses(b"".join(chunks))]
+        assert statuses == [200, 200]
+
+    def test_request_line_over_the_limit_is_414(self, tier_port):
+        # Exactly one byte over: the server has read all that was sent
+        # when it answers, so its close is clean.
+        line = b"GET /" + b"a" * (MAX_LINE - 4)
+        assert len(line) == MAX_LINE + 1
+        assert self._only(_until_closed(tier_port, line))[0] == 414
+
+    def test_too_many_headers_is_431(self, tier_port):
+        headers = "".join(f"X-Pad-{i}: {i}\r\n" for i in range(MAX_HEADERS + 1))
+        request_bytes = f"GET /healthz HTTP/1.1\r\n{headers}".encode()
+        status, _, _ = self._only(_until_closed(tier_port, request_bytes))
+        assert status == 431
+        # Fewer are a request like any other (http.server refused 100).
+        fewer = "".join(f"X-Pad-{i}: {i}\r\n" for i in range(MAX_HEADERS - 2))
+        request_bytes = (
+            f"GET /healthz HTTP/1.1\r\n{fewer}Connection: close\r\n\r\n".encode()
+        )
+        assert self._only(_until_closed(tier_port, request_bytes))[0] == 200
+
+    def test_unknown_method_is_501(self, tier_port):
+        request_bytes = b"DELETE /minimize HTTP/1.1\r\nHost: test\r\n\r\n"
+        assert self._only(_until_closed(tier_port, request_bytes))[0] == 501
+
+    def test_chunked_body_is_refused_411_and_closed(self, tier_port):
+        request_bytes = (
+            b"POST /minimize HTTP/1.1\r\nHost: test\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n"
+        )
+        status, headers, body = self._only(_until_closed(tier_port, request_bytes))
+        assert status == 411 and headers["connection"] == "close"
+        assert json.loads(body)["error"]["code"] == "length-required"
+
+    @pytest.mark.parametrize("expect", [False, True], ids=["plain", "expect-100"])
+    def test_body_over_the_cap_is_413_unread(self, tier_port, expect):
+        # Only the headers go out: a server that waits for the body
+        # times the test out instead of answering.
+        head = (
+            f"POST /minimize HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n"
+            + ("Expect: 100-continue\r\n" if expect else "")
+            + "\r\n"
+        ).encode()
+        status, headers, body = self._only(_until_closed(tier_port, head, timeout=10))
+        assert status == 413 and headers["connection"] == "close"
+        assert json.loads(body)["error"]["code"] == "body-too-large"
+
+    def test_body_at_the_cap_is_read(self, tier_port):
+        # Padding spaces keep the JSON valid; the PLA is a small one.
+        body = _body(PLAS[3])
+        body += b" " * (MAX_BODY_BYTES - len(body))
+        request_bytes = _post_bytes(body, "Connection: close")
+        status, _, answer = self._only(_until_closed(tier_port, request_bytes))
+        assert status == 200 and json.loads(answer)["ok"]
 
 
 class TestCluster:

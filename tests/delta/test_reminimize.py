@@ -8,6 +8,7 @@ import pytest
 
 from repro.bench.suite import get_benchmark
 from repro.boolfunc.function import BoolFunc
+from repro.core.pseudocube import Pseudocube
 from repro.delta import (
     DeltaIneligible,
     build_context,
@@ -15,7 +16,7 @@ from repro.delta import (
     toggle_points,
     warm_minimize,
 )
-from repro.delta.reminimize import _patched_problem
+from repro.delta.reminimize import _patched_problem, _seed
 from repro.kernels import bitmat
 from repro.kernels.coverage import build_problem
 from repro.minimize.exact import minimize_spp
@@ -47,7 +48,7 @@ class TestPatchParity:
     def test_patched_masks_match_cold_pass(self, toggles):
         ctx = _context()
         edited = toggle_points(FUNC, toggles)
-        got = _patched_problem(ctx, edited, None)
+        got, _ = _patched_problem(ctx, edited, None)
         assert got == build_problem(sorted(edited.on_set), ctx.candidates)
 
     def test_dropped_column_revived(self):
@@ -58,7 +59,7 @@ class TestPatchParity:
         revived = next(pc for pc in ctx.candidates if set(pc.points()) == {6, 7})
         assert revived not in ctx.problem.payloads
         edited = toggle_points(func, [6])
-        got = _patched_problem(ctx, edited, None)
+        got, _ = _patched_problem(ctx, edited, None)
         want = build_problem(sorted(edited.on_set), ctx.candidates)
         assert revived in want.payloads
         assert got.column_masks == want.column_masks
@@ -94,7 +95,7 @@ def _patch_matches_cold(ctx, retired):
     """Patch ``ctx`` for retiring ``retired`` and check it against the
     cold build, matrix included when the packed path ran."""
     edited = toggle_points(ctx.func, retired)
-    got = _patched_problem(ctx, edited, None)
+    got, _ = _patched_problem(ctx, edited, None)
     want = build_problem(sorted(edited.on_set), ctx.candidates)
     assert got == want
     if bitmat.HAVE_NUMPY:
@@ -184,6 +185,47 @@ class TestSharedBase:
         assert base.column_masks == masks_before
         if matrix_before is not None:
             assert (base.matrix.matrix == matrix_before).all()
+
+
+class TestExactModeSeed:
+    """An exact-mode warm edit seeds its search with the base cover,
+    found through the patch's kept columns, not by building every
+    column's pseudocube to look the cover up."""
+
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        # 2,109 columns, a 4-term cover, searched exactly in about 0.2 s.
+        return _context(get_benchmark("test1")[3], covering="exact")
+
+    def test_seed_is_the_base_cover(self, ctx):
+        edited = toggle_points(ctx.func, sorted(ctx.func.on_set)[:2])
+        problem, kept = _patched_problem(ctx, edited, None)
+        seed = _seed(kept, ctx.cover)
+        assert seed is not None
+        assert [problem.payloads[i] for i in seed] == list(ctx.form.pseudoproducts)
+
+    def test_seed_is_none_once_a_cover_column_empties(self):
+        assert _seed([0, 2, 3], [3, 0]) == [2, 0]
+        assert _seed([0, 2, 3], [3, 1]) is None
+        assert _seed(range(4), [3, 1]) == [3, 1]
+
+    def test_warm_edit_builds_pseudocubes_for_the_covers_only(self, ctx, monkeypatch):
+        edited = toggle_points(ctx.func, sorted(ctx.func.on_set)[:2])
+        built = []
+        unsafe = Pseudocube._unsafe.__func__
+
+        def counted(cls, *args):
+            built.append(args)
+            return unsafe(cls, *args)
+
+        monkeypatch.setattr(Pseudocube, "_unsafe", classmethod(counted))
+        warm = warm_minimize(ctx, edited)
+        monkeypatch.undo()
+        assert ctx.problem.num_columns > 2000
+        assert len(built) <= ctx.form.num_pseudoproducts + warm.form.num_pseudoproducts
+        cold = minimize_spp(edited, covering="exact")
+        assert warm.form == cold.form
+        assert warm.covering_optimal == cold.covering_optimal
 
 
 class TestWarmEqualsCold:

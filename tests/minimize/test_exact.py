@@ -141,7 +141,7 @@ class TestCandidatePruning:
 
         func = BoolFunc(4, frozenset(range(3, 16)))
         generation = generate_eppp(func)
-        form, optimal, _, _, _ = cover_with(
+        form, optimal, _, _, _, _ = cover_with(
             func, generation.eppps, covering="exact", max_candidates=5
         )
         assert not optimal  # pruning forfeits the optimality proof
@@ -216,11 +216,11 @@ class TestCandidatePruning:
 
         func = BoolFunc(4, frozenset(range(3, 16)))
         generation = generate_eppp(func)
-        full_form, full_optimal, _, _, _ = cover_with(
+        full_form, full_optimal, _, _, _, _ = cover_with(
             func, generation.eppps, covering="exact"
         )
         assert full_optimal
-        _, pruned_optimal, _, _, _ = cover_with(
+        _, pruned_optimal, _, _, _, _ = cover_with(
             func, generation.eppps, covering="exact", max_candidates=3
         )
         assert not pruned_optimal

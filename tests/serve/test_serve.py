@@ -512,14 +512,18 @@ class TestParseMemo:
     @pytest.mark.parametrize(
         "body, points",
         [
-            # One all-dash cube: 2^17 points, plus one for its output.
-            (".i 17\n.o 1\n" + "-" * 17 + " 1\n.e\n", 131_073),
+            # One all-dash cube: 2^17 points, plus 16 for its output.
+            (".i 17\n.o 1\n" + "-" * 17 + " 1\n.e\n", 131_088),
             # No rows: every point of both outputs is don't-care.
             (".i 17\n.o 2\n.type fr\n.e\n", 262_144),
-            # A few bytes naming ten million outputs.
-            (".i 1\n.o 10000000\n.e\n", 10_000_000),
+            # A few bytes naming ten million outputs, 16 points each.
+            (".i 1\n.o 10000000\n.e\n", 160_000_000),
+            # Each output costs about 1.2 KB to build, so 2^17 of them
+            # are refused, in 18 bytes or with one row setting one.
+            (".i 1\n.o 131072\n.e\n", 2_097_152),
+            (".i 1\n.o 131071\n1 1" + "0" * 131_070 + "\n.e\n", 2_097_137),
         ],
-        ids=["i17-all-dash", "i17-fr", "o10m"],
+        ids=["i17-all-dash", "i17-fr", "o10m", "o131072", "o131071-one-row"],
     )
     def test_text_over_the_point_bound_is_refused_unexpanded(
         self, body, points, monkeypatch
@@ -540,9 +544,9 @@ class TestParseMemo:
     @pytest.mark.parametrize(
         "body, points",
         [
-            (".i 16\n.o 1\n" + "-" * 16 + " 1\n.e\n", 65_537),
+            (".i 16\n.o 1\n" + "-" * 16 + " 1\n.e\n", 65_552),
             (".i 16\n.o 2\n.type fr\n.e\n", 131_072),  # at the bound
-            (".i 4000\n.o 1\n" + "1" * 3990 + "-" * 10 + " 1\n.e\n", 1_025),
+            (".i 4000\n.o 1\n" + "1" * 3990 + "-" * 10 + " 1\n.e\n", 1_040),
         ],
         ids=["i16-all-dash", "i16-fr", "i4000"],
     )

@@ -2,7 +2,8 @@
 
 The cluster coordinator only decodes and routes requests, so importing
 it, or running ``python -m repro cluster``, must not load numpy or any
-solver; and the ``repro``, ``repro.engine`` and ``repro.serve``
+solver; neither tier loads the stdlib HTTP stack, as both frame HTTP
+themselves; and the ``repro``, ``repro.engine`` and ``repro.serve``
 packages, which resolve their public names on first access, must still
 hand out the same objects their submodules define.
 """
@@ -63,6 +64,18 @@ def test_the_coordinator_loads_no_solver(args, entry):
         for solver in SOLVER_MODULES
         if name == solver or name.startswith(solver + ".")
     }
+
+
+# The stdlib HTTP stack both tiers frame the wire without.
+HTTP_STACK = ("http.server", "http.client", "email.parser", "ssl")
+
+
+def test_the_tiers_load_no_stdlib_http_stack():
+    imported = _imported(
+        "-c", "import repro.cli, repro.serve.server, repro.cluster.coordinator"
+    )
+    assert "repro.serve.tier" in imported
+    assert not imported & set(HTTP_STACK)
 
 
 # Where each package's public names are defined (the modules the
